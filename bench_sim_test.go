@@ -1,16 +1,22 @@
 package scaltool_test
 
 // BenchmarkSimRun measures one raw simulator run — no HTTP, no campaign, no
-// cache — so the engine's per-access cost and allocation behavior are visible
-// without serving-path noise. BENCH_sim.json records its trajectory together
-// with BenchmarkServeAnalyze (the end-to-end number the acceptance bar is
-// set on).
+// cache, no program build — so the engine's per-access cost and allocation
+// behavior are visible without serving-path noise. Each case runs with the
+// observer off (a bare context) and on (a live tracer and metrics registry,
+// as a traced CLI campaign has), so the pair also bounds the observability
+// layer's hot-path overhead:
+//
+//	go test -bench 'SimRun/swim/p8' -benchtime 20x .
 
 import (
+	"context"
+	"strconv"
 	"testing"
 
 	"scaltool/internal/apps"
 	"scaltool/internal/machine"
+	"scaltool/internal/obs"
 	"scaltool/internal/sim"
 )
 
@@ -32,20 +38,22 @@ func BenchmarkSimRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(bc.app+"/p"+itoa(bc.procs), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(cfg, prog); err != nil {
-					b.Fatal(err)
+		observed := &obs.Observer{Trace: obs.NewTracer(), Metrics: obs.NewMetrics()}
+		for _, mode := range []struct {
+			name string
+			ctx  context.Context
+		}{
+			{"obs-off", context.Background()},
+			{"obs-on", obs.NewContext(context.Background(), observed)},
+		} {
+			b.Run(bc.app+"/p"+strconv.Itoa(bc.procs)+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := sim.RunContext(mode.ctx, cfg, prog); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
-}
-
-func itoa(n int) string {
-	if n >= 10 {
-		return string(rune('0'+n/10)) + string(rune('0'+n%10))
-	}
-	return string(rune('0' + n))
 }

@@ -9,10 +9,10 @@ package scaltool_test
 // The timings measure the cost of reproducing each experiment end to end —
 // campaigns included (campaign results are cached across benchmarks within
 // a run, exactly as the Scal-Tool methodology reuses its 2n−1 run files).
-// Substrate microbenchmarks (cache, directory, simulator, campaign) follow.
+// Substrate microbenchmarks (cache, directory, campaign) follow; the
+// simulator run benchmark is BenchmarkSimRun (bench_sim_test.go).
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -24,8 +24,6 @@ import (
 	"scaltool/internal/directory"
 	"scaltool/internal/experiments"
 	"scaltool/internal/machine"
-	"scaltool/internal/obs"
-	"scaltool/internal/sim"
 )
 
 var (
@@ -136,27 +134,6 @@ func BenchmarkDirectoryMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorRun measures one full application run (Swim, 8
-// processors, default size) — the unit of work a campaign fans out.
-func BenchmarkSimulatorRun(b *testing.B) {
-	cfg := machine.ScaledOrigin()
-	app, err := apps.ByName("swim")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog, err := app.Build(cfg, 8, app.DefaultBytes(cfg))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Run(cfg, prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCampaign measures a complete Table 3 campaign (Hydro2d, up to 8
 // processors) including the estimation kernels.
 func BenchmarkCampaign(b *testing.B) {
@@ -177,38 +154,4 @@ func BenchmarkCampaign(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkObsSimRun quantifies the observability layer's overhead on the
-// hot path (one full Swim run at 8 processors, as BenchmarkSimulatorRun):
-// "disabled" runs with a bare context, "enabled" with a live tracer,
-// metrics registry, and per-run span. ISSUE acceptance: enabled must stay
-// within 3% of disabled (BENCH_obs.json records a measured pair).
-func BenchmarkObsSimRun(b *testing.B) {
-	cfg := machine.ScaledOrigin()
-	app, err := apps.ByName("swim")
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, ctx context.Context) {
-		b.Helper()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			prog, err := app.Build(cfg, 8, app.DefaultBytes(cfg))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sim.RunContext(ctx, cfg, prog); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("disabled", func(b *testing.B) {
-		run(b, context.Background())
-	})
-	b.Run("enabled", func(b *testing.B) {
-		o := &obs.Observer{Trace: obs.NewTracer(), Metrics: obs.NewMetrics()}
-		run(b, obs.NewContext(context.Background(), o))
-	})
 }

@@ -1,12 +1,14 @@
 package admission
 
 import (
+	"context"
 	"math"
 	"net/http"
 
 	"scaltool/internal/apps"
 	"scaltool/internal/campaign"
 	"scaltool/internal/machine"
+	"scaltool/internal/recipe"
 	"scaltool/internal/sim"
 )
 
@@ -98,45 +100,44 @@ func (t opTally) cost(cfg machine.Config, procs int, spaceBytes uint64) Cost {
 // (upper bound), allocation footprint, and retained timeline bytes of
 // running it on cfg.
 func EstimateProgram(cfg machine.Config, prog *sim.Program) Cost {
-	var t opTally
-	regions := prog.Regions()
-	t.regions = len(regions)
-	for ri := range regions {
-		for pi := range regions[ri].Streams {
-			for _, op := range regions[ri].Streams[pi].Ops {
-				switch op.Kind {
-				case sim.OpCompute:
-					t.instr += float64(op.Instr)
-				case sim.OpSeq:
-					t.accesses += float64(op.Count)
-					t.instr += float64(op.Count) * float64(op.InstrPer)
-				case sim.OpGather:
-					n := float64(len(op.Addrs))
-					t.accesses += n
-					t.instr += n * float64(op.InstrPer)
-					t.gatherBytes += int64(len(op.Addrs)) * 8
-				case sim.OpCritical:
-					t.instr += float64(op.Instr) + float64(cfg.Sync.LockInstr)
-					t.criticalInstr += float64(op.Instr)
-				}
-			}
-		}
+	return censusCost(cfg, prog.Census())
+}
+
+// censusCost prices a program's op census on cfg. A census is all
+// EstimateProgram reads from a program, so the recipe table's census prices
+// a run exactly as a fresh build would.
+func censusCost(cfg machine.Config, c sim.Census) Cost {
+	t := opTally{
+		instr:         c.Instr + float64(c.CriticalOps)*float64(cfg.Sync.LockInstr),
+		accesses:      c.Accesses,
+		criticalInstr: c.CriticalInstr,
+		gatherBytes:   int64(c.GatherAddrs) * 8,
+		regions:       c.Regions,
 	}
-	return t.cost(cfg, prog.Procs, prog.SpaceBytes())
+	return t.cost(cfg, c.Procs, c.SpaceBytes)
 }
 
 // EstimatePlan prices the full campaign a plan implies — base runs at every
 // processor count, uniprocessor runs at every fractional size, the
-// synchronization and spin kernels — against budget b.
+// synchronization and spin kernels — against budget b. It is
+// EstimatePlanContext without an observer.
+func (b Budget) EstimatePlan(cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (Cost, *Rejection) {
+	return b.EstimatePlanContext(context.Background(), cfg, app, plan, workers)
+}
+
+// EstimatePlanContext is EstimatePlan with ctx's observer counting the
+// program builds pricing causes.
 //
-// Safety ordering matters here: a run's dataset size is checked against the
-// request byte budget *before* its program is built, because builders
+// Safety ordering matters here: every run's dataset size is checked against
+// the request byte budget *before* any program is built, because builders
 // allocate address lists proportional to the dataset (a build can be the
 // attack). Applications implementing RunEstimator are priced in closed form
-// and never built. workers is the simulation concurrency the server will
-// use; transient build/run footprints are charged for that many concurrent
-// runs, retained timelines for all of them.
-func (b Budget) EstimatePlan(cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (Cost, *Rejection) {
+// and never built. Every other run is priced from the recipe table
+// (internal/recipe), which builds a program only on its recipe's first
+// sight in this process. workers is the simulation concurrency the server
+// will use; transient build/run footprints are charged for that many
+// concurrent runs, retained timelines for all of them.
+func (b Budget) EstimatePlanContext(ctx context.Context, cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (Cost, *Rejection) {
 	b = b.withDefaults()
 	if workers < 1 {
 		workers = 1
@@ -153,52 +154,44 @@ func (b Budget) EstimatePlan(cfg machine.Config, app apps.App, plan campaign.Pla
 	for _, s := range plan.UniSizes {
 		runs = append(runs, runShape{procs: 1, size: s})
 	}
+	// Pre-build gate: a build's own allocations are O(size) (address lists,
+	// partition tables), so a size over the byte budget is refused before
+	// anything is built or tabled.
+	for _, r := range runs {
+		if int64(r.size) > b.MaxRequestBytes {
+			return Cost{}, Reject(http.StatusRequestEntityTooLarge, "cost_bytes",
+				"campaign data-set size %d bytes exceeds the per-request byte budget of %d (building it would, before simulating anything)",
+				r.size, b.MaxRequestBytes) //scalvet:ignore rejection early-exit: fires at most once, then returns
+		}
+	}
 
 	est, _ := app.(RunEstimator)
 	var (
-		cycles        float64
-		maxTransient  int64
-		retained      int64
-		nRuns         int
-		largestBuild  uint64
-		rejectedBuild *Rejection
+		cycles       float64
+		maxTransient int64
+		retained     int64
+		nRuns        int
 	)
-	price := func(c Cost) {
+	for _, r := range runs {
+		var c Cost
+		if est != nil {
+			c = est.EstimateRun(cfg, r.procs, r.size)
+		} else {
+			e, _ := recipe.Default.Resolve(ctx, recipe.ForApp(app, cfg, r.procs, r.size))
+			if e.Err != nil {
+				// The campaign skips sizes the application's grid cannot
+				// realize; so does the estimate. A base-run build error
+				// surfaces later as the request's own semantic failure.
+				continue
+			}
+			c = censusCost(cfg, e.Census)
+		}
 		cycles += c.Cycles
 		retained += c.TimelineBytes
 		if tr := c.AllocBytes - c.TimelineBytes; tr > maxTransient {
 			maxTransient = tr
 		}
 		nRuns += c.Runs
-	}
-	for _, r := range runs {
-		// Pre-build gate: the build's own allocations are O(size) (address
-		// lists, partition tables), so a size over the byte budget must be
-		// refused before Build runs, not after.
-		if r.size > largestBuild {
-			largestBuild = r.size
-		}
-		if int64(r.size) > b.MaxRequestBytes {
-			rejectedBuild = Reject(http.StatusRequestEntityTooLarge, "cost_bytes",
-				"campaign data-set size %d bytes exceeds the per-request byte budget of %d (building it would, before simulating anything)",
-				r.size, b.MaxRequestBytes) //scalvet:ignore rejection early-exit: fires at most once, then breaks
-			break
-		}
-		if est != nil {
-			price(est.EstimateRun(cfg, r.procs, r.size))
-			continue
-		}
-		prog, err := app.Build(cfg, r.procs, r.size)
-		if err != nil {
-			// The campaign skips sizes the application's grid cannot realize;
-			// so does the estimate. A base-run build error surfaces later as
-			// the request's own semantic failure.
-			continue
-		}
-		price(EstimateProgram(cfg, prog))
-	}
-	if rejectedBuild != nil {
-		return Cost{}, rejectedBuild
 	}
 
 	// Estimation kernels: a barrier-loop kernel per processor count and one
@@ -211,7 +204,7 @@ func (b Budget) EstimatePlan(cfg machine.Config, app apps.App, plan campaign.Pla
 		nRuns++
 	}
 	nmax := plan.ProcCounts[len(plan.ProcCounts)-1]
-	cycles += 20 * barrierCycles(cfg, nmax) * 4 // spin kernel: barriers + spin-wait padding
+	cycles += apps.SpinKernelPhases * barrierCycles(cfg, nmax) * 4 // spin kernel: barriers + spin-wait padding
 	retained += int64(nmax) * (phaseBytes + procStateBytes)
 	nRuns++
 
@@ -238,7 +231,13 @@ func (b Budget) EstimatePlan(cfg machine.Config, app apps.App, plan campaign.Pla
 // bounded by one more copy of the campaign's retained timeline records,
 // so it is charged exactly that.
 func (b Budget) EstimateDiagnose(cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (Cost, *Rejection) {
-	c, rej := b.EstimatePlan(cfg, app, plan, workers)
+	return b.EstimateDiagnoseContext(context.Background(), cfg, app, plan, workers)
+}
+
+// EstimateDiagnoseContext is EstimateDiagnose with ctx's observer counting
+// the program builds pricing causes.
+func (b Budget) EstimateDiagnoseContext(ctx context.Context, cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (Cost, *Rejection) {
+	c, rej := b.EstimatePlanContext(ctx, cfg, app, plan, workers)
 	if rej != nil {
 		return Cost{}, rej
 	}

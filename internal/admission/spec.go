@@ -1,6 +1,8 @@
 package admission
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"strings"
@@ -165,10 +167,62 @@ func (s *ProgramSpec) TotalElems() uint64 {
 // campaign/plan/model pipeline runs user programs unchanged. The adapter
 // also implements RunEstimator, which is what EstimatePlan uses in place of
 // Build during admission.
-func (s *ProgramSpec) App() apps.App { return &specApp{spec: s} }
+func (s *ProgramSpec) App() apps.App { return &specApp{spec: s, id: s.digest()} }
 
 type specApp struct {
 	spec *ProgramSpec
+	id   specDigest
+}
+
+// specDigest is a spec's content identity: a SHA-256 over every field, each
+// length-prefixed, so two specs share it only if they build the same
+// programs — a shared Name is not enough.
+type specDigest [sha256.Size]byte
+
+// Identity implements recipe.Identifier: the recipe table keys user
+// programs by content. The digest is taken when App adapts the spec; the
+// serving path never mutates a spec after that.
+func (a *specApp) Identity() any { return a.id }
+
+// digest computes the spec's content identity.
+func (s *ProgramSpec) digest() specDigest {
+	h := sha256.New()
+	var buf [8]byte
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	str := func(v string) {
+		u64(uint64(len(v)))
+		h.Write([]byte(v))
+	}
+	str(s.Name)
+	u64(uint64(len(s.Arrays)))
+	for _, a := range s.Arrays {
+		str(a.Name)
+		u64(a.Elems)
+	}
+	u64(uint64(len(s.Regions)))
+	for _, r := range s.Regions {
+		str(r.Name)
+		if r.Serial {
+			u64(1)
+		} else {
+			u64(0)
+		}
+		u64(uint64(len(r.Ops)))
+		for _, op := range r.Ops {
+			str(op.Kind)
+			str(op.Array)
+			u64(op.Instr)
+			u64(op.InstrPer)
+			u64(op.HaloElems)
+			u64(op.GatherEvery)
+		}
+	}
+	var d specDigest
+	h.Sum(d[:0])
+	return d
 }
 
 func (a *specApp) Name() string        { return "user:" + a.spec.Name }

@@ -36,13 +36,32 @@ func (a *Matmul) DefaultBytes(cfg machine.Config) uint64 {
 	return 3 * uint64(cfg.L2.SizeBytes)
 }
 
-// Build implements App.
-func (a *Matmul) Build(cfg machine.Config, procs int, dataBytes uint64) (*sim.Program, error) {
+// Identity is the app value, parameters included: what its recipes key on.
+func (a *Matmul) Identity() any { return *a }
+
+// edge is the matrix edge Build lays out for a requested size: whole tiles,
+// or 0 below one tile.
+func (a *Matmul) edge(dataBytes uint64) uint64 {
 	n := isqrt(dataBytes / (3 * ElemBytes))
 	if n < a.Block {
+		return 0
+	}
+	return n - n%a.Block
+}
+
+// AchievedBytes is the size Build achieves for a requested size, or 0
+// below the grid.
+func (a *Matmul) AchievedBytes(_ machine.Config, dataBytes uint64) uint64 {
+	n := a.edge(dataBytes)
+	return 3 * n * n * ElemBytes
+}
+
+// Build implements App.
+func (a *Matmul) Build(cfg machine.Config, procs int, dataBytes uint64) (*sim.Program, error) {
+	n := a.edge(dataBytes)
+	if n == 0 {
 		return nil, fmt.Errorf("matmul: size %d too small for %d-wide tiles", dataBytes, a.Block)
 	}
-	n -= n % a.Block
 	elems := n * n
 	prog, err := sim.NewProgram("matmul", procs, 3*elems*ElemBytes, cfg.PageBytes)
 	if err != nil {
@@ -103,6 +122,20 @@ func (a *Spmv) ParallelModel() string { return "MP" }
 // DefaultBytes implements App.
 func (a *Spmv) DefaultBytes(cfg machine.Config) uint64 {
 	return 4 * uint64(cfg.L2.SizeBytes)
+}
+
+// Identity is the app value, parameters included: what its recipes key on.
+func (a *Spmv) Identity() any { return *a }
+
+// AchievedBytes is the size Build achieves for a requested size, or 0
+// below the smallest matrix. That limit also depends on the processor
+// count (one row each); this is the uniprocessor answer.
+func (a *Spmv) AchievedBytes(_ machine.Config, dataBytes uint64) uint64 {
+	rows := dataBytes / (ElemBytes * (a.NnzPerRow + 2))
+	if rows < 16 {
+		return 0
+	}
+	return (rows*a.NnzPerRow + 2*rows) * ElemBytes
 }
 
 // Build implements App.

@@ -52,9 +52,24 @@ func (a *Hydro2d) DefaultBytes(cfg machine.Config) uint64 {
 
 const hydroArrays = 6
 
+// Identity is the app value, parameters included: what its recipes key on.
+func (a *Hydro2d) Identity() any { return *a }
+
+// hydroGrid is the grid edge Build lays out for a requested size.
+func hydroGrid(dataBytes uint64) uint64 { return isqrt(dataBytes / (hydroArrays * ElemBytes)) }
+
+// AchievedBytes is the size Build achieves for a requested size, or 0
+// below the grid.
+func (a *Hydro2d) AchievedBytes(_ machine.Config, dataBytes uint64) uint64 {
+	if n := hydroGrid(dataBytes); n >= 4 {
+		return hydroArrays * n * n * ElemBytes
+	}
+	return 0
+}
+
 // Build implements App.
 func (a *Hydro2d) Build(cfg machine.Config, procs int, dataBytes uint64) (*sim.Program, error) {
-	n := isqrt(dataBytes / (hydroArrays * ElemBytes))
+	n := hydroGrid(dataBytes)
 	if n < 4 {
 		return nil, fmt.Errorf("hydro2d: data size %d too small (grid %d²)", dataBytes, n)
 	}

@@ -10,8 +10,13 @@ import (
 // The estimation kernels of §2.4.2. They are not registered applications;
 // the model runs them directly to estimate cpi_sync(n), cpi_imb and tsync.
 
-// SyncKernelBarriers is the default barrier count for the sync kernel.
-const SyncKernelBarriers = 200
+// Kernel shapes the campaign runs: the sync kernel's barrier count, and the
+// spin kernel's phases and busy processor's work per phase.
+const (
+	SyncKernelBarriers = 200
+	SpinKernelPhases   = 20
+	SpinKernelWork     = 50_000
+)
 
 // BuildSyncKernel returns the paper's synchronization kernel: "simply a
 // loop where processors come in and out of barriers" with no spinning

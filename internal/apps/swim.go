@@ -55,9 +55,24 @@ func (a *Swim) DefaultBytes(cfg machine.Config) uint64 {
 
 const swimArrays = 4 // u, v, p, z (stream/vorticity working set)
 
+// Identity is the app value, parameters included: what its recipes key on.
+func (a *Swim) Identity() any { return *a }
+
+// swimGrid is the grid edge Build lays out for a requested size.
+func swimGrid(dataBytes uint64) uint64 { return isqrt(dataBytes / (swimArrays * ElemBytes)) }
+
+// AchievedBytes is the size Build achieves for a requested size, or 0
+// below the grid.
+func (a *Swim) AchievedBytes(_ machine.Config, dataBytes uint64) uint64 {
+	if n := swimGrid(dataBytes); n >= 4 {
+		return swimArrays * n * n * ElemBytes
+	}
+	return 0
+}
+
 // Build implements App.
 func (a *Swim) Build(cfg machine.Config, procs int, dataBytes uint64) (*sim.Program, error) {
-	n := isqrt(dataBytes / (swimArrays * ElemBytes))
+	n := swimGrid(dataBytes)
 	if n < 4 {
 		return nil, fmt.Errorf("swim: data size %d too small (grid %d²)", dataBytes, n)
 	}

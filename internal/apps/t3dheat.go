@@ -57,9 +57,24 @@ func (a *T3dheat) DefaultBytes(cfg machine.Config) uint64 {
 
 const t3dArrays = 5 // b, x, r, p, q
 
+// Identity is the app value, parameters included: what its recipes key on.
+func (a *T3dheat) Identity() any { return *a }
+
+// t3dGrid is the grid edge Build lays out for a requested size.
+func t3dGrid(dataBytes uint64) uint64 { return icbrt(dataBytes / (t3dArrays * ElemBytes)) }
+
+// AchievedBytes is the size Build achieves for a requested size, or 0
+// below the grid.
+func (a *T3dheat) AchievedBytes(_ machine.Config, dataBytes uint64) uint64 {
+	if n := t3dGrid(dataBytes); n >= 4 {
+		return t3dArrays * n * n * n * ElemBytes
+	}
+	return 0
+}
+
 // Build implements App.
 func (a *T3dheat) Build(cfg machine.Config, procs int, dataBytes uint64) (*sim.Program, error) {
-	n := icbrt(dataBytes / (t3dArrays * ElemBytes))
+	n := t3dGrid(dataBytes)
 	if n < 4 {
 		return nil, fmt.Errorf("t3dheat: data size %d too small (grid %d³)", dataBytes, n)
 	}

@@ -31,6 +31,7 @@ import (
 	"scaltool/internal/model"
 	"scaltool/internal/obs"
 	"scaltool/internal/perftools"
+	"scaltool/internal/recipe"
 	"scaltool/internal/runcache"
 	"scaltool/internal/sim"
 )
@@ -63,11 +64,13 @@ func NewPlan(app apps.App, cfg machine.Config, maxProcs int, s0 uint64) (Plan, e
 	// ("we use only data set sizes that overflow the L2 cache", §2.3).
 	// When s0 is close to the L2 capacity the Table 3 fractions don't
 	// provide them, so the plan adds a few sizes above s0 — the paper's
-	// "about 3-4 data set sizes" for the t2/tm triplets.
+	// "about 3-4 data set sizes" for the t2/tm triplets. What counts is the
+	// size a run achieves, not the one it requests: a grid application
+	// quantizes a size just over the threshold to one below it.
 	overflow := 0
 	threshold := uint64(1.5 * float64(cfg.L2.SizeBytes))
 	for _, s := range append([]uint64{s0}, p.UniSizes...) {
-		if s >= threshold {
+		if achievedBytes(app, cfg, s) >= threshold {
 			overflow++
 		}
 	}
@@ -77,11 +80,30 @@ func NewPlan(app apps.App, cfg machine.Config, maxProcs int, s0 uint64) (Plan, e
 			continue
 		}
 		p.UniSizes = append(p.UniSizes, s)
-		if s >= threshold {
+		if achievedBytes(app, cfg, s) >= threshold {
 			overflow++
 		}
 	}
 	return p, nil
+}
+
+// Sizer is implemented by applications that know, without building, the
+// data-set size Build achieves for a requested size: the same grid
+// arithmetic Build quantizes with. AchievedBytes returns 0 for a size Build
+// would refuse as too small.
+type Sizer interface {
+	AchievedBytes(cfg machine.Config, dataBytes uint64) uint64
+}
+
+// achievedBytes is the size a run of app requested at size achieves, in
+// closed form (Sizer) — never by building, since plans are made before
+// admission gates builds. Applications without a closed form count the
+// requested size.
+func achievedBytes(app apps.App, cfg machine.Config, size uint64) uint64 {
+	if sz, ok := app.(Sizer); ok {
+		return sz.AchievedBytes(cfg, size)
+	}
+	return size
 }
 
 // N returns the number of processor-count points (the paper's n).
@@ -506,16 +528,8 @@ func (ex *executor) run(ctx context.Context, j job) {
 		mt.Counter("scaltool_campaign_runs_started_total", "campaign runs dispatched").Inc()
 	}
 	rn := ex.rn
-	var prog *sim.Program
-	var err error
-	switch j.kind {
-	case jobBase, jobUni:
-		prog, err = ex.app.Build(rn.Cfg, j.procs, j.size)
-	case jobSync:
-		prog, err = apps.BuildSyncKernel(rn.Cfg, j.procs, apps.SyncKernelBarriers)
-	case jobSpin:
-		prog, err = apps.BuildSpinKernel(rn.Cfg, j.procs, 20, 50_000)
-	}
+	rcp := ex.recipe(j)
+	key, prog, err := ex.program(ctx, rcp)
 	if err != nil {
 		// A size too small for the app's grid is an expected skip for
 		// uniprocessor fractions; the model interpolates across it.
@@ -532,7 +546,7 @@ func (ex *executor) run(ctx context.Context, j job) {
 			ex.mu.Unlock()
 			return
 		}
-		ex.fail(ctx, j, fmt.Errorf("campaign: building %s: %w", j.id, err))
+		ex.failBuild(ctx, j, err)
 		return
 	}
 	w := ex.sup.register(j.id)
@@ -553,11 +567,23 @@ func (ex *executor) run(ctx context.Context, j job) {
 			actx = sim.WithHeartbeat(actx, w.heartbeat)
 			defer acancel() //scalvet:ignore ctx-cancel released by disarm/kick each iteration; defer is the leak backstop
 		}
-		out, err := ex.attempt(actx, j, prog, attempt)
+		out, err := ex.attempt(actx, j, key, prog, attempt)
 		kicked, poisoned := w.disarm()
 		if poisoned {
 			ex.quarantineHung(ctx, j, w)
 			return
+		}
+		if errors.Is(err, errNotBuilt) && ctx.Err() == nil {
+			// The cached result left the cache between the probe and this
+			// attempt's lookup (evicted with no spill, or a spill file that
+			// failed its check). Build between attempts, outside the
+			// watchdog, and look again; the attempt keeps its number.
+			if prog, err = rcp.Build(ctx, recipe.CauseMiss); err != nil {
+				ex.failBuild(ctx, j, err)
+				return
+			}
+			attempt--
+			continue
 		}
 		if kicked && ctx.Err() == nil {
 			// The watchdog canceled a stalled attempt but the run still has
@@ -604,6 +630,41 @@ func (ex *executor) run(ctx context.Context, j job) {
 	}
 }
 
+// recipe is the build recipe of one job.
+func (ex *executor) recipe(j job) recipe.Recipe {
+	cfg := ex.rn.Cfg
+	switch j.kind {
+	case jobSync:
+		return recipe.ForSyncKernel(cfg, j.procs, apps.SyncKernelBarriers)
+	case jobSpin:
+		return recipe.ForSpinKernel(cfg, j.procs, apps.SpinKernelPhases, apps.SpinKernelWork)
+	}
+	return recipe.ForApp(ex.app, cfg, j.procs, j.size)
+}
+
+// errNotBuilt is an attempt's cache miss on a job whose program was not
+// built because the cache held its result when the job started.
+var errNotBuilt = errors.New("campaign: run-cache entry vanished before its lookup")
+
+// program resolves a job's run-cache key and, only when the cache cannot
+// serve the run, its program. The key comes from the recipe table, so a
+// warm job builds and hashes nothing; a miss in both cache tiers builds
+// here, before the watched attempt. Without a cache there is no key to
+// look up, and the program is always built.
+func (ex *executor) program(ctx context.Context, rcp recipe.Recipe) (runcache.Key, *sim.Program, error) {
+	c := ex.rn.Cache
+	if c == nil {
+		prog, err := rcp.Build(ctx, recipe.CauseMiss)
+		return runcache.Key{}, prog, err
+	}
+	e, prog := recipe.Default.Resolve(ctx, rcp)
+	if e.Err != nil || prog != nil || c.Contains(e.Key) {
+		return e.Key, prog, e.Err
+	}
+	prog, err := rcp.Build(ctx, recipe.CauseMiss)
+	return e.Key, prog, err
+}
+
 // quarantineHung drops a run whose worker exhausted its watchdog restart
 // budget: the run is quarantined in the health report (critical runs abort
 // the campaign) rather than letting a wedged simulation stall the pool.
@@ -634,7 +695,7 @@ func (ex *executor) quarantineHung(ctx context.Context, j job, w *worker) {
 
 // attempt executes one try of one run under the per-attempt deadline,
 // consulting the injector for transient failures and hangs.
-func (ex *executor) attempt(ctx context.Context, j job, prog *sim.Program, attempt int) (_ *sim.Result, err error) {
+func (ex *executor) attempt(ctx context.Context, j job, key runcache.Key, prog *sim.Program, attempt int) (_ *sim.Result, err error) {
 	rn := ex.rn
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "attempt", obs.A("n", attempt))
@@ -666,7 +727,10 @@ func (ex *executor) attempt(ctx context.Context, j job, prog *sim.Program, attem
 		<-actx.Done()
 		return nil, fmt.Errorf("campaign: %s attempt %d hung until its deadline: %w", j.id, attempt, actx.Err())
 	}
-	out, hit, err := rn.Cache.GetOrRun(actx, rn.Cfg, prog, func(rctx context.Context) (*sim.Result, error) {
+	out, hit, err := rn.Cache.GetOrRunKey(actx, key, func(rctx context.Context) (*sim.Result, error) {
+		if prog == nil {
+			return nil, errNotBuilt
+		}
 		return sim.RunContext(rctx, rn.Cfg, prog)
 	})
 	if err != nil {
@@ -739,6 +803,11 @@ func (ex *executor) record(j job, out *sim.Result) {
 	case jobSpin:
 		ex.res.SpinKernel = out
 	}
+}
+
+// failBuild fails a job whose program could not be built.
+func (ex *executor) failBuild(ctx context.Context, j job, err error) {
+	ex.fail(ctx, j, fmt.Errorf("campaign: building %s: %w", j.id, err))
 }
 
 // fail records a permanent failure and escalates if the run was critical.

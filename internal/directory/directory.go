@@ -190,9 +190,12 @@ type Directory struct {
 }
 
 // mergeBeatInterval is how many line records Merge processes between
-// Progress callbacks — same order of magnitude as the lanes'
-// heartbeatAccessInterval, far too seldom to measure.
-const mergeBeatInterval = 1 << 16
+// Progress callbacks. A record costs several simulated accesses' worth of
+// wall time (a hash probe into freshly allocated memory), so the interval
+// is a quarter of the lanes' heartbeatAccessInterval: a few milliseconds
+// apart on a giant region's first merge, and still far too seldom to
+// measure.
+const mergeBeatInterval = 1 << 14
 
 // mergeScratch holds the per-Merge working state, reused across regions.
 type mergeScratch struct {
@@ -316,38 +319,53 @@ func (d *Directory) Merge(accesses []RegionAccess) MergeResult {
 	for _, a := range accesses {
 		total += len(a.ReadFills) + len(a.Writes)
 	}
-	// Presize the directory for the worst case (every record a new line)
-	// before the passes run: the index rehashes once while still small and
-	// the dense arrays stop doubling mid-merge — no multi-megabyte memmove
-	// or rehash storm can open a silent gap between Progress beats.
-	d.idx.reserve(d.idx.n + total)
-	d.lines = slices.Grow(d.lines, total)
-	d.owner = slices.Grow(d.owner, total)
-	d.dirty = slices.Grow(d.dirty, total)
-	d.sharers = slices.Grow(d.sharers, total*W)
-	// Heartbeat counter: step() is called once per processed line record in
-	// every pass, so Progress fires at a bounded interval however large the
-	// region was.
+	// Heartbeat: step() is called once per processed line record in every
+	// pass, so Progress fires at a bounded interval however large the
+	// region was. Presizing a giant region's state allocates and clears
+	// tens of megabytes before the first record, so setupBeat() also fires
+	// between those steps.
+	beat := func() {
+		if d.Progress != nil {
+			d.Progress()
+		}
+	}
+	setupBeat := func() {
+		if total >= mergeBeatInterval {
+			beat()
+		}
+	}
 	wk := 0
 	step := func() {
 		if wk++; wk >= mergeBeatInterval {
 			wk = 0
-			if d.Progress != nil {
-				d.Progress()
-			}
+			beat()
 		}
 	}
+	// Presize the directory for the worst case (every record a new line)
+	// before the passes run: the index rehashes once while still small and
+	// the dense arrays stop doubling mid-merge — no multi-megabyte memmove
+	// or rehash storm can open a silent gap between Progress beats.
+	setupBeat()
+	d.idx.reserve(d.idx.n + total)
+	d.lines = slices.Grow(d.lines, total)
+	d.owner = slices.Grow(d.owner, total)
+	d.dirty = slices.Grow(d.dirty, total)
+	setupBeat()
+	d.sharers = slices.Grow(d.sharers, total*W)
 
 	// Pass 0: detect intra-region sharing (≥2 distinct procs touching a
 	// line, at least one writing it). With a single access list ≥2 distinct
 	// processors is impossible, so the whole pass — scratch table and all —
 	// degenerates to computing zero; uniprocessor runs skip it.
 	if len(accesses) > 1 {
+		setupBeat()
 		s.idx.reset()
 		s.idx.reserve(total)
+		setupBeat()
 		s.touchLines = growCap(s.touchLines, total)
 		s.readers = growCap(s.readers, total*W)
 		s.writers = growCap(s.writers, total*W)
+		setupBeat()
 		// The same sorted-run memo ensure uses: each processor's line set is
 		// sorted, so repeat touches of consecutive lines resolve by guessing
 		// the next dense slot and verifying, instead of re-probing the hash.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -102,8 +103,42 @@ func (c *Cache) Stats() Stats {
 	return Stats{Entries: c.ll.Len(), Bytes: c.bytes}
 }
 
-// GetOrRun returns the result for (cfg, prog), executing run at most once
-// per content key no matter how many callers ask concurrently. The returned
+// GetOrRun is GetOrRunKey under prog's content key, KeyFor(cfg, prog).
+func (c *Cache) GetOrRun(ctx context.Context, cfg machine.Config, prog *sim.Program, run RunFunc) (res *sim.Result, hit bool, err error) {
+	if c == nil {
+		out, err := run(ctx)
+		return out, false, err
+	}
+	return c.GetOrRunKey(ctx, KeyFor(cfg, prog), run)
+}
+
+// Contains reports whether a lookup of key would be served without running:
+// the result is resident, being produced by an in-flight run, or spilled to
+// disk. It is a probe, not a reservation — the entry can leave before the
+// lookup that follows, so a caller that skips building on true must still
+// handle a RunFunc call.
+func (c *Cache) Contains(key Key) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	_, resident := c.items[key]
+	_, flying := c.inflight[key]
+	c.mu.Unlock()
+	if resident || flying {
+		return true
+	}
+	if p := c.spillPath(key); p != "" {
+		_, err := os.Stat(p)
+		return err == nil
+	}
+	return false
+}
+
+// GetOrRunKey returns the result for the run whose content key is key,
+// executing run at most once per key no matter how many callers ask
+// concurrently. The key must be KeyFor of the program run simulates; a
+// caller that already knows it (internal/recipe) skips the hash. The returned
 // Result is a mutation-safe clone (Result.Clone): callers may rewrite its
 // counter report freely without corrupting the cached copy. hit reports
 // whether a simulation was avoided — by the memory tier, the disk tier, or
@@ -111,12 +146,11 @@ func (c *Cache) Stats() Stats {
 //
 // Errors are never cached: a failed or canceled run is re-attempted by the
 // next request for the same key. A nil *Cache runs every request directly.
-func (c *Cache) GetOrRun(ctx context.Context, cfg machine.Config, prog *sim.Program, run RunFunc) (res *sim.Result, hit bool, err error) {
+func (c *Cache) GetOrRunKey(ctx context.Context, key Key, run RunFunc) (res *sim.Result, hit bool, err error) {
 	if c == nil {
 		out, err := run(ctx)
 		return out, false, err
 	}
-	key := KeyFor(cfg, prog)
 	mt := obs.Meter(ctx)
 
 	// One flight allocation serves every lap of the loop below: a lap that

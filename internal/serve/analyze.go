@@ -108,9 +108,9 @@ func (s *Server) validate(req *Request) (*resolved, *admission.Rejection) {
 
 // estimate prices the resolved request and gates it against the per-request
 // budget (the ledger gates the per-server one at admission).
-func (s *Server) estimate(rv *resolved) (admission.Cost, *admission.Rejection) {
+func (s *Server) estimate(ctx context.Context, rv *resolved) (admission.Cost, *admission.Rejection) {
 	budget := s.Budget()
-	cost, rej := budget.EstimatePlan(rv.cfg, rv.app, rv.plan, s.opts.SimWorkers)
+	cost, rej := budget.EstimatePlanContext(s.obsContext(ctx), rv.cfg, rv.app, rv.plan, s.opts.SimWorkers)
 	if rej != nil {
 		return admission.Cost{}, rej
 	}

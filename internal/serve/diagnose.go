@@ -17,6 +17,7 @@ import (
 	"scaltool/internal/campaign"
 	"scaltool/internal/diagnose"
 	"scaltool/internal/obs"
+	"scaltool/internal/recipe"
 )
 
 // POST /v1/diagnose: the root-cause endpoint. It takes the same request
@@ -115,7 +116,7 @@ func (s *Server) serveDiagnose(w http.ResponseWriter, r *http.Request, rid strin
 		return http.StatusUnprocessableEntity, "quarantined",
 			fmt.Errorf("an identical request previously crashed the diagnosis pipeline (%s); refusing to repeat it", reason)
 	}
-	cost, rej := s.estimateDiagnose(rv)
+	cost, rej := s.estimateDiagnose(r.Context(), rv)
 	if rej != nil {
 		s.countRejection(rej.Status)
 		return rej.Status, rej.Code, rej
@@ -156,9 +157,9 @@ func (s *Server) serveDiagnose(w http.ResponseWriter, r *http.Request, rid strin
 
 // estimateDiagnose prices the resolved request against the per-request
 // budget, with the diagnosis surcharge on top of the plain campaign.
-func (s *Server) estimateDiagnose(rv *resolved) (admission.Cost, *admission.Rejection) {
+func (s *Server) estimateDiagnose(ctx context.Context, rv *resolved) (admission.Cost, *admission.Rejection) {
 	budget := s.Budget()
-	cost, rej := budget.EstimateDiagnose(rv.cfg, rv.app, rv.plan, s.opts.SimWorkers)
+	cost, rej := budget.EstimateDiagnoseContext(s.obsContext(ctx), rv.cfg, rv.app, rv.plan, s.opts.SimWorkers)
 	if rej != nil {
 		return admission.Cost{}, rej
 	}
@@ -209,7 +210,7 @@ func (s *Server) diagnose(ctx context.Context, req *Request, rv *resolved) (*dia
 		return nil, err
 	}
 	nmax := rv.plan.ProcCounts[len(rv.plan.ProcCounts)-1]
-	prog, err := rv.app.Build(rv.cfg, nmax, rv.plan.S0)
+	prog, err := recipe.ForApp(rv.app, rv.cfg, nmax, rv.plan.S0).Build(ctx, recipe.CauseGraph)
 	if err != nil {
 		return nil, fmt.Errorf("building structure graph: %w", err)
 	}

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"context"
+
 	"scaltool/internal/apps"
 	"scaltool/internal/campaign"
-	"scaltool/internal/runcache"
+	"scaltool/internal/recipe"
 )
 
 // RoutingKey returns the content-based placement identity of a request —
@@ -11,7 +13,7 @@ import (
 // always lands on the replica that owns it.
 //
 // For a built-in application the key IS the runcache content address
-// (runcache.KeyFor) of the request's top run: the same digest the replica's
+// (runcache.KeyFor, served by the recipe table) of the request's top run: the same digest the replica's
 // cache files the simulation under, so two documents that normalize to the
 // same analysis (procs omitted vs 32, s0 omitted vs the app default) route
 // to the same replica and hit the same warm entry. User-submitted program
@@ -37,8 +39,9 @@ func RoutingKey(req *Request) string {
 			if app, err := apps.ByName(r.App); err == nil {
 				cfg := configFor(r.Machine)
 				if plan, err := campaign.NewPlan(app, cfg, r.Procs, r.S0); err == nil {
-					if prog, err := app.Build(cfg, r.Procs, plan.S0); err == nil {
-						return runcache.KeyFor(cfg, prog).String()
+					e, _ := recipe.Default.Resolve(context.Background(), recipe.ForApp(app, cfg, r.Procs, plan.S0))
+					if e.Err == nil {
+						return e.Key.String()
 					}
 				}
 			}

@@ -417,7 +417,7 @@ func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, rid string
 		return http.StatusUnprocessableEntity, "quarantined",
 			fmt.Errorf("an identical request previously crashed the analysis pipeline (%s); refusing to repeat it", reason)
 	}
-	cost, rej := s.estimate(rv)
+	cost, rej := s.estimate(r.Context(), rv)
 	if rej != nil {
 		s.countRejection(rej.Status)
 		return rej.Status, rej.Code, rej

@@ -212,3 +212,48 @@ func (p *Program) Validate() error {
 	}
 	return nil
 }
+
+// Census is a program's static operation totals: everything a cost
+// estimate reads from a built program, without its op and address lists.
+// Instruction counts exclude lock acquire/release, which depend on the
+// machine; CriticalOps counts the critical sections that pay them. The
+// instruction and access totals are float64, accumulated in op order, so a
+// hostile count saturates precision instead of wrapping.
+type Census struct {
+	Procs         int
+	SpaceBytes    uint64
+	Regions       int
+	Instr         float64 // compute bursts, per-access loop bodies and critical-section bodies
+	Accesses      float64 // memory accesses of sweeps and gathers
+	CriticalInstr float64 // instructions inside critical sections
+	CriticalOps   uint64  // critical sections entered
+	GatherAddrs   uint64  // retained gather addresses
+}
+
+// Census walks the program once and returns its operation totals.
+func (p *Program) Census() Census {
+	c := Census{Procs: p.Procs, SpaceBytes: p.SpaceBytes(), Regions: len(p.regions)}
+	for ri := range p.regions {
+		for pi := range p.regions[ri].Streams {
+			for _, op := range p.regions[ri].Streams[pi].Ops {
+				switch op.Kind {
+				case OpCompute:
+					c.Instr += float64(op.Instr)
+				case OpSeq:
+					c.Accesses += float64(op.Count)
+					c.Instr += float64(op.Count) * float64(op.InstrPer)
+				case OpGather:
+					n := float64(len(op.Addrs))
+					c.Accesses += n
+					c.Instr += n * float64(op.InstrPer)
+					c.GatherAddrs += uint64(len(op.Addrs))
+				case OpCritical:
+					c.Instr += float64(op.Instr)
+					c.CriticalInstr += float64(op.Instr)
+					c.CriticalOps++
+				}
+			}
+		}
+	}
+	return c
+}
