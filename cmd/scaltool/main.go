@@ -11,15 +11,13 @@
 // -s0 (base data-set bytes, 0 = the app default), -raw-tm (paper-faithful
 // single-pass tm(n)), -csv (machine-readable tables).
 //
-// Robustness flags (see README's Robustness section): -max-retries and
-// -run-timeout set the retry budget and per-attempt deadline of every run,
-// -fault-spec injects deterministic faults for chaos drills, -health-json
-// writes the machine-readable health report. -journal-dir makes the
-// campaign crash-safe (every run outcome goes through a write-ahead journal
-// before it counts) and -resume continues an interrupted campaign from that
-// journal; -heartbeat-timeout/-max-worker-restarts arm the worker watchdog,
-// and -shutdown-grace bounds how long a SIGINT/SIGTERM graceful stop may
-// take before the process force-exits.
+// Robustness flags (see README's Robustness section): -run-timeout sets the
+// deadline of every run, -fault-spec injects deterministic faults for chaos
+// drills, -health-json writes the machine-readable health report.
+// -journal-dir makes the campaign crash-safe (every run outcome goes
+// through a write-ahead journal before it counts) and -resume continues an
+// interrupted campaign from that journal; -shutdown-grace bounds how long a
+// SIGINT/SIGTERM graceful stop may take before the process force-exits.
 //
 // Observability flags (see README's Observability section): -trace-out
 // writes a Chrome trace_event file (campaign/run/attempt/fit spans plus the
@@ -116,15 +114,12 @@ type common struct {
 	csv        *bool
 	workers    *int
 	faultSpec  *string
-	maxRetries *int
 	runTimeout *time.Duration
 	healthJSON *string
 
 	journalDir    *string
 	resume        *bool
 	shutdownGrace *time.Duration
-	heartbeat     *time.Duration
-	maxRestarts   *int
 
 	cacheMB  *int
 	cacheDir *string
@@ -147,16 +142,13 @@ func commonFlags(name string) *common {
 		rawTm:      fs.Bool("raw-tm", false, "paper-faithful single-pass tm(n) (no MP decontamination)"),
 		csv:        fs.Bool("csv", false, "emit CSV instead of aligned tables"),
 		workers:    fs.Int("workers", 0, "concurrent simulated runs (0 = GOMAXPROCS)"),
-		faultSpec:  fs.String("fault-spec", "", "fault-injection spec, e.g. seed=42,noise=0.02,transient=0.1 (chaos drills)"),
-		maxRetries: fs.Int("max-retries", 2, "retries per run after a transient failure or blown deadline"),
-		runTimeout: fs.Duration("run-timeout", 0, "per-attempt run deadline (0 = none)"),
+		faultSpec:  fs.String("fault-spec", "", "fault-injection spec, e.g. seed=42,noise=0.02,poisonrun=<run id> (chaos drills)"),
+		runTimeout: fs.Duration("run-timeout", 0, "per-run deadline; a run that blows it fails (0 = none)"),
 		healthJSON: fs.String("health-json", "", "write the machine-readable health report to this file"),
 
 		journalDir:    fs.String("journal-dir", "", "write-ahead journal directory: makes the campaign crash-safe and resumable"),
 		resume:        fs.Bool("resume", false, "resume the interrupted campaign recorded in -journal-dir"),
 		shutdownGrace: fs.Duration("shutdown-grace", 10*time.Second, "grace period for a SIGINT/SIGTERM stop before the process force-exits"),
-		heartbeat:     fs.Duration("heartbeat-timeout", 0, "worker watchdog: restart a run making no progress for this long (0 = off)"),
-		maxRestarts:   fs.Int("max-worker-restarts", 2, "watchdog restarts one run gets before it is quarantined"),
 
 		cacheMB:    fs.Int("run-cache-mb", 0, "content-addressed run cache budget in MiB (0 = off): repeated (machine, program) runs skip re-simulation"),
 		cacheDir:   fs.String("run-cache-dir", "", "spill evicted run-cache entries to this directory (needs -run-cache-mb)"),
@@ -265,9 +257,6 @@ func (c *common) validate() error {
 	if *c.shutdownGrace <= 0 {
 		return fmt.Errorf("-shutdown-grace must be positive, got %s", *c.shutdownGrace)
 	}
-	if *c.maxRestarts < 0 {
-		return fmt.Errorf("-max-worker-restarts must be non-negative, got %d", *c.maxRestarts)
-	}
 	if *c.cacheDir != "" && *c.cacheMB <= 0 {
 		return fmt.Errorf("-run-cache-dir needs -run-cache-mb (spill without a cache has nothing to spill)")
 	}
@@ -331,11 +320,7 @@ func (c *common) execute(ctx context.Context, rn *campaign.Runner, app apps.App,
 func (c *common) runner(cfg machine.Config) (*campaign.Runner, error) {
 	rn := &campaign.Runner{
 		Cfg: cfg, Workers: *c.workers,
-		MaxRetries:        *c.maxRetries,
-		RetryBase:         100 * time.Millisecond,
-		RunTimeout:        *c.runTimeout,
-		HeartbeatTimeout:  *c.heartbeat,
-		MaxWorkerRestarts: *c.maxRestarts,
+		RunTimeout: *c.runTimeout,
 	}
 	if *c.cacheMB > 0 {
 		rn.Cache = runcache.New(runcache.Options{
@@ -349,11 +334,6 @@ func (c *common) runner(cfg machine.Config) (*campaign.Runner, error) {
 	}
 	if spec.Active() {
 		rn.Inject = faultinject.New(spec)
-		// A hang fault with no deadline would be degraded to a transient
-		// failure; give injected hangs a real deadline to be reaped by.
-		if rn.RunTimeout == 0 && (spec.Hang > 0 || len(spec.StallRuns) > 0) {
-			rn.RunTimeout = 30 * time.Second
-		}
 	}
 	return rn, nil
 }

@@ -222,8 +222,6 @@ func TestCLIFlagValidation(t *testing.T) {
 			[]string{"-shutdown-grace", "0s"}, "-shutdown-grace must be positive"},
 		{"negative shutdown grace", cmdAnalyze,
 			[]string{"-shutdown-grace", "-5s"}, "-shutdown-grace must be positive"},
-		{"negative restart budget", cmdAnalyze,
-			[]string{"-max-worker-restarts", "-1"}, "-max-worker-restarts must be non-negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -250,7 +248,7 @@ func TestCLIResumeRejectsSpentFault(t *testing.T) {
 	if err := cmdAnalyze([]string{"-app", "swim", "-procs", "4", "-journal-dir", dir}); err != nil {
 		t.Fatal(err)
 	}
-	err := cmdAnalyze([]string{"-resume", "-journal-dir", dir, "-fault-spec", "failrun=ksync_p01_s0"})
+	err := cmdAnalyze([]string{"-resume", "-journal-dir", dir, "-fault-spec", "poisonrun=ksync_p01_s0"})
 	if err == nil {
 		t.Fatal("resume with a spent fault target accepted")
 	}

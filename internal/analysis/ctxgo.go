@@ -8,7 +8,7 @@ import (
 // CtxGo flags goroutine launches in the campaign and sim worker pools that
 // no context.Context reaches. The fault-tolerance layer relies on a
 // canceled context stopping every in-flight worker promptly (a critical-run
-// failure cancels the pool; a hung run is reaped by its per-attempt
+// failure cancels the pool; a slow run is stopped by its per-run
 // deadline); a goroutine spawned without a context is invisible to that
 // machinery and outlives the campaign it belongs to.
 var CtxGo = &Analyzer{

@@ -20,7 +20,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -148,8 +147,8 @@ type Result struct {
 	Skipped []uint64
 
 	// Health records everything the fault-tolerance layer did — repairs,
-	// retries, quarantines, permanent failures. Never nil on a Result
-	// returned by Execute/Run.
+	// quarantines, permanent failures. Never nil on a Result returned by
+	// Execute/Run.
 	Health *health.Report
 
 	// Resumed counts the runs Resume restored from the journal instead of
@@ -243,28 +242,11 @@ type Runner struct {
 	// plan's largest).
 	SpinKernelProcs int
 
-	// MaxRetries bounds how many times one run is re-attempted after a
-	// retryable failure (a transient fault or a blown per-attempt
-	// deadline). 0 means a run gets exactly one attempt.
-	MaxRetries int
-	// RetryBase is the first retry's backoff; the wait doubles per attempt
-	// and carries a deterministic ±25% per-run jitter so simultaneous
-	// retries de-synchronize while a rerun reproduces the same trace.
-	// 0 retries immediately.
-	RetryBase time.Duration
-	// RunTimeout is the per-attempt deadline (0 = none). A hung run is
-	// reaped when the deadline expires and the attempt counts as retryable.
+	// RunTimeout is the per-run deadline (0 = none). The simulator is
+	// deterministic, so a run that blows it would blow it again: expiry is
+	// a permanent failure, which aborts the campaign for a critical run and
+	// degrades the fit for any other.
 	RunTimeout time.Duration
-	// HeartbeatTimeout arms the worker supervisor (0 = off): a worker whose
-	// run makes no progress for this long — no simulator region boundary
-	// crossed — has its attempt canceled and restarted. Unlike RunTimeout it
-	// bounds progress, not total duration, so it catches a wedged run long
-	// before a generous whole-run deadline would.
-	HeartbeatTimeout time.Duration
-	// MaxWorkerRestarts bounds how many watchdog restarts one run gets
-	// before it is quarantined (0 = quarantine on the first missed
-	// heartbeat). Watchdog restarts do not consume MaxRetries.
-	MaxWorkerRestarts int
 	// Inject, when non-nil, perturbs the campaign with deterministic
 	// faults — the chaos-test hook. Production campaigns leave it nil.
 	Inject *faultinject.Injector
@@ -272,9 +254,8 @@ type Runner struct {
 	// run cache (internal/runcache) instead of re-simulating: the simulator
 	// is deterministic, so a (machine, program) pair seen before — by this
 	// campaign, an earlier campaign, or a concurrent one sharing the cache —
-	// skips straight to its recorded Result. Injection outcomes (transient
-	// faults, hangs) still fire per attempt; only the simulation itself is
-	// elided.
+	// skips straight to its recorded Result. Report perturbation still
+	// applies to a cached run; only the simulation itself is elided.
 	Cache *runcache.Cache
 }
 
@@ -305,7 +286,7 @@ func RunID(kind string, procs int, size uint64) string {
 }
 
 // Run executes the plan with no cancellation: Execute under a background
-// context. Retry, deadline, and injection policy still apply if set.
+// context. Deadline and injection policy still apply if set.
 func (rn *Runner) Run(app apps.App, plan Plan) (*Result, error) {
 	return rn.Execute(context.Background(), app, plan)
 }
@@ -315,18 +296,17 @@ func (rn *Runner) Run(app apps.App, plan Plan) (*Result, error) {
 //
 // An observer carried in ctx (internal/obs) sees the campaign: a "campaign"
 // span with one detached "run" lane per job and an "attempt" span per try,
-// counters for runs started/retried/failed/quarantined plus per-severity
-// health findings, an attempt-latency histogram, and structured log lines
-// for every health finding, retry decision, and permanent failure.
+// counters for runs started/failed/quarantined plus per-severity health
+// findings, an attempt-latency histogram, and structured log lines for
+// every health finding and permanent failure.
 //
-// Execute is the fault-tolerant path: failed attempts are retried with
-// exponential backoff (MaxRetries, RetryBase), each attempt runs under
+// Execute is the fault-tolerant path: each run gets one attempt under
 // RunTimeout, and every accepted report passes health.Sanitize. A run that
-// stays broken is dropped and recorded in Result.Health rather than killing
-// the campaign — unless the model cannot fit without it (the uniprocessor
-// base run, the spin kernel), in which case the remaining workers are
-// canceled promptly and Execute returns the critical failure. Canceling ctx
-// stops the campaign the same way.
+// fails is dropped and recorded in Result.Health rather than killing the
+// campaign — unless the model cannot fit without it (the uniprocessor base
+// run, the spin kernel), in which case the remaining workers are canceled
+// promptly and Execute returns the critical failure. Canceling ctx stops
+// the campaign the same way.
 func (rn *Runner) Execute(ctx context.Context, app apps.App, plan Plan) (*Result, error) {
 	return rn.execute(ctx, app, plan, nil)
 }
@@ -385,10 +365,7 @@ func (rn *Runner) execute(ctx context.Context, app apps.App, plan Plan, d *durab
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sup := newSupervisor(rn.HeartbeatTimeout, rn.MaxWorkerRestarts, obs.Meter(ctx))
-	sup.start(ctx)
-	defer sup.stopWait()
-	ex := &executor{rn: rn, app: app, res: res, cancel: cancel, d: d, sup: sup}
+	ex := &executor{rn: rn, app: app, res: res, cancel: cancel, d: d}
 
 	// Resume path: restore journaled terminal outcomes without re-executing
 	// their runs. A replayed campaign-killing outcome aborts here, exactly as
@@ -402,7 +379,7 @@ func (rn *Runner) execute(ctx context.Context, app apps.App, plan Plan, d *durab
 				pending = append(pending, j)
 				continue
 			}
-			if err := ex.replay(ctx, j, ev, d.retries[j.id]); err != nil {
+			if err := ex.replay(ctx, j, ev); err != nil {
 				obs.Log(ctx).Error("campaign aborted during journal replay", "app", plan.App, "err", err) //scalvet:ignore abort path, runs at most once per campaign
 				_ = d.close()
 				return nil, err
@@ -480,8 +457,7 @@ type executor struct {
 	rn  *Runner
 	app apps.App
 	res *Result
-	d   *durable    // campaign journal; nil on a non-durable Execute
-	sup *supervisor // worker watchdog; nil when HeartbeatTimeout is unset
+	d   *durable // campaign journal; nil on a non-durable Execute
 
 	mu          sync.Mutex
 	criticalErr error
@@ -515,9 +491,9 @@ func criticalJob(j job) bool {
 	return (j.kind == jobBase && j.procs == 1) || j.kind == jobSpin
 }
 
-// run executes one job: build, attempt (with retries), sanitize, record.
-// Each job runs on its own detached trace lane (workers interleave) with the
-// run identity threaded into the context's logger.
+// run executes one job: build, attempt, sanitize, record. Each job runs on
+// its own detached trace lane (workers interleave) with the run identity
+// threaded into the context's logger.
 func (ex *executor) run(ctx context.Context, j job) {
 	ctx, span := obs.StartSpan(obs.Detach(ctx), "run",
 		obs.A("id", j.id), obs.A("kind", kindNames[j.kind]),
@@ -527,7 +503,6 @@ func (ex *executor) run(ctx context.Context, j job) {
 	if mt := obs.Meter(ctx); mt != nil {
 		mt.Counter("scaltool_campaign_runs_started_total", "campaign runs dispatched").Inc()
 	}
-	rn := ex.rn
 	rcp := ex.recipe(j)
 	key, prog, err := ex.program(ctx, rcp)
 	if err != nil {
@@ -549,85 +524,31 @@ func (ex *executor) run(ctx context.Context, j job) {
 		ex.failBuild(ctx, j, err)
 		return
 	}
-	w := ex.sup.register(j.id)
-	defer ex.sup.release(j.id)
-	for attempt := 0; ; attempt++ {
-		ev := runEvent(evAttempt, j)
-		ev.Attempt = attempt
-		if !ex.journal(ctx, ev) {
-			return
-		}
-		actx := ctx
-		if w != nil {
-			// The supervisor watches this attempt: sim's region boundaries
-			// feed the heartbeat, and the watchdog cancels actx if they stop.
-			var acancel context.CancelFunc
-			actx, acancel = context.WithCancel(ctx)
-			w.arm(acancel)
-			actx = sim.WithHeartbeat(actx, w.heartbeat)
-			defer acancel() //scalvet:ignore ctx-cancel released by disarm/kick each iteration; defer is the leak backstop
-		}
-		out, err := ex.attempt(actx, j, key, prog, attempt)
-		kicked, poisoned := w.disarm()
-		if poisoned {
-			ex.quarantineHung(ctx, j, w)
-			return
-		}
-		if errors.Is(err, errNotBuilt) && ctx.Err() == nil {
-			// The cached result left the cache between the probe and this
-			// attempt's lookup (evicted with no spill, or a spill file that
-			// failed its check). Build between attempts, outside the
-			// watchdog, and look again; the attempt keeps its number.
-			if prog, err = rcp.Build(ctx, recipe.CauseMiss); err != nil {
-				ex.failBuild(ctx, j, err)
-				return
-			}
-			attempt--
-			continue
-		}
-		if kicked && ctx.Err() == nil {
-			// The watchdog canceled a stalled attempt but the run still has
-			// restart budget. Re-attempt immediately; watchdog restarts do
-			// not consume MaxRetries (the run never got to fail on its own).
-			reason := fmt.Errorf("campaign: %s attempt %d made no progress for %s; watchdog restarted it", j.id, attempt, rn.HeartbeatTimeout) //scalvet:ignore a watchdog restart is exceptional, and the error text is the record
-			ex.res.Health.AddRetry(j.id, attempt, 0, reason)
-			rev := runEvent(evRetry, j)
-			rev.Attempt = attempt
-			rev.Reason = reason.Error()
-			if !ex.journal(ctx, rev) {
-				return
-			}
-			if mt := obs.Meter(ctx); mt != nil {
-				mt.Counter("scaltool_campaign_runs_retried_total", "campaign attempts retried after a retryable failure").Inc()
-			}
-			obs.Log(ctx).Warn("retrying run after watchdog restart", "attempt", attempt) //scalvet:ignore retry path: entered only after a stalled attempt
-			continue
-		}
-		if err == nil {
-			span.SetAttr("attempts", attempt+1) //scalvet:ignore terminal path: runs once per job, then returns
-			ex.accept(ctx, j, out)
-			return
-		}
-		if ctx.Err() != nil || !retryable(err) || attempt >= rn.MaxRetries {
-			span.SetAttr("attempts", attempt+1) //scalvet:ignore terminal path: runs once per job, then returns
-			ex.fail(ctx, j, err)
-			return
-		}
-		backoff := rn.backoffFor(j.id, attempt)
-		ex.res.Health.AddRetry(j.id, attempt, backoff, err)
-		rev := runEvent(evRetry, j)
-		rev.Attempt = attempt
-		rev.BackoffNS = int64(backoff)
-		rev.Reason = err.Error()
-		if !ex.journal(ctx, rev) {
-			return
-		}
-		if mt := obs.Meter(ctx); mt != nil {
-			mt.Counter("scaltool_campaign_runs_retried_total", "campaign attempts retried after a retryable failure").Inc()
-		}
-		obs.Log(ctx).Warn("retrying run", "attempt", attempt, "backoff", backoff, "err", err) //scalvet:ignore retry path: entered only after a retryable failure
-		sleepCtx(ctx, backoff)
+	if !ex.journal(ctx, runEvent(evAttempt, j)) {
+		return
 	}
+	rctx := ctx
+	if ex.rn.RunTimeout > 0 {
+		var cancel context.CancelFunc
+		rctx, cancel = context.WithTimeout(ctx, ex.rn.RunTimeout)
+		defer cancel()
+	}
+	out, err := ex.attempt(rctx, j, key, prog)
+	if errors.Is(err, errNotBuilt) && rctx.Err() == nil {
+		// The cached result left the cache between the probe and the
+		// lookup (evicted with no spill, or a spill file that failed its
+		// check). Build, then look once more.
+		if prog, err = rcp.Build(rctx, recipe.CauseMiss); err != nil {
+			ex.failBuild(ctx, j, err)
+			return
+		}
+		out, err = ex.attempt(rctx, j, key, prog)
+	}
+	if err != nil {
+		ex.fail(ctx, j, err)
+		return
+	}
+	ex.accept(ctx, j, out)
 }
 
 // recipe is the build recipe of one job.
@@ -665,40 +586,11 @@ func (ex *executor) program(ctx context.Context, rcp recipe.Recipe) (runcache.Ke
 	return e.Key, prog, err
 }
 
-// quarantineHung drops a run whose worker exhausted its watchdog restart
-// budget: the run is quarantined in the health report (critical runs abort
-// the campaign) rather than letting a wedged simulation stall the pool.
-func (ex *executor) quarantineHung(ctx context.Context, j job, w *worker) {
-	f := health.Finding{
-		Run:      j.id,
-		Check:    "watchdog",
-		Severity: health.Quarantine,
-		Detail: "no progress within " + ex.rn.HeartbeatTimeout.String() +
-			" across " + strconv.Itoa(w.restartCount()) + " watchdog restart(s); restart budget exhausted",
-	}
-	ex.res.Health.Add(f)
-	logFindings(ctx, []health.Finding{f})
-	ev := runEvent(evQuarantine, j)
-	ev.Findings = []health.Finding{f}
-	ev.Reason = f.Detail
-	if !ex.journal(ctx, ev) {
-		return
-	}
-	ex.res.Health.AddQuarantine(j.id)
-	if mt := obs.Meter(ctx); mt != nil {
-		mt.Counter("scaltool_campaign_runs_quarantined_total", "campaign runs whose reports failed sanitization").Inc()
-	}
-	if criticalJob(j) {
-		ex.critical(fmt.Errorf("campaign: critical run %s quarantined by the watchdog; the model cannot fit without it", j.id))
-	}
-}
-
-// attempt executes one try of one run under the per-attempt deadline,
-// consulting the injector for transient failures and hangs.
-func (ex *executor) attempt(ctx context.Context, j job, key runcache.Key, prog *sim.Program, attempt int) (_ *sim.Result, err error) {
+// attempt looks one run up in the run cache, simulating it on a miss.
+func (ex *executor) attempt(ctx context.Context, j job, key runcache.Key, prog *sim.Program) (_ *sim.Result, err error) {
 	rn := ex.rn
 	start := time.Now()
-	ctx, span := obs.StartSpan(ctx, "attempt", obs.A("n", attempt))
+	ctx, span := obs.StartSpan(ctx, "attempt")
 	defer span.End()
 	defer func() { // runs before span.End (LIFO), so the span sees the error
 		if err != nil {
@@ -709,32 +601,14 @@ func (ex *executor) attempt(ctx context.Context, j job, key runcache.Key, prog *
 				obs.LatencyBuckets).Observe(time.Since(start).Seconds())
 		}
 	}()
-	actx := ctx
-	if rn.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, rn.RunTimeout)
-		defer cancel()
-	}
-	switch rn.Inject.Outcome(j.id, attempt) {
-	case faultinject.Transient:
-		return nil, fmt.Errorf("campaign: %s attempt %d: %w", j.id, attempt, faultinject.ErrTransient)
-	case faultinject.Hang:
-		if rn.RunTimeout <= 0 {
-			// With no deadline a hang would block the campaign forever;
-			// degrade it to a transient failure so retry still converges.
-			return nil, fmt.Errorf("campaign: %s attempt %d hung with no deadline: %w", j.id, attempt, faultinject.ErrTransient)
-		}
-		<-actx.Done()
-		return nil, fmt.Errorf("campaign: %s attempt %d hung until its deadline: %w", j.id, attempt, actx.Err())
-	}
-	out, hit, err := rn.Cache.GetOrRunKey(actx, key, func(rctx context.Context) (*sim.Result, error) {
+	out, hit, err := rn.Cache.GetOrRunKey(ctx, key, func(rctx context.Context) (*sim.Result, error) {
 		if prog == nil {
 			return nil, errNotBuilt
 		}
 		return sim.RunContext(rctx, rn.Cfg, prog)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("campaign: %s attempt %d: %w", j.id, attempt, err)
+		return nil, fmt.Errorf("campaign: %s: %w", j.id, err)
 	}
 	if hit {
 		span.SetAttr("cache_hit", true)
@@ -896,49 +770,6 @@ func (e *PanicError) Error() string {
 // package's type — callers (the serving layer's panic isolation) match on
 // the method set.
 func (e *PanicError) PanicValue() (any, []byte) { return e.Value, e.Stack }
-
-// retryable reports whether an attempt's failure is worth retrying:
-// injected transient faults and blown per-attempt deadlines are;
-// cancellation and genuine simulator errors are not.
-func retryable(err error) bool {
-	return errors.Is(err, faultinject.ErrTransient) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// backoffFor computes attempt k's wait: RetryBase·2^k, jittered ±25%
-// deterministically from the run identity so a rerun reproduces the trace.
-func (rn *Runner) backoffFor(id string, attempt int) time.Duration {
-	if rn.RetryBase <= 0 {
-		return 0
-	}
-	if attempt > 20 {
-		attempt = 20
-	}
-	d := float64(rn.RetryBase << uint(attempt))
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	h ^= uint64(attempt) * 0x9e3779b97f4a7c15
-	frac := 0.75 + 0.5*float64(h%1024)/1024
-	if b := time.Duration(d * frac); b < time.Minute {
-		return b
-	}
-	return time.Minute
-}
-
-// sleepCtx waits d or until ctx is canceled, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
 
 // SegmentInputs assembles the model's inputs restricted to the regions
 // whose names contain substr — per-segment analysis, the paper's "plots can

@@ -44,7 +44,7 @@ func resumePlan(t *testing.T) (apps.App, Plan) {
 // replayed reports must carry the exact perturbed bytes, plus one journal
 // fault at the sweep's current point.
 func resumeRunner(spec faultinject.Spec) *Runner {
-	return &Runner{Cfg: cfg(), Inject: faultinject.New(spec), MaxRetries: 2}
+	return &Runner{Cfg: cfg(), Inject: faultinject.New(spec)}
 }
 
 func baseResumeSpec() faultinject.Spec {

@@ -14,6 +14,7 @@ import (
 	"scaltool/internal/faultinject"
 	"scaltool/internal/health"
 	"scaltool/internal/model"
+	"scaltool/internal/obs"
 )
 
 // chaosTolerance bounds how far each breakdown component of a faulted
@@ -24,11 +25,10 @@ import (
 // interpolation, so the bound is deliberately looser than the noise floor.
 const chaosTolerance = 0.10
 
-// TestChaosRoundTrip is the end-to-end fault drill of the robustness issue:
-// a campaign under seeded injection — counter noise everywhere, one
-// transient run failure, one poisoned (quarantined) run, one repairable
-// skew — must complete via retries and degraded fitting, report every
-// repair/retry/quarantine in the health report, and produce a breakdown
+// TestChaosRoundTrip is the end-to-end fault drill: a campaign under seeded
+// injection — counter noise everywhere, one poisoned (quarantined) run, one
+// repairable skew — must complete via degraded fitting, report every
+// repair and quarantine in the health report, and produce a breakdown
 // within chaosTolerance of the clean campaign's.
 func TestChaosRoundTrip(t *testing.T) {
 	if testing.Short() {
@@ -50,22 +50,16 @@ func TestChaosRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	failID := RunID("base", 4, plan.S0)
 	poisonID := RunID("uni", 1, plan.UniSizes[1])
 	skewID := RunID("base", 2, plan.S0)
 	spec := faultinject.Spec{
 		Seed:       42,
 		Noise:      0.02,
-		FailRuns:   []string{failID},
 		PoisonRuns: []string{poisonID},
 		SkewRuns:   []string{skewID},
 	}
 	faulted := func(workers int) (*Result, *model.Model) {
-		rn := &Runner{
-			Cfg: c, Workers: workers,
-			MaxRetries: 2, RetryBase: time.Millisecond,
-			Inject: faultinject.New(spec),
-		}
+		rn := &Runner{Cfg: c, Workers: workers, Inject: faultinject.New(spec)}
 		res, err := rn.Run(app, plan)
 		if err != nil {
 			t.Fatalf("faulted campaign (workers=%d) did not survive: %v", workers, err)
@@ -80,15 +74,6 @@ func TestChaosRoundTrip(t *testing.T) {
 
 	// The health report enumerates what happened, by run identity.
 	hr := res.Health
-	gotRetry := false
-	for _, re := range hr.Retries {
-		if re.Run == failID {
-			gotRetry = true
-		}
-	}
-	if !gotRetry {
-		t.Errorf("no retry recorded for %s (retries: %v)", failID, hr.Retries)
-	}
 	if got := hr.Quarantined; len(got) != 1 || got[0] != poisonID {
 		t.Errorf("quarantined %v, want [%s]", got, poisonID)
 	}
@@ -142,9 +127,6 @@ func TestChaosRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(hr.Findings, hr2.Findings) {
 		t.Errorf("findings differ across worker counts:\n%v\nvs\n%v", hr.Findings, hr2.Findings)
 	}
-	if !reflect.DeepEqual(hr.Retries, hr2.Retries) {
-		t.Errorf("retry traces differ across worker counts:\n%v\nvs\n%v", hr.Retries, hr2.Retries)
-	}
 	if !reflect.DeepEqual(hr.Quarantined, hr2.Quarantined) {
 		t.Errorf("quarantine lists differ: %v vs %v", hr.Quarantined, hr2.Quarantined)
 	}
@@ -153,10 +135,10 @@ func TestChaosRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChaosCriticalRunKillsCampaign checks that a run the model cannot fit
-// without — here the uniprocessor base run — failing past its retry budget
-// cancels the campaign promptly instead of producing a silently unusable
-// result.
+// TestChaosCriticalRunKillsCampaign checks that losing a run the model
+// cannot fit without — here the uniprocessor base run, poisoned into
+// quarantine — cancels the campaign promptly instead of producing a
+// silently unusable result.
 func TestChaosCriticalRunKillsCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign")
@@ -169,21 +151,18 @@ func TestChaosCriticalRunKillsCampaign(t *testing.T) {
 	}
 	critical := RunID("base", 1, plan.S0)
 	rn := &Runner{
-		Cfg: c,
-		// Transient=1 with MaxFailures above the retry budget: the critical
-		// run can never succeed.
-		Inject:     faultinject.New(faultinject.Spec{Seed: 7, Transient: 1, MaxFailures: 10}),
-		MaxRetries: 1,
+		Cfg:    c,
+		Inject: faultinject.New(faultinject.Spec{Seed: 7, PoisonRuns: []string{critical}}),
 	}
-	_, err = rn.Run(app, plan)
+	res, err := rn.Run(app, plan)
 	if err == nil {
-		t.Fatal("campaign succeeded with an unrunnable critical run")
+		t.Fatal("campaign succeeded without its critical run")
 	}
-	if !errors.Is(err, faultinject.ErrTransient) {
-		t.Errorf("error %v does not wrap the transient fault", err)
+	if res != nil {
+		t.Error("aborted campaign returned a Result")
 	}
-	if !strings.Contains(err.Error(), critical) && !strings.Contains(err.Error(), "kspin") {
-		t.Errorf("error %q names neither the critical base run nor the spin kernel", err)
+	if !strings.Contains(err.Error(), critical) || !strings.Contains(err.Error(), "quarantined") {
+		t.Errorf("error %q does not name the quarantined critical run %s", err, critical)
 	}
 }
 
@@ -230,10 +209,11 @@ func TestChaosCancellation(t *testing.T) {
 	t.Errorf("goroutines leaked: %d before, %d after cancel", before, runtime.NumGoroutine())
 }
 
-// TestChaosHungRunReapedByDeadline stalls one estimation-kernel run; the
-// per-attempt deadline must reap it, record a retry, and let the second
-// attempt succeed.
-func TestChaosHungRunReapedByDeadline(t *testing.T) {
+// TestChaosRunTimeoutAbortsCampaign checks the one bound on a run's
+// duration: a deadline no run can meet fails every run on its single
+// attempt — no retry, no backoff — and the first critical run to fail
+// aborts the campaign with an error that wraps context.DeadlineExceeded.
+func TestChaosRunTimeoutAbortsCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign")
 	}
@@ -243,27 +223,27 @@ func TestChaosHungRunReapedByDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stalled := RunID("ksync", 2, 0)
-	rn := &Runner{
-		Cfg:        c,
-		Inject:     faultinject.New(faultinject.Spec{Seed: 9, StallRuns: []string{stalled}}),
-		MaxRetries: 1,
-		RunTimeout: 2 * time.Second,
+	mt := obs.NewMetrics()
+	ctx := obs.NewContext(context.Background(), &obs.Observer{Metrics: mt})
+	start := time.Now()
+	res, err := (&Runner{Cfg: c, RunTimeout: time.Nanosecond}).Execute(ctx, app, plan)
+	elapsed := time.Since(start)
+	if err == nil || res != nil {
+		t.Fatalf("campaign with an unmeetable deadline: res=%v err=%v", res, err)
 	}
-	res, err := rn.Run(app, plan)
-	if err != nil {
-		t.Fatalf("campaign did not survive the hung run: %v", err)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("error %v does not wrap context.DeadlineExceeded", err)
 	}
-	gotRetry := false
-	for _, re := range res.Health.Retries {
-		if re.Run == stalled && strings.Contains(re.Reason, "deadline") {
-			gotRetry = true
-		}
+	if !strings.Contains(err.Error(), "critical run "+RunID("base", 1, plan.S0)) &&
+		!strings.Contains(err.Error(), "critical run kspin_") {
+		t.Errorf("error %q names neither critical run", err)
 	}
-	if !gotRetry {
-		t.Errorf("no deadline retry recorded for %s: %v", stalled, res.Health.Retries)
+	started := mt.Counter("scaltool_campaign_runs_started_total", "").Value()
+	attempts := mt.Histogram("scaltool_campaign_attempt_seconds", "", obs.LatencyBuckets).Count()
+	if attempts == 0 || attempts > started {
+		t.Errorf("%d attempts for %d started runs; want at most one each", attempts, started)
 	}
-	if res.SyncKernels[2] == nil {
-		t.Error("stalled kernel never recovered")
+	if elapsed > 5*time.Second {
+		t.Errorf("campaign took %v to fail every run on its deadline", elapsed)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"scaltool/internal/apps"
 	"scaltool/internal/counters"
@@ -30,21 +29,23 @@ import (
 // appended to the journal BEFORE the run is recorded in the Result. If the
 // append fails the run is not recorded and the campaign aborts; on resume
 // the run simply executes again, and because every campaign decision is a
-// pure function of (spec, run identity, attempt), re-execution reproduces
-// the identical report. Retry events are journaled for the health report;
-// attempt events are journaled for forensics and dropped at compaction.
-// In-flight runs (attempt events but no terminal event) re-enter the retry
-// loop from attempt zero on resume, regenerating their retry trace instead
-// of replaying a partial one.
+// pure function of (spec, run identity), re-execution reproduces the
+// identical report. Attempt events are journaled for forensics and dropped
+// at compaction. In-flight runs (an attempt event but no terminal event)
+// simply run again on resume.
+//
+// Replay ignores event types it does not know, so journals written by
+// earlier versions resume: their "retry" events are skipped, and the start
+// event's fault spec — which may name fault keys that no longer parse — is
+// stored, never re-parsed.
 
 // Event types, in the order a run can emit them.
 const (
 	evStart      = "start"      // campaign identity: app, machine, plan, fault spec
-	evAttempt    = "attempt"    // one try of one run began
-	evRetry      = "retry"      // an attempt failed retryably; the run backs off
+	evAttempt    = "attempt"    // one run began
 	evDone       = "done"       // run accepted; Report is the sanitized counter report
 	evSkip       = "skip"       // uniprocessor size below the app's grid
-	evQuarantine = "quarantine" // report failed sanitization (or watchdog poisoned the run)
+	evQuarantine = "quarantine" // report failed sanitization
 	evFail       = "fail"       // run dropped after a permanent failure
 	evFit        = "fit"        // model fitted from this campaign's measurements
 )
@@ -61,15 +62,13 @@ type event struct {
 	Spec    string `json:"spec,omitempty"`
 
 	// Per-run events.
-	Run       string              `json:"run,omitempty"`
-	Kind      string              `json:"kind,omitempty"`
-	Procs     int                 `json:"procs,omitempty"`
-	Size      uint64              `json:"size,omitempty"`
-	Attempt   int                 `json:"attempt,omitempty"`
-	BackoffNS int64               `json:"backoff_ns,omitempty"`
-	Reason    string              `json:"reason,omitempty"`
-	Report    *counters.RunReport `json:"report,omitempty"`
-	Findings  []health.Finding    `json:"findings,omitempty"`
+	Run      string              `json:"run,omitempty"`
+	Kind     string              `json:"kind,omitempty"`
+	Procs    int                 `json:"procs,omitempty"`
+	Size     uint64              `json:"size,omitempty"`
+	Reason   string              `json:"reason,omitempty"`
+	Report   *counters.RunReport `json:"report,omitempty"`
+	Findings []health.Finding    `json:"findings,omitempty"`
 
 	// evFit.
 	Fit *fitSummary `json:"fit,omitempty"`
@@ -117,8 +116,7 @@ type durable struct {
 
 	mu        sync.Mutex
 	start     *event
-	terminal  map[string]event   // run identity → its terminal event
-	retries   map[string][]event // run identity → journaled retry events
+	terminal  map[string]event // run identity → its terminal event
 	fit       *event
 	sinceSnap int
 	closed    bool
@@ -164,14 +162,12 @@ func (rn *Runner) openDurable(ctx context.Context, opts DurableOptions) (*durabl
 	if err != nil {
 		return nil, fmt.Errorf("campaign: opening journal: %w", err)
 	}
-	d := &durable{j: j, opts: opts, terminal: map[string]event{}, retries: map[string][]event{}}
+	d := &durable{j: j, opts: opts, terminal: map[string]event{}}
 	apply := func(ev event) {
 		switch ev.Type {
 		case evStart:
 			e := ev
 			d.start = &e
-		case evRetry:
-			d.retries[ev.Run] = append(d.retries[ev.Run], ev)
 		case evDone, evSkip, evQuarantine, evFail:
 			d.terminal[ev.Run] = ev
 		case evFit:
@@ -230,8 +226,6 @@ func (d *durable) record(ctx context.Context, ev event) error {
 	case evStart:
 		e := ev
 		d.start = &e
-	case evRetry:
-		d.retries[ev.Run] = append(d.retries[ev.Run], ev)
 	case evFit:
 		e := ev
 		d.fit = &e
@@ -257,16 +251,11 @@ func (d *durable) record(ctx context.Context, ev event) error {
 }
 
 // compactLocked builds the snapshot state: the start event, then each
-// terminal run's retry trace and terminal event (in run-identity order so
-// snapshots are deterministic), then the fit if one was recorded. Attempt
-// events and the retries of in-flight runs are dropped — resume regenerates
-// them by re-running those runs.
+// terminal run's terminal event (in run-identity order so snapshots are
+// deterministic), then the fit if one was recorded. Attempt events are
+// dropped — resume regenerates them by re-running in-flight runs.
 func (d *durable) compactLocked() []event {
-	n := 2 + len(d.terminal) // start + fit + one terminal event per run
-	for _, r := range d.retries {
-		n += len(r)
-	}
-	out := make([]event, 0, n)
+	out := make([]event, 0, 2+len(d.terminal)) // start + fit + one terminal event per run
 	if d.start != nil {
 		out = append(out, *d.start)
 	}
@@ -276,7 +265,6 @@ func (d *durable) compactLocked() []event {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		out = append(out, d.retries[id]...)
 		out = append(out, d.terminal[id])
 	}
 	if d.fit != nil {
@@ -301,7 +289,7 @@ func (d *durable) close() error {
 }
 
 // ExecuteDurable is Execute with a write-ahead journal under opts.Dir: the
-// campaign start, every attempt, retry, and terminal run outcome is
+// campaign start, every attempt and terminal run outcome is
 // journaled before it takes effect, with periodic compact snapshots. A
 // campaign killed at any point — even mid-append — is resumable with Resume,
 // to a byte-identical model breakdown. The directory must be empty or hold
@@ -333,11 +321,11 @@ func (rn *Runner) ExecuteDurable(ctx context.Context, app apps.App, plan Plan, o
 
 // Resume replays the journal under opts.Dir and continues the interrupted
 // campaign: runs with a journaled terminal event are restored without
-// re-execution (Result.Resumed counts them), in-flight runs re-enter the
-// retry loop from their first attempt, and everything not yet started runs
-// normally. The runner's machine must match the journaled campaign's, and a
-// fault spec that targets an already-completed run is refused — the fault
-// could no longer fire, which would silently weaken a chaos experiment.
+// re-execution (Result.Resumed counts them), and in-flight runs and
+// everything not yet started run normally. The runner's machine must match
+// the journaled campaign's, and a fault spec that targets an
+// already-completed run is refused — the fault could no longer fire, which
+// would silently weaken a chaos experiment.
 func (rn *Runner) Resume(ctx context.Context, opts DurableOptions) (*Result, error) {
 	d, err := rn.openDurable(ctx, opts)
 	if err != nil {
@@ -378,10 +366,7 @@ func (rn *Runner) Resume(ctx context.Context, opts DurableOptions) (*Result, err
 // error only when the replayed outcome was campaign-killing (a critical run
 // quarantined or failed), which aborts the resume the same way the original
 // campaign aborted.
-func (ex *executor) replay(ctx context.Context, j job, ev event, retries []event) error {
-	for _, r := range retries {
-		ex.res.Health.AddRetry(r.Run, r.Attempt, time.Duration(r.BackoffNS), errors.New(r.Reason))
-	}
+func (ex *executor) replay(ctx context.Context, j job, ev event) error {
 	switch ev.Type {
 	case evDone:
 		if ev.Report == nil {

@@ -178,24 +178,8 @@ type Directory struct {
 	lastLine  uint64
 	lastEntry int32
 
-	// Progress, when non-nil, is invoked by Merge every mergeBeatInterval
-	// processed line records. The simulator wires the run's heartbeat here so
-	// the watchdog keeps seeing progress through the merge of an enormous
-	// region — the merge of a multi-hundred-thousand-line region otherwise
-	// runs silent for longer than a tight watchdog deadline. Merge is
-	// single-threaded, so the callback never runs concurrently with itself.
-	Progress func()
-
 	scratch mergeScratch
 }
-
-// mergeBeatInterval is how many line records Merge processes between
-// Progress callbacks. A record costs several simulated accesses' worth of
-// wall time (a hash probe into freshly allocated memory), so the interval
-// is a quarter of the lanes' heartbeatAccessInterval: a few milliseconds
-// apart on a giant region's first merge, and still far too seldom to
-// measure.
-const mergeBeatInterval = 1 << 14
 
 // mergeScratch holds the per-Merge working state, reused across regions.
 type mergeScratch struct {
@@ -319,38 +303,14 @@ func (d *Directory) Merge(accesses []RegionAccess) MergeResult {
 	for _, a := range accesses {
 		total += len(a.ReadFills) + len(a.Writes)
 	}
-	// Heartbeat: step() is called once per processed line record in every
-	// pass, so Progress fires at a bounded interval however large the
-	// region was. Presizing a giant region's state allocates and clears
-	// tens of megabytes before the first record, so setupBeat() also fires
-	// between those steps.
-	beat := func() {
-		if d.Progress != nil {
-			d.Progress()
-		}
-	}
-	setupBeat := func() {
-		if total >= mergeBeatInterval {
-			beat()
-		}
-	}
-	wk := 0
-	step := func() {
-		if wk++; wk >= mergeBeatInterval {
-			wk = 0
-			beat()
-		}
-	}
 	// Presize the directory for the worst case (every record a new line)
 	// before the passes run: the index rehashes once while still small and
 	// the dense arrays stop doubling mid-merge — no multi-megabyte memmove
-	// or rehash storm can open a silent gap between Progress beats.
-	setupBeat()
+	// or rehash storm in the middle of a pass.
 	d.idx.reserve(d.idx.n + total)
 	d.lines = slices.Grow(d.lines, total)
 	d.owner = slices.Grow(d.owner, total)
 	d.dirty = slices.Grow(d.dirty, total)
-	setupBeat()
 	d.sharers = slices.Grow(d.sharers, total*W)
 
 	// Pass 0: detect intra-region sharing (≥2 distinct procs touching a
@@ -358,14 +318,11 @@ func (d *Directory) Merge(accesses []RegionAccess) MergeResult {
 	// processors is impossible, so the whole pass — scratch table and all —
 	// degenerates to computing zero; uniprocessor runs skip it.
 	if len(accesses) > 1 {
-		setupBeat()
 		s.idx.reset()
 		s.idx.reserve(total)
-		setupBeat()
 		s.touchLines = growCap(s.touchLines, total)
 		s.readers = growCap(s.readers, total*W)
 		s.writers = growCap(s.writers, total*W)
-		setupBeat()
 		// The same sorted-run memo ensure uses: each processor's line set is
 		// sorted, so repeat touches of consecutive lines resolve by guessing
 		// the next dense slot and verifying, instead of re-probing the hash.
@@ -390,7 +347,6 @@ func (d *Directory) Merge(accesses []RegionAccess) MergeResult {
 			} else {
 				s.readers[int(t)*W+proc>>6] |= 1 << (uint(proc) & 63)
 			}
-			step()
 		}
 		for _, a := range accesses {
 			d.checkProc(a.Proc)
@@ -409,7 +365,6 @@ func (d *Directory) Merge(accesses []RegionAccess) MergeResult {
 					res.SharingLines++
 					d.sharingLines++
 				}
-				step()
 			}
 		} else {
 			for t := range s.touchLines {
@@ -422,7 +377,6 @@ func (d *Directory) Merge(accesses []RegionAccess) MergeResult {
 					res.SharingLines++
 					d.sharingLines++
 				}
-				step()
 			}
 		}
 	} else {
@@ -456,7 +410,6 @@ func (d *Directory) Merge(accesses []RegionAccess) MergeResult {
 				d.sharers[e] = bit
 				d.owner[e] = int16(a.Proc)
 				d.dirty[e] = true
-				step()
 			}
 		}
 	} else {
@@ -483,7 +436,6 @@ func (d *Directory) Merge(accesses []RegionAccess) MergeResult {
 				d.setSharer(e, a.Proc)
 				d.owner[e] = int16(a.Proc)
 				d.dirty[e] = true
-				step()
 			}
 		}
 	}
@@ -515,7 +467,6 @@ func (d *Directory) Merge(accesses []RegionAccess) MergeResult {
 					d.owner[e] = -1
 					d.dirty[e] = false
 				}
-				step()
 			}
 		}
 	} else {
@@ -539,7 +490,6 @@ func (d *Directory) Merge(accesses []RegionAccess) MergeResult {
 					d.owner[e] = -1
 					d.dirty[e] = false
 				}
-				step()
 			}
 		}
 	}

@@ -1,15 +1,19 @@
 // Package faultinject deterministically injects realistic measurement
 // faults into Scal-Tool's pipeline. Real hardware event counters are noisy
 // (multiplexed sampling extrapolates), saturating (32-bit counters wrap),
-// and occasionally absent (a counter slot never scheduled); real measurement
-// runs fail transiently (node crash, scheduler kill) or hang; real report
-// files arrive truncated or corrupt. A production campaign has to survive
-// all of that, and a reproducible chaos test has to inject it on demand.
+// and occasionally absent (a counter slot never scheduled); real report
+// files arrive truncated or corrupt; a real process dies before or halfway
+// through a journal write, or its fsync fails. A production campaign has to
+// survive all of that, and a reproducible chaos test has to inject it on
+// demand.
+//
+// Run failures are not injected: runs come from a deterministic simulator,
+// so the transient crashes and hangs of a real machine cannot happen, and a
+// campaign gives each run a single attempt.
 //
 // Every decision the injector makes is a pure function of (Spec.Seed, run
-// identity, attempt, processor, event): the same seed and spec produce
-// byte-identical perturbed reports and identical retry traces regardless of
-// worker count or scheduling.
+// identity, processor, event): the same seed and spec produce byte-identical
+// perturbed reports regardless of worker count or scheduling.
 package faultinject
 
 import (
@@ -24,18 +28,16 @@ type Kind string
 
 // The fault kinds the injector can produce.
 const (
-	KindNoise     Kind = "noise"     // multiplexing estimation noise on a counter
-	KindDrop      Kind = "drop"      // counter never scheduled: reads zero
-	KindWrap      Kind = "wrap"      // 32-bit counter wraparound
-	KindTransient Kind = "transient" // run attempt fails transiently
-	KindHang      Kind = "hang"      // run attempt hangs past its deadline
-	KindTruncate  Kind = "truncate"  // report file truncated mid-write
-	KindCorrupt   Kind = "corrupt"   // report file byte-corrupted
-	KindPoison    Kind = "poison"    // report made internally inconsistent (quarantine bait)
-	KindSkew      Kind = "skew"      // mildly inconsistent counters (repairable)
-	KindCrash     Kind = "crash"     // process dies before a journal append
-	KindTorn      Kind = "torn"      // process dies mid-append (torn record)
-	KindFsync     Kind = "fsync"     // journal fsync reports failure
+	KindNoise    Kind = "noise"    // multiplexing estimation noise on a counter
+	KindDrop     Kind = "drop"     // counter never scheduled: reads zero
+	KindWrap     Kind = "wrap"     // 32-bit counter wraparound
+	KindTruncate Kind = "truncate" // report file truncated mid-write
+	KindCorrupt  Kind = "corrupt"  // report file byte-corrupted
+	KindPoison   Kind = "poison"   // report made internally inconsistent (quarantine bait)
+	KindSkew     Kind = "skew"     // mildly inconsistent counters (repairable)
+	KindCrash    Kind = "crash"    // process dies before a journal append
+	KindTorn     Kind = "torn"     // process dies mid-append (torn record)
+	KindFsync    Kind = "fsync"    // journal fsync reports failure
 )
 
 // Fault records one injected fault, for tests that cross-check the health
@@ -46,25 +48,9 @@ type Fault struct {
 	Detail string
 }
 
-// ErrTransient marks an injected failure the campaign may retry. Errors
-// wrapping it satisfy errors.Is(err, ErrTransient).
-var ErrTransient = fmt.Errorf("faultinject: transient run failure")
-
-// Decision is the injector's verdict for one run attempt.
-type Decision int
-
-// Attempt outcomes.
-const (
-	OK        Decision = iota // attempt proceeds normally
-	Transient                 // attempt fails with a retryable error
-	Hang                      // attempt hangs until its deadline reaps it
-)
-
 // Injector applies a Spec deterministically.
 type Injector struct {
 	spec   Spec
-	fail   map[string]bool
-	stall  map[string]bool
 	poison map[string]bool
 	skew   map[string]bool
 }
@@ -72,13 +58,8 @@ type Injector struct {
 // New builds an injector for a spec. A nil *Injector is valid and injects
 // nothing.
 func New(spec Spec) *Injector {
-	if spec.MaxFailures <= 0 {
-		spec.MaxFailures = 1
-	}
 	return &Injector{
 		spec:   spec,
-		fail:   toSet(spec.FailRuns),
-		stall:  toSet(spec.StallRuns),
 		poison: toSet(spec.PoisonRuns),
 		skew:   toSet(spec.SkewRuns),
 	}
@@ -93,32 +74,6 @@ func toSet(ids []string) map[string]bool {
 		m[id] = true
 	}
 	return m
-}
-
-// Outcome decides what happens to one attempt of one run. Targeted runs
-// (FailRuns/StallRuns) fail on their first attempt only; probabilistic
-// failures stop after MaxFailures attempts so bounded retry converges.
-func (in *Injector) Outcome(run string, attempt int) Decision {
-	if in == nil {
-		return OK
-	}
-	if attempt == 0 {
-		if in.fail[run] {
-			return Transient
-		}
-		if in.stall[run] {
-			return Hang
-		}
-	}
-	if attempt < in.spec.MaxFailures {
-		if in.prob(in.spec.Transient, hashString(run), uint64(attempt), 0x7a) {
-			return Transient
-		}
-		if in.prob(in.spec.Hang, hashString(run), uint64(attempt), 0x7b) {
-			return Hang
-		}
-	}
-	return OK
 }
 
 // JournalDecision is the injector's verdict for one journal operation.
@@ -167,7 +122,7 @@ func (s Spec) JournalTargets() bool {
 func (s Spec) TargetedRuns() []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, list := range [][]string{s.FailRuns, s.StallRuns, s.PoisonRuns, s.SkewRuns} {
+	for _, list := range [][]string{s.PoisonRuns, s.SkewRuns} {
 		for _, id := range list {
 			if !seen[id] {
 				seen[id] = true

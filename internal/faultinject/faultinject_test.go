@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"scaltool/internal/counters"
@@ -66,48 +67,12 @@ func TestPerturbDoesNotMutateInput(t *testing.T) {
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if d := in.Outcome("r", 0); d != OK {
-		t.Fatalf("nil injector Outcome = %v", d)
+	if in.JournalAppend(1) != JournalOK || in.JournalSync(1) != JournalOK {
+		t.Fatal("nil injector faulted a journal operation")
 	}
 	out, faults := in.PerturbReport("r", sampleReport())
 	if len(faults) != 0 || !bytes.Equal(reportBytes(t, out), reportBytes(t, sampleReport())) {
 		t.Fatal("nil injector perturbed a report")
-	}
-}
-
-func TestOutcomeTargetedAndBounded(t *testing.T) {
-	in := New(Spec{Seed: 5, FailRuns: []string{"a"}, StallRuns: []string{"b"}})
-	if in.Outcome("a", 0) != Transient || in.Outcome("a", 1) != OK {
-		t.Error("FailRuns must fail exactly the first attempt")
-	}
-	if in.Outcome("b", 0) != Hang || in.Outcome("b", 1) != OK {
-		t.Error("StallRuns must hang exactly the first attempt")
-	}
-	if in.Outcome("c", 0) != OK {
-		t.Error("untargeted run failed with no probabilistic faults")
-	}
-	// With transient=1 every attempt under MaxFailures fails, and the one
-	// after is clean — bounded retry always converges.
-	in = New(Spec{Seed: 5, Transient: 1, MaxFailures: 2})
-	if in.Outcome("c", 0) != Transient || in.Outcome("c", 1) != Transient {
-		t.Error("probabilistic transient did not fire below MaxFailures")
-	}
-	if in.Outcome("c", 2) != OK {
-		t.Error("probabilistic transient fired at MaxFailures; retry cannot converge")
-	}
-	// The whole decision trace is deterministic.
-	trace := func() []Decision {
-		i := New(Spec{Seed: 7, Transient: 0.5, Hang: 0.3, MaxFailures: 3})
-		var ds []Decision
-		for _, run := range []string{"r1", "r2", "r3", "r4"} {
-			for attempt := 0; attempt < 4; attempt++ {
-				ds = append(ds, i.Outcome(run, attempt))
-			}
-		}
-		return ds
-	}
-	if !reflect.DeepEqual(trace(), trace()) {
-		t.Error("Outcome trace not deterministic for a fixed seed")
 	}
 }
 
@@ -176,15 +141,15 @@ func TestMangleFileDeterministic(t *testing.T) {
 }
 
 func TestSpecParseRoundTrip(t *testing.T) {
-	text := "seed=42,noise=0.02,transient=0.1,maxfail=2,failrun=base_p04_s1048576,poisonrun=uni_p01_s512"
+	text := "seed=42,noise=0.02,drop=0.1,skewrun=base_p04_s1048576,poisonrun=uni_p01_s512"
 	spec, err := ParseSpec(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Seed != 42 || spec.Noise != 0.02 || spec.Transient != 0.1 || spec.MaxFailures != 2 {
+	if spec.Seed != 42 || spec.Noise != 0.02 || spec.Drop != 0.1 {
 		t.Fatalf("parsed spec %+v", spec)
 	}
-	if !reflect.DeepEqual(spec.FailRuns, []string{"base_p04_s1048576"}) ||
+	if !reflect.DeepEqual(spec.SkewRuns, []string{"base_p04_s1048576"}) ||
 		!reflect.DeepEqual(spec.PoisonRuns, []string{"uni_p01_s512"}) {
 		t.Fatalf("targeted runs %+v", spec)
 	}
@@ -210,12 +175,18 @@ func TestSpecParseErrors(t *testing.T) {
 		"noise=2",
 		"noise=-0.1",
 		"seed=abc",
-		"maxfail=-1",
 		"unknown=1",
-		"failrun=",
+		"poisonrun=",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
+		}
+	}
+	// Run failures are not injectable: the keys that used to drive the
+	// campaign's retry loop are unknown.
+	for _, gone := range []string{"transient=0.1", "hang=0.1", "maxfail=2", "failrun=a", "stallrun=b"} {
+		if _, err := ParseSpec(gone); err == nil || !strings.Contains(err.Error(), "unknown spec key") {
+			t.Errorf("ParseSpec(%q) = %v, want an unknown-key error", gone, err)
 		}
 	}
 	if s, err := ParseSpec("  "); err != nil || s.Active() {
@@ -227,7 +198,7 @@ func TestSpecParseErrors(t *testing.T) {
 // round-trip, and the Active/JournalTargets/TargetedRuns views the journal
 // hook and the resume pre-flight rely on.
 func TestSpecParseJournalKeys(t *testing.T) {
-	spec, err := ParseSpec("seed=9,crashappend=3,tornappend=7,fsyncfail=11,failrun=a,stallrun=b")
+	spec, err := ParseSpec("seed=9,crashappend=3,tornappend=7,fsyncfail=11,poisonrun=a,skewrun=b")
 	if err != nil {
 		t.Fatal(err)
 	}

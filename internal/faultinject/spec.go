@@ -10,7 +10,7 @@ import (
 // Spec declares which faults to inject and at what rates. The zero Spec
 // injects nothing. Probabilistic fields are per-decision-site probabilities
 // in [0, 1]; targeted fields name exact run identities (campaign.RunID
-// strings) and fire deterministically on the run's first attempt.
+// strings) and fire deterministically on that run.
 type Spec struct {
 	// Seed drives every random decision; same seed + spec → identical
 	// faults, byte for byte.
@@ -26,18 +26,9 @@ type Spec struct {
 	// Wrap is the per-counter probability that a value ≥ 2^32 is reported
 	// modulo 2^32 (a saturated 32-bit hardware counter).
 	Wrap float64
-	// Transient is the per-attempt probability a run fails retryably.
-	Transient float64
-	// Hang is the per-attempt probability a run hangs until its deadline.
-	Hang float64
 	// Truncate and Corrupt are per-file probabilities for report files.
 	Truncate float64
 	Corrupt  float64
-
-	// MaxFailures caps how many consecutive attempts of one run the
-	// probabilistic Transient/Hang faults may kill, so a bounded retry
-	// policy always converges (default 1).
-	MaxFailures int
 
 	// Durability faults, for the write-ahead journal (internal/journal).
 	// Append and sync counts are 1-based and campaign-wide, so a sweep over
@@ -55,8 +46,6 @@ type Spec struct {
 	FsyncFail uint64
 
 	// Targeted faults, by run identity.
-	FailRuns   []string // fail transiently on the first attempt
-	StallRuns  []string // hang on the first attempt
 	PoisonRuns []string // report made implausible (forces quarantine)
 	SkewRuns   []string // counters mildly inconsistent (repairable)
 }
@@ -65,14 +54,12 @@ type Spec struct {
 func (s *Spec) floatFields() map[string]*float64 {
 	return map[string]*float64{
 		"noise": &s.Noise, "drop": &s.Drop, "wrap": &s.Wrap,
-		"transient": &s.Transient, "hang": &s.Hang,
 		"truncate": &s.Truncate, "corrupt": &s.Corrupt,
 	}
 }
 
 func (s *Spec) listFields() map[string]*[]string {
 	return map[string]*[]string{
-		"failrun": &s.FailRuns, "stallrun": &s.StallRuns,
 		"poisonrun": &s.PoisonRuns, "skewrun": &s.SkewRuns,
 	}
 }
@@ -80,12 +67,11 @@ func (s *Spec) listFields() map[string]*[]string {
 // ParseSpec parses the -fault-spec flag syntax: comma-separated key=value
 // pairs, e.g.
 //
-//	seed=42,noise=0.02,transient=0.1,maxfail=2,failrun=base_p04_s1048576
+//	seed=42,noise=0.02,poisonrun=base_p04_s1048576
 //
-// Keys: seed, maxfail (integers); noise, drop, wrap, transient, hang,
-// truncate, corrupt (probabilities in [0,1]); crashappend, tornappend,
-// fsyncfail (1-based journal operation counts); failrun, stallrun,
-// poisonrun, skewrun (run identities, repeatable).
+// Keys: seed (integer); noise, drop, wrap, truncate, corrupt (probabilities
+// in [0,1]); crashappend, tornappend, fsyncfail (1-based journal operation
+// counts); poisonrun, skewrun (run identities, repeatable).
 func ParseSpec(text string) (Spec, error) {
 	var s Spec
 	text = strings.TrimSpace(text)
@@ -109,12 +95,6 @@ func ParseSpec(text string) (Spec, error) {
 				return s, fmt.Errorf("faultinject: seed %q: %w", v, err)
 			}
 			s.Seed = n
-		case "maxfail":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return s, fmt.Errorf("faultinject: maxfail %q must be a non-negative integer", v)
-			}
-			s.MaxFailures = n
 		case "crashappend", "tornappend", "fsyncfail":
 			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {
@@ -168,9 +148,6 @@ func (s Spec) String() string {
 			parts = append(parts, fmt.Sprintf("%s=%g", k, v))
 		}
 	}
-	if s.MaxFailures > 0 {
-		parts = append(parts, fmt.Sprintf("maxfail=%d", s.MaxFailures))
-	}
 	for _, c := range []struct {
 		key string
 		n   uint64
@@ -195,7 +172,7 @@ func (s Spec) String() string {
 
 // Active reports whether the spec injects anything at all.
 func (s Spec) Active() bool {
-	for _, f := range []float64{s.Noise, s.Drop, s.Wrap, s.Transient, s.Hang, s.Truncate, s.Corrupt} {
+	for _, f := range []float64{s.Noise, s.Drop, s.Wrap, s.Truncate, s.Corrupt} {
 		if f > 0 {
 			return true
 		}
@@ -203,5 +180,5 @@ func (s Spec) Active() bool {
 	if s.CrashAppend > 0 || s.TornAppend > 0 || s.FsyncFail > 0 {
 		return true
 	}
-	return len(s.FailRuns)+len(s.StallRuns)+len(s.PoisonRuns)+len(s.SkewRuns) > 0
+	return len(s.PoisonRuns)+len(s.SkewRuns) > 0
 }

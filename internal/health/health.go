@@ -13,7 +13,7 @@
 // Small violations with a known physical cause are repaired in place and
 // recorded (a clamped counter from multiplexing noise, a 32-bit wraparound
 // un-wrapped against the wall clock); implausible reports are quarantined.
-// Everything — repairs, retries, quarantines, permanent failures — lands in
+// Everything — repairs, quarantines, permanent failures — lands in
 // a machine-readable Report so a campaign's operator can audit exactly what
 // the fault-tolerance layer did.
 package health
@@ -24,7 +24,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"scaltool/internal/counters"
 )
@@ -54,16 +53,8 @@ func (f Finding) String() string {
 	return fmt.Sprintf("[%s] %s: %s: %s", f.Severity, f.Run, f.Check, f.Detail)
 }
 
-// RetryEvent records one failed attempt that the campaign retried.
-type RetryEvent struct {
-	Run     string        `json:"run"`
-	Attempt int           `json:"attempt"` // the attempt that failed (0-based)
-	Backoff time.Duration `json:"backoff_ns"`
-	Reason  string        `json:"reason"`
-}
-
-// FailureEvent records a run that failed permanently (attempts exhausted or
-// a non-retryable error).
+// FailureEvent records a run that failed permanently: its one attempt
+// returned an error, its deadline passed, or its program could not be built.
 type FailureEvent struct {
 	Run    string `json:"run"`
 	Reason string `json:"reason"`
@@ -75,7 +66,6 @@ type FailureEvent struct {
 type Report struct {
 	mu          sync.Mutex
 	Findings    []Finding      `json:"findings"`
-	Retries     []RetryEvent   `json:"retries"`
 	Quarantined []string       `json:"quarantined"`
 	Failed      []FailureEvent `json:"failed"`
 }
@@ -91,13 +81,6 @@ func (r *Report) Add(fs ...Finding) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.Findings = append(r.Findings, fs...)
-}
-
-// AddRetry records a retried attempt.
-func (r *Report) AddRetry(run string, attempt int, backoff time.Duration, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.Retries = append(r.Retries, RetryEvent{Run: run, Attempt: attempt, Backoff: backoff, Reason: errString(err)})
 }
 
 // AddQuarantine records that a run's report was discarded.
@@ -121,8 +104,8 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// Finalize sorts every list into a deterministic order (run identity, then
-// attempt). Call it once the campaign's workers have stopped.
+// Finalize sorts every list into a deterministic order (by run identity).
+// Call it once the campaign's workers have stopped.
 func (r *Report) Finalize() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -135,13 +118,6 @@ func (r *Report) Finalize() {
 			return a.Check < b.Check
 		}
 		return a.Detail < b.Detail
-	})
-	sort.Slice(r.Retries, func(i, j int) bool {
-		a, b := r.Retries[i], r.Retries[j]
-		if a.Run != b.Run {
-			return a.Run < b.Run
-		}
-		return a.Attempt < b.Attempt
 	})
 	sort.Strings(r.Quarantined)
 	sort.Slice(r.Failed, func(i, j int) bool { return r.Failed[i].Run < r.Failed[j].Run })
@@ -164,13 +140,13 @@ func (r *Report) Counts() (info, repairs, quarantines int) {
 	return info, repairs, quarantines
 }
 
-// Clean reports whether the campaign ran with no repairs, retries,
-// quarantines, or failures (info findings are allowed).
+// Clean reports whether the campaign ran with no repairs, quarantines, or
+// failures (info findings are allowed).
 func (r *Report) Clean() bool {
 	_, repairs, quarantines := r.Counts()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return repairs == 0 && quarantines == 0 && len(r.Retries) == 0 && len(r.Failed) == 0
+	return repairs == 0 && quarantines == 0 && len(r.Failed) == 0
 }
 
 // DroppedRuns lists the run identities whose measurements never made it
@@ -191,8 +167,8 @@ func (r *Report) Summary() string {
 	info, repairs, quarantines := r.Counts()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return fmt.Sprintf("health: %d repair(s), %d retried attempt(s), %d quarantined run(s), %d permanent failure(s), %d note(s) [%d quarantine finding(s)]",
-		repairs, len(r.Retries), len(r.Quarantined), len(r.Failed), info, quarantines)
+	return fmt.Sprintf("health: %d repair(s), %d quarantined run(s), %d permanent failure(s), %d note(s) [%d quarantine finding(s)]",
+		repairs, len(r.Quarantined), len(r.Failed), info, quarantines)
 }
 
 // WriteJSON emits the machine-readable report. Slices are never null so
@@ -201,12 +177,10 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	r.mu.Lock()
 	shadow := struct {
 		Findings    []Finding      `json:"findings"`
-		Retries     []RetryEvent   `json:"retries"`
 		Quarantined []string       `json:"quarantined"`
 		Failed      []FailureEvent `json:"failed"`
 	}{
 		Findings:    emptyNotNil(r.Findings),
-		Retries:     emptyNotNil(r.Retries),
 		Quarantined: emptyNotNil(r.Quarantined),
 		Failed:      emptyNotNil(r.Failed),
 	}

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"scaltool/internal/counters"
 )
@@ -174,8 +174,7 @@ func TestReportLifecycleAndJSON(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r.Add(Finding{Run: "b", Check: "c", Severity: Repair, Detail: "d"})
-			r.AddRetry("a", i, time.Millisecond, errors.New("boom"))
+			r.Add(Finding{Run: "b", Check: "c", Severity: Repair, Detail: strconv.Itoa(7 - i)})
 		}(i)
 	}
 	wg.Wait()
@@ -193,9 +192,9 @@ func TestReportLifecycleAndJSON(t *testing.T) {
 	if got := r.DroppedRuns(); len(got) != 3 || got[0] != "a" || got[1] != "q" || got[2] != "z" {
 		t.Fatalf("DroppedRuns = %v", got)
 	}
-	for i := 1; i < len(r.Retries); i++ {
-		if r.Retries[i-1].Attempt > r.Retries[i].Attempt {
-			t.Fatal("Finalize did not sort retries by attempt")
+	for i := 1; i < len(r.Findings); i++ {
+		if r.Findings[i-1].Detail > r.Findings[i].Detail {
+			t.Fatal("Finalize did not sort findings")
 		}
 	}
 	if s := r.Summary(); !strings.Contains(s, "8 repair(s)") || !strings.Contains(s, "2 quarantined") {
@@ -208,15 +207,17 @@ func TestReportLifecycleAndJSON(t *testing.T) {
 	}
 	var decoded struct {
 		Findings    []Finding      `json:"findings"`
-		Retries     []RetryEvent   `json:"retries"`
 		Quarantined []string       `json:"quarantined"`
 		Failed      []FailureEvent `json:"failed"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("health report JSON does not parse: %v", err)
 	}
-	if len(decoded.Findings) != 8 || len(decoded.Retries) != 8 || len(decoded.Quarantined) != 2 || len(decoded.Failed) != 1 {
+	if len(decoded.Findings) != 8 || len(decoded.Quarantined) != 2 || len(decoded.Failed) != 1 {
 		t.Fatalf("decoded report %+v", decoded)
+	}
+	if strings.Contains(buf.String(), `"retries"`) {
+		t.Fatalf("health report still carries a retries list: %s", buf.String())
 	}
 
 	// Empty reports must encode [] not null for every list.

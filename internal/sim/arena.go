@@ -126,10 +126,8 @@ func releaseRunState(st *runState) {
 		return
 	}
 	// Drop references into the finished run's directory buffers so pooled
-	// memory does not pin lane line sets across runs, and unhook the run's
-	// heartbeat so the pool does not keep a finished supervisor alive.
+	// memory does not pin lane line sets across runs.
 	st.accesses = st.accesses[:0]
-	st.dir.Progress = nil
 	runPool.Put(st)
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"scaltool/internal/machine"
@@ -29,6 +31,23 @@ func cancelProg(t *testing.T, cfg machine.Config, procs, regions int) *Program {
 	return prog
 }
 
+// cancelAfter is a context that reports itself canceled from its
+// (limit+1)th Err() call on. The engine polls Err() once at every region
+// boundary and once as each processor's stream starts inside a region, so
+// the limit places the cancellation at an exact point of the run.
+type cancelAfter struct {
+	context.Context
+	limit int64
+	calls atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) > c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestRunContextCancelInsideFinalRegion is the regression test for the
 // cancellation-corruption bug: a context canceled after the last
 // region-boundary check — i.e. inside the final region's parallel phase —
@@ -37,21 +56,13 @@ func cancelProg(t *testing.T, cfg machine.Config, procs, regions int) *Program {
 // incomplete streams. It must return (nil, ctx.Err()-wrapping error).
 func TestRunContextCancelInsideFinalRegion(t *testing.T) {
 	cfg := machine.TinyTest()
-	const regions = 3
-	prog := cancelProg(t, cfg, 4, regions)
+	const regions, procs = 3, 4
+	prog := cancelProg(t, cfg, procs, regions)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// The heartbeat fires at the top of every region, before its streams
-	// run and after RunContext's boundary ctx.Err() check — so canceling on
-	// the final beat lands the cancellation inside the final region.
-	beats := 0
-	ctx = WithHeartbeat(ctx, func() {
-		beats++
-		if beats == regions {
-			cancel()
-		}
-	})
+	// Let every earlier region run (a boundary check plus one check per
+	// stream each) and the final region's boundary check pass: the next
+	// check, as the final region's first stream starts, sees the cancel.
+	ctx := &cancelAfter{Context: context.Background(), limit: (regions-1)*(1+procs) + 1}
 	res, err := RunContext(ctx, cfg, prog)
 	if err == nil {
 		t.Fatalf("canceled run returned a Result (wall=%v) instead of an error", res.WallCycles)
@@ -62,49 +73,51 @@ func TestRunContextCancelInsideFinalRegion(t *testing.T) {
 	if res != nil {
 		t.Fatalf("canceled run returned non-nil *Result alongside the error")
 	}
+	if !strings.Contains(err.Error(), "inside region 3 of 3") {
+		t.Fatalf("err = %v, want the cancellation inside the final region", err)
+	}
 }
 
-// TestRunContextCancelChaos cancels a run at every region boundary in turn
-// — and, via the heartbeat, inside every region — and asserts the contract:
-// either the run completes with a Result identical to the uncanceled run,
-// or it returns (nil, error wrapping context.Canceled). Nothing in between.
+// TestRunContextCancelChaos cancels a run at every cancellation check in
+// turn — every region boundary and every stream start inside every region —
+// and asserts the contract: either the run completes with a Result
+// identical to the uncanceled run, or it returns (nil, error wrapping
+// context.Canceled). Nothing in between.
 func TestRunContextCancelChaos(t *testing.T) {
 	cfg := machine.TinyTest()
-	const regions = 5
-	build := func() *Program { return cancelProg(t, cfg, 4, regions) }
+	const regions, procs = 5, 4
+	build := func() *Program { return cancelProg(t, cfg, procs, regions) }
 
 	want, err := Run(cfg, build())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for at := 1; at <= regions; at++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		beats := 0
-		hctx := WithHeartbeat(ctx, func() {
-			beats++
-			if beats == at {
-				cancel()
-			}
-		})
-		res, err := RunContext(hctx, cfg, build())
-		cancel()
+	// A full run makes exactly regions·(1+procs) checks: only a limit that
+	// covers all of them lets it finish.
+	checks := regions * (1 + procs)
+	for at := 0; at <= checks; at++ {
+		ctx := &cancelAfter{Context: context.Background(), limit: int64(at)}
+		res, err := RunContext(ctx, cfg, build())
+		if (err == nil) != (at == checks) {
+			t.Errorf("cancel at check %d of %d: err = %v", at, checks, err)
+		}
 		switch {
 		case err != nil:
 			if !errors.Is(err, context.Canceled) {
-				t.Errorf("cancel at region %d: err = %v, want context.Canceled", at, err)
+				t.Errorf("cancel at check %d: err = %v, want context.Canceled", at, err)
 			}
 			if res != nil {
-				t.Errorf("cancel at region %d: non-nil Result alongside error", at)
+				t.Errorf("cancel at check %d: non-nil Result alongside error", at)
 			}
 		default:
 			// The run won the race: its Result must be the full, correct one.
 			if res.WallCycles != want.WallCycles {
-				t.Errorf("cancel at region %d: completed run wall=%v, want %v (partial result leaked)",
+				t.Errorf("cancel at check %d: completed run wall=%v, want %v (partial result leaked)",
 					at, res.WallCycles, want.WallCycles)
 			}
 			if got, exp := res.Report.Total(), want.Report.Total(); got != exp {
-				t.Errorf("cancel at region %d: completed run counters differ from uncanceled run", at)
+				t.Errorf("cancel at check %d: completed run counters differ from uncanceled run", at)
 			}
 		}
 	}

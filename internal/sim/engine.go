@@ -24,7 +24,6 @@ type engine struct {
 	cfg  machine.Config
 	prog *Program
 	st   *runState
-	beat func() // heartbeat from the context; nil when absent
 
 	l2Shift   uint // log2(L2 line bytes) for addr→line
 	pageShift uint // log2(page bytes) for addr→page
@@ -66,10 +65,7 @@ func Run(cfg machine.Config, prog *Program) (*Result, error) {
 //
 // An observer in ctx (internal/obs) gets a "sim.run" span plus the run's
 // simulated-cycle and region counters; the per-access hot loop is never
-// instrumented. A heartbeat in ctx (WithHeartbeat) fires at region
-// boundaries and, inside a region, every heartbeatAccessInterval simulated
-// accesses per lane — so even a program that is one enormous region keeps
-// its supervisor's watchdog fed.
+// instrumented.
 func RunContext(ctx context.Context, cfg machine.Config, prog *Program) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -91,7 +87,6 @@ func RunContext(ctx context.Context, cfg machine.Config, prog *Program) (*Result
 		cfg:         cfg,
 		prog:        prog,
 		st:          st,
-		beat:        heartbeatFrom(ctx),
 		l2Shift:     log2(cfg.L2.LineBytes),
 		pageShift:   log2(cfg.PageBytes),
 		perProc:     make([]counters.Set, prog.Procs),
@@ -104,10 +99,6 @@ func RunContext(ctx context.Context, cfg machine.Config, prog *Program) (*Result
 	for p := 0; p < prog.Procs; p++ {
 		st.lanes[p].bind(e, p)
 	}
-	// The coherence merge also feeds the heartbeat: a giant region's merge
-	// walks hundreds of thousands of lines, and a watchdog must see progress
-	// through it, not just through the lanes. releaseRunState clears the hook.
-	st.dir.Progress = e.beat
 
 	// The synchronization page is initialized by processor 0 before the
 	// first parallel region (its barrier/lock variables are homed there).
@@ -118,9 +109,6 @@ func RunContext(ctx context.Context, cfg machine.Config, prog *Program) (*Result
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sim: run of %s stopped after %d of %d regions: %w",
 				prog.Name, i, len(prog.Regions()), err)
-		}
-		if e.beat != nil {
-			e.beat()
 		}
 		if err := e.runRegion(ctx, &prog.Regions()[i]); err != nil {
 			// The region's parallel phase was cut short: some processor
@@ -360,26 +348,11 @@ func (e *engine) runRegion(ctx context.Context, r *Region) error {
 		}
 		e.st.accesses = accesses
 		res := e.st.dir.Merge(accesses)
-		// Applying the merge's invalidations and downgrades can itself be a
-		// long silent walk; keep the watchdog fed here too.
-		applied := 0
 		for _, inv := range res.Invalidations {
 			e.st.hiers[inv.Proc].InvalidateRemote(inv.Line)
-			if applied++; applied >= heartbeatAccessInterval {
-				applied = 0
-				if e.beat != nil {
-					e.beat()
-				}
-			}
 		}
 		for _, dg := range res.Downgrades {
 			e.st.hiers[dg.Proc].DowngradeRemote(dg.Line)
-			if applied++; applied >= heartbeatAccessInterval {
-				applied = 0
-				if e.beat != nil {
-					e.beat()
-				}
-			}
 		}
 	}
 	return nil

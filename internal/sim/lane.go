@@ -5,11 +5,6 @@ package sim
 // only reads the immutable region inputs (directory snapshot, page homes,
 // topology) and mutates its own processor's hierarchy, TLB and scratch, so
 // any lane-to-worker assignment produces identical bytes.
-//
-// The lane also threads the run's heartbeat through the per-access loop at
-// a bounded simulated-access interval, so a single enormous region can no
-// longer starve the campaign supervisor's watchdog into killing a healthy
-// worker (the beat used to fire only at region boundaries).
 
 import (
 	"slices"
@@ -21,13 +16,6 @@ import (
 	"scaltool/internal/memdsm"
 	"scaltool/internal/network"
 )
-
-// heartbeatAccessInterval is how many simulated accesses a lane executes
-// between heartbeats. At the simulator's per-access cost (tens of
-// nanoseconds) this beats every few milliseconds of wall time inside even a
-// single unbounded region — far inside any sane watchdog deadline, far too
-// seldom to measure.
-const heartbeatAccessInterval = 1 << 16
 
 // procOut is the result of simulating one processor's stream for a region.
 type procOut struct {
@@ -80,8 +68,6 @@ type lane struct {
 
 	fill    cache.FillFunc // bound to (*lane).fillMiss once, in bind
 	missLat float64        // set by fillMiss for the in-flight miss
-
-	sinceBeat int // accesses since the last heartbeat
 }
 
 // bind prepares the lane for a run of engine e as processor p.
@@ -109,7 +95,6 @@ func (l *lane) bind(e *engine, p int) {
 	if l.fill == nil {
 		l.fill = l.fillMiss
 	}
-	l.sinceBeat = 0
 }
 
 // beginRegion clears the per-region outputs, keeping buffer capacity.
@@ -187,7 +172,6 @@ func (l *lane) access(addr uint64, write bool, lastWriteLine *uint64) {
 		} else {
 			o.loads++
 		}
-		l.beatTick()
 		return
 	}
 	if page := addr >> l.pageShift; !l.tlb.HitLast(page) && !l.tlb.Access(page) {
@@ -226,31 +210,6 @@ func (l *lane) access(addr uint64, write bool, lastWriteLine *uint64) {
 	if write && l.coh && out.L2Line != *lastWriteLine {
 		l.writeBuf = append(l.writeBuf, out.L2Line)
 		*lastWriteLine = out.L2Line
-	}
-	l.beatTick()
-}
-
-// beatTick advances the lane's heartbeat counter, firing the run's heartbeat
-// every heartbeatAccessInterval simulated accesses.
-func (l *lane) beatTick() {
-	if l.sinceBeat++; l.sinceBeat >= heartbeatAccessInterval {
-		l.sinceBeat = 0
-		if l.e.beat != nil {
-			l.e.beat()
-		}
-	}
-}
-
-// beatAdd advances the heartbeat counter by k accesses at once, firing once
-// per heartbeatAccessInterval crossed — the same fire count and residual
-// counter that k beatTick calls would produce.
-func (l *lane) beatAdd(k uint64) {
-	l.sinceBeat += int(k)
-	for l.sinceBeat >= heartbeatAccessInterval {
-		l.sinceBeat -= heartbeatAccessInterval
-		if l.e.beat != nil {
-			l.e.beat()
-		}
 	}
 }
 
@@ -324,7 +283,6 @@ func (l *lane) run(s *Stream) {
 					}
 					l.hier.AddAccesses(k)
 					l.tlb.TickN(k)
-					l.beatAdd(k)
 				}
 				addr += op.Stride * int64(run)
 				i += run

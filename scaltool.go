@@ -111,8 +111,8 @@ type (
 	Scenario = whatif.Scenario
 	// Prediction is a what-if outcome for one processor count.
 	Prediction = whatif.Prediction
-	// HealthReport records every repair, retry, quarantine, and permanent
-	// failure of a campaign's fault-tolerance layer.
+	// HealthReport records every repair, quarantine, and permanent failure
+	// of a campaign's fault-tolerance layer.
 	HealthReport = health.Report
 	// Degradation states how far a fit ran below its full input set.
 	Degradation = model.Degradation
@@ -147,10 +147,8 @@ type Options struct {
 	S0 uint64
 	// Workers bounds concurrent simulated runs (0 = GOMAXPROCS).
 	Workers int
-	// MaxRetries bounds re-attempts per run after a transient failure or a
-	// blown per-attempt deadline (0 = one attempt per run).
-	MaxRetries int
-	// RunTimeout is the per-attempt deadline (0 = none).
+	// RunTimeout is the per-run deadline (0 = none). Each run gets one
+	// attempt; a run that blows the deadline fails permanently.
 	RunTimeout time.Duration
 	// Model overrides the model options (zero value = defaults for the
 	// machine's L2).
@@ -180,8 +178,6 @@ func AnalyzeContext(ctx context.Context, cfg MachineConfig, app App, maxProcs in
 	}
 	rn := &campaign.Runner{
 		Cfg: cfg, Workers: opts.Workers,
-		MaxRetries: opts.MaxRetries,
-		RetryBase:  100 * time.Millisecond,
 		RunTimeout: opts.RunTimeout,
 	}
 	res, err := rn.Execute(ctx, app, plan)
