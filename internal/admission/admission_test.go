@@ -1,13 +1,17 @@
 package admission
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"math"
 	"net/http"
 	"testing"
 
 	"scaltool/internal/apps"
 	"scaltool/internal/campaign"
 	"scaltool/internal/machine"
+	"scaltool/internal/obs"
 )
 
 // TestDefaultBudgetAdmitsBuiltins calibrates the default budgets: every
@@ -283,6 +287,78 @@ func TestSpecEstimateMatchesWalk(t *testing.T) {
 		closed := app.(RunEstimator).EstimateRun(cfg, procs, size)
 		if closed.Cycles < walk.Cycles*0.5 || closed.Cycles > walk.Cycles*2 {
 			t.Fatalf("procs=%d: closed-form %.3g vs walk %.3g cycles — diverged", procs, closed.Cycles, walk.Cycles)
+		}
+	}
+}
+
+// TestPricedRunsAreTheStartedRuns: admission prices the runs Execute starts
+// — the same count, and the spin kernel at the processor count it runs at,
+// which is two even for a one-processor document. Execute may still refuse
+// to fit a tiny plan; what it started is what was priced.
+func TestPricedRunsAreTheStartedRuns(t *testing.T) {
+	cfg := machine.ScaledOrigin()
+	app, err := apps.ByName("hydro2d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		plan, err := campaign.NewPlan(app, cfg, procs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, rej := DefaultBudget().EstimatePlan(cfg, app, plan, 1)
+		if rej != nil {
+			t.Fatalf("p%d: %v", procs, rej)
+		}
+		tr := obs.NewTracer()
+		ctx := obs.NewContext(context.Background(), &obs.Observer{Trace: tr})
+		if _, err := (&campaign.Runner{Cfg: cfg, Workers: 2}).Execute(ctx, app, plan); err != nil {
+			t.Logf("p%d: %v", procs, err)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var trace struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+			t.Fatal(err)
+		}
+		// Price each started run on its own: the plan's price must be their
+		// sum.
+		started, spinProcs, want := 0, 0, 0.0
+		for _, ev := range trace.TraceEvents {
+			if ev.Name != "run" || ev.Args["skipped"] == true {
+				continue
+			}
+			started++
+			n := int(ev.Args["procs"].(float64))
+			switch ev.Args["kind"] {
+			case campaign.KindSync.String():
+				want += float64(apps.SyncKernelBarriers) * barrierCycles(cfg, n)
+			case campaign.KindSpin.String():
+				spinProcs = n
+				want += apps.SpinKernelPhases * barrierCycles(cfg, n) * 4
+			default:
+				prog, err := app.Build(cfg, n, uint64(ev.Args["size"].(float64)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += EstimateProgram(cfg, prog).Cycles
+			}
+		}
+		if cost.Runs != started {
+			t.Errorf("p%d: priced %d runs, Execute started %d", procs, cost.Runs, started)
+		}
+		if spinProcs < 2 {
+			t.Errorf("p%d: Execute ran the spin kernel on %d processors", procs, spinProcs)
+		}
+		if math.Abs(cost.Cycles-want) > 1e-9*want {
+			t.Errorf("p%d: priced %.6g cycles, the started runs price at %.6g", procs, cost.Cycles, want)
 		}
 	}
 }

@@ -137,31 +137,27 @@ func (b Budget) EstimatePlan(cfg machine.Config, app apps.App, plan campaign.Pla
 // sight in this process. workers is the simulation concurrency the server
 // will use; transient build/run footprints are charged for that many
 // concurrent runs, retained timelines for all of them.
+//
+// The serving layer calls it once per request through a route's price
+// function, which the static call graph cannot follow, so it is marked a
+// hot root itself:
+//
+//scalvet:hot
 func (b Budget) EstimatePlanContext(ctx context.Context, cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (Cost, *Rejection) {
 	b = b.withDefaults()
 	if workers < 1 {
 		workers = 1
 	}
 
-	type runShape struct {
-		procs int
-		size  uint64
-	}
-	runs := make([]runShape, 0, len(plan.ProcCounts)+len(plan.UniSizes))
-	for _, n := range plan.ProcCounts {
-		runs = append(runs, runShape{procs: n, size: plan.S0})
-	}
-	for _, s := range plan.UniSizes {
-		runs = append(runs, runShape{procs: 1, size: s})
-	}
+	jobs := plan.Jobs()
 	// Pre-build gate: a build's own allocations are O(size) (address lists,
 	// partition tables), so a size over the byte budget is refused before
 	// anything is built or tabled.
-	for _, r := range runs {
-		if int64(r.size) > b.MaxRequestBytes {
+	for _, j := range jobs {
+		if int64(j.Size) > b.MaxRequestBytes {
 			return Cost{}, Reject(http.StatusRequestEntityTooLarge, "cost_bytes",
 				"campaign data-set size %d bytes exceeds the per-request byte budget of %d (building it would, before simulating anything)",
-				r.size, b.MaxRequestBytes) //scalvet:ignore rejection early-exit: fires at most once, then returns
+				j.Size, b.MaxRequestBytes) //scalvet:ignore rejection early-exit: fires at most once, then returns
 		}
 	}
 
@@ -172,12 +168,26 @@ func (b Budget) EstimatePlanContext(ctx context.Context, cfg machine.Config, app
 		retained     int64
 		nRuns        int
 	)
-	for _, r := range runs {
+	for _, j := range jobs {
+		// The estimation kernels' footprints are tiny and fixed; price them
+		// as pure barrier/spin work so the totals stay honest.
+		switch j.Kind {
+		case campaign.KindSync:
+			cycles += float64(apps.SyncKernelBarriers) * barrierCycles(cfg, j.Procs)
+			retained += int64(j.Procs) * (phaseBytes + procStateBytes)
+			nRuns++
+			continue
+		case campaign.KindSpin:
+			cycles += apps.SpinKernelPhases * barrierCycles(cfg, j.Procs) * 4 // barriers + spin-wait padding
+			retained += int64(j.Procs) * (phaseBytes + procStateBytes)
+			nRuns++
+			continue
+		}
 		var c Cost
 		if est != nil {
-			c = est.EstimateRun(cfg, r.procs, r.size)
+			c = est.EstimateRun(cfg, j.Procs, j.Size)
 		} else {
-			e, _ := recipe.Default.Resolve(ctx, recipe.ForApp(app, cfg, r.procs, r.size))
+			e, _ := recipe.Default.Resolve(ctx, recipe.ForApp(app, cfg, j.Procs, j.Size))
 			if e.Err != nil {
 				// The campaign skips sizes the application's grid cannot
 				// realize; so does the estimate. A base-run build error
@@ -193,20 +203,6 @@ func (b Budget) EstimatePlanContext(ctx context.Context, cfg machine.Config, app
 		}
 		nRuns += c.Runs
 	}
-
-	// Estimation kernels: a barrier-loop kernel per processor count and one
-	// spin kernel. Their footprints are tiny and fixed; price them as pure
-	// barrier/spin work so the totals stay honest.
-	for _, n := range plan.ProcCounts {
-		kc := float64(apps.SyncKernelBarriers) * barrierCycles(cfg, n)
-		cycles += kc
-		retained += int64(n)*phaseBytes + int64(n)*procStateBytes
-		nRuns++
-	}
-	nmax := plan.ProcCounts[len(plan.ProcCounts)-1]
-	cycles += apps.SpinKernelPhases * barrierCycles(cfg, nmax) * 4 // spin kernel: barriers + spin-wait padding
-	retained += int64(nmax) * (phaseBytes + procStateBytes)
-	nRuns++
 
 	conc := workers
 	if conc > nRuns {
@@ -236,6 +232,8 @@ func (b Budget) EstimateDiagnose(cfg machine.Config, app apps.App, plan campaign
 
 // EstimateDiagnoseContext is EstimateDiagnose with ctx's observer counting
 // the program builds pricing causes.
+//
+//scalvet:hot
 func (b Budget) EstimateDiagnoseContext(ctx context.Context, cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (Cost, *Rejection) {
 	c, rej := b.EstimatePlanContext(ctx, cfg, app, plan, workers)
 	if rej != nil {

@@ -111,7 +111,6 @@ func (p Plan) N() int { return len(p.ProcCounts) }
 // Cost returns the Table 1 Scal-Tool row: 2n−1 runs, 2^n+n−2 processors,
 // 2n−1 files.
 func (p Plan) Cost() perftools.ResourceCost {
-	n := p.N()
 	c := perftools.ResourceCost{}
 	for _, procs := range p.ProcCounts {
 		c.Runs++
@@ -123,8 +122,46 @@ func (p Plan) Cost() perftools.ResourceCost {
 		c.Processors++
 		c.Files++
 	}
-	_ = n
 	return c
+}
+
+// JobKind is what one campaign run executes.
+type JobKind uint8
+
+// Job kinds, in plan order.
+const (
+	KindBase JobKind = iota // application at s0, one run per processor count
+	KindUni                 // uniprocessor application at a fractional size
+	KindSync                // barrier-loop estimation kernel
+	KindSpin                // idle-spin estimation kernel
+)
+
+var kindNames = [...]string{KindBase: "base", KindUni: "uni", KindSync: "ksync", KindSpin: "kspin"}
+
+// String is the kind's name in run IDs: "base", "uni", "ksync" or "kspin".
+func (k JobKind) String() string { return kindNames[k] }
+
+// Job is one run a campaign starts.
+type Job struct {
+	Kind  JobKind
+	Procs int
+	Size  uint64 // requested data-set size (0 for the kernels)
+}
+
+// Jobs lists the runs Execute starts for the plan, in dispatch order: a
+// base run and a barrier-loop kernel per processor count, a uniprocessor
+// run per fractional size, and one spin kernel. The spin kernel runs at the
+// plan's largest processor count but on at least two processors, since a
+// spinner needs a peer to wait for. Admission prices exactly this list.
+func (p Plan) Jobs() []Job {
+	jobs := make([]Job, 0, 2*len(p.ProcCounts)+len(p.UniSizes)+1)
+	for _, n := range p.ProcCounts {
+		jobs = append(jobs, Job{Kind: KindBase, Procs: n, Size: p.S0}, Job{Kind: KindSync, Procs: n})
+	}
+	for _, s := range p.UniSizes {
+		jobs = append(jobs, Job{Kind: KindUni, Procs: 1, Size: s})
+	}
+	return append(jobs, Job{Kind: KindSpin, Procs: max(p.ProcCounts[len(p.ProcCounts)-1], 2)})
 }
 
 // Result bundles everything one campaign produced.
@@ -238,9 +275,6 @@ type Runner struct {
 	Cfg machine.Config
 	// Workers bounds concurrent simulated runs (0 = GOMAXPROCS).
 	Workers int
-	// SpinKernelProcs selects the spin-kernel processor count (0 = the
-	// plan's largest).
-	SpinKernelProcs int
 
 	// RunTimeout is the per-run deadline (0 = none). The simulator is
 	// deterministic, so a run that blows it would blow it again: expiry is
@@ -259,21 +293,10 @@ type Runner struct {
 	Cache *runcache.Cache
 }
 
-// Job kinds, in plan order.
-const (
-	jobBase = iota // application at s0, one run per processor count
-	jobUni         // uniprocessor application at a fractional size
-	jobSync        // barrier-loop estimation kernel
-	jobSpin        // idle-spin estimation kernel
-)
-
-var kindNames = [...]string{jobBase: "base", jobUni: "uni", jobSync: "ksync", jobSpin: "kspin"}
-
+// job is one run of an executing campaign with its RunID.
 type job struct {
-	kind  int
-	procs int
-	size  uint64 // requested data-set size (0 for the kernels)
-	id    string
+	Job
+	id string
 }
 
 // RunID is the campaign-wide identity of one run, e.g. "base_p04_s1048576":
@@ -335,25 +358,11 @@ func (rn *Runner) execute(ctx context.Context, app apps.App, plan Plan, d *durab
 	structural := health.CheckStructure(plan.ProcCounts, append([]uint64{plan.S0}, plan.UniSizes...))
 	res.Health.Add(structural...)
 
-	spinProcs := rn.SpinKernelProcs
-	if spinProcs == 0 {
-		spinProcs = plan.ProcCounts[len(plan.ProcCounts)-1]
+	planned := plan.Jobs()
+	jobs := make([]job, len(planned))
+	for i, j := range planned {
+		jobs[i] = job{Job: j, id: RunID(j.Kind.String(), j.Procs, j.Size)}
 	}
-	if spinProcs < 2 {
-		spinProcs = 2
-	}
-	var jobs []job
-	addJob := func(kind, procs int, size uint64) {
-		jobs = append(jobs, job{kind: kind, procs: procs, size: size, id: RunID(kindNames[kind], procs, size)})
-	}
-	for _, n := range plan.ProcCounts {
-		addJob(jobBase, n, plan.S0)
-		addJob(jobSync, n, 0)
-	}
-	for _, s := range plan.UniSizes {
-		addJob(jobUni, 1, s)
-	}
-	addJob(jobSpin, spinProcs, 0)
 
 	ctx, span := obs.StartSpan(ctx, "campaign",
 		obs.A("app", plan.App), obs.A("s0", plan.S0),
@@ -481,14 +490,14 @@ func (ex *executor) journal(ctx context.Context, ev event) bool {
 
 // runEvent pre-fills a run-scoped journal event.
 func runEvent(typ string, j job) event {
-	return event{Type: typ, Run: j.id, Kind: kindNames[j.kind], Procs: j.procs, Size: j.size}
+	return event{Type: typ, Run: j.id, Kind: j.Kind.String(), Procs: j.Procs, Size: j.Size}
 }
 
 // criticalJob reports whether losing a run makes the campaign unfittable:
 // the uniprocessor base run anchors CPI0 and the spin kernel anchors
 // cpi_imb; every other run's loss only degrades the fit.
 func criticalJob(j job) bool {
-	return (j.kind == jobBase && j.procs == 1) || j.kind == jobSpin
+	return (j.Kind == KindBase && j.Procs == 1) || j.Kind == KindSpin
 }
 
 // run executes one job: build, attempt, sanitize, record. Each job runs on
@@ -496,8 +505,8 @@ func criticalJob(j job) bool {
 // threaded into the context's logger.
 func (ex *executor) run(ctx context.Context, j job) {
 	ctx, span := obs.StartSpan(obs.Detach(ctx), "run",
-		obs.A("id", j.id), obs.A("kind", kindNames[j.kind]),
-		obs.A("procs", j.procs), obs.A("size", j.size))
+		obs.A("id", j.id), obs.A("kind", j.Kind.String()),
+		obs.A("procs", j.Procs), obs.A("size", j.Size))
 	defer span.End()
 	ctx = obs.WithLogger(ctx, obs.Log(ctx).With("run", j.id))
 	if mt := obs.Meter(ctx); mt != nil {
@@ -508,20 +517,20 @@ func (ex *executor) run(ctx context.Context, j job) {
 	if err != nil {
 		// A size too small for the app's grid is an expected skip for
 		// uniprocessor fractions; the model interpolates across it.
-		if j.kind == jobUni {
+		if j.Kind == KindUni {
 			span.SetAttr("skipped", true)
-			obs.Log(ctx).Debug("size below the app's grid; skipped", "size", j.size)
+			obs.Log(ctx).Debug("size below the app's grid; skipped", "size", j.Size)
 			ev := runEvent(evSkip, j)
 			ev.Reason = err.Error()
 			if !ex.journal(ctx, ev) {
 				return
 			}
 			ex.mu.Lock()
-			ex.res.Skipped = append(ex.res.Skipped, j.size)
+			ex.res.Skipped = append(ex.res.Skipped, j.Size)
 			ex.mu.Unlock()
 			return
 		}
-		ex.failBuild(ctx, j, err)
+		ex.fail(ctx, j, fmt.Errorf("campaign: building %s: %w", j.id, err))
 		return
 	}
 	if !ex.journal(ctx, runEvent(evAttempt, j)) {
@@ -533,17 +542,7 @@ func (ex *executor) run(ctx context.Context, j job) {
 		rctx, cancel = context.WithTimeout(ctx, ex.rn.RunTimeout)
 		defer cancel()
 	}
-	out, err := ex.attempt(rctx, j, key, prog)
-	if errors.Is(err, errNotBuilt) && rctx.Err() == nil {
-		// The cached result left the cache between the probe and the
-		// lookup (evicted with no spill, or a spill file that failed its
-		// check). Build, then look once more.
-		if prog, err = rcp.Build(rctx, recipe.CauseMiss); err != nil {
-			ex.failBuild(ctx, j, err)
-			return
-		}
-		out, err = ex.attempt(rctx, j, key, prog)
-	}
+	out, err := ex.attempt(rctx, j, key, rcp, prog)
 	if err != nil {
 		ex.fail(ctx, j, err)
 		return
@@ -554,40 +553,32 @@ func (ex *executor) run(ctx context.Context, j job) {
 // recipe is the build recipe of one job.
 func (ex *executor) recipe(j job) recipe.Recipe {
 	cfg := ex.rn.Cfg
-	switch j.kind {
-	case jobSync:
-		return recipe.ForSyncKernel(cfg, j.procs, apps.SyncKernelBarriers)
-	case jobSpin:
-		return recipe.ForSpinKernel(cfg, j.procs, apps.SpinKernelPhases, apps.SpinKernelWork)
+	switch j.Kind {
+	case KindSync:
+		return recipe.ForSyncKernel(cfg, j.Procs, apps.SyncKernelBarriers)
+	case KindSpin:
+		return recipe.ForSpinKernel(cfg, j.Procs, apps.SpinKernelPhases, apps.SpinKernelWork)
 	}
-	return recipe.ForApp(ex.app, cfg, j.procs, j.size)
+	return recipe.ForApp(ex.app, cfg, j.Procs, j.Size)
 }
 
-// errNotBuilt is an attempt's cache miss on a job whose program was not
-// built because the cache held its result when the job started.
-var errNotBuilt = errors.New("campaign: run-cache entry vanished before its lookup")
-
-// program resolves a job's run-cache key and, only when the cache cannot
-// serve the run, its program. The key comes from the recipe table, so a
-// warm job builds and hashes nothing; a miss in both cache tiers builds
-// here, before the watched attempt. Without a cache there is no key to
-// look up, and the program is always built.
+// program resolves a job's run-cache key from the recipe table, with the
+// program only when the table built it just now: a warm job builds and
+// hashes nothing. Without a cache there is no key to look up, and the
+// program is always built.
 func (ex *executor) program(ctx context.Context, rcp recipe.Recipe) (runcache.Key, *sim.Program, error) {
-	c := ex.rn.Cache
-	if c == nil {
+	if ex.rn.Cache == nil {
 		prog, err := rcp.Build(ctx, recipe.CauseMiss)
 		return runcache.Key{}, prog, err
 	}
 	e, prog := recipe.Default.Resolve(ctx, rcp)
-	if e.Err != nil || prog != nil || c.Contains(e.Key) {
-		return e.Key, prog, e.Err
-	}
-	prog, err := rcp.Build(ctx, recipe.CauseMiss)
-	return e.Key, prog, err
+	return e.Key, prog, e.Err
 }
 
-// attempt looks one run up in the run cache, simulating it on a miss.
-func (ex *executor) attempt(ctx context.Context, j job, key runcache.Key, prog *sim.Program) (_ *sim.Result, err error) {
+// attempt looks one run up in the run cache. On a miss in both tiers the
+// lookup's singleflight leader builds the program, unless program already
+// has, and simulates it.
+func (ex *executor) attempt(ctx context.Context, j job, key runcache.Key, rcp recipe.Recipe, prog *sim.Program) (_ *sim.Result, err error) {
 	rn := ex.rn
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "attempt")
@@ -603,7 +594,10 @@ func (ex *executor) attempt(ctx context.Context, j job, key runcache.Key, prog *
 	}()
 	out, hit, err := rn.Cache.GetOrRunKey(ctx, key, func(rctx context.Context) (*sim.Result, error) {
 		if prog == nil {
-			return nil, errNotBuilt
+			var err error
+			if prog, err = rcp.Build(rctx, recipe.CauseMiss); err != nil {
+				return nil, fmt.Errorf("building: %w", err)
+			}
 		}
 		return sim.RunContext(rctx, rn.Cfg, prog)
 	})
@@ -651,7 +645,7 @@ func (ex *executor) accept(ctx context.Context, j job, out *sim.Result) {
 	if !ex.journal(ctx, ev) {
 		return
 	}
-	if o := obs.FromContext(ctx); o != nil && o.Trace != nil && j.kind == jobBase {
+	if o := obs.FromContext(ctx); o != nil && o.Trace != nil && j.Kind == KindBase {
 		// Export the run's simulated-time per-processor timeline alongside
 		// the wall-clock spans (base runs only: they are the Figure 6/9/12
 		// points an operator debugs with).
@@ -664,24 +658,19 @@ func (ex *executor) accept(ctx context.Context, j job, out *sim.Result) {
 func (ex *executor) record(j job, out *sim.Result) {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
-	switch j.kind {
-	case jobBase:
-		ex.res.BaseRuns[j.procs] = out
-		if j.procs == 1 {
+	switch j.Kind {
+	case KindBase:
+		ex.res.BaseRuns[j.Procs] = out
+		if j.Procs == 1 {
 			ex.res.UniRuns[out.DataBytes] = out // the s0 uniproc run doubles as a curve point
 		}
-	case jobUni:
+	case KindUni:
 		ex.res.UniRuns[out.DataBytes] = out
-	case jobSync:
-		ex.res.SyncKernels[j.procs] = out
-	case jobSpin:
+	case KindSync:
+		ex.res.SyncKernels[j.Procs] = out
+	case KindSpin:
 		ex.res.SpinKernel = out
 	}
-}
-
-// failBuild fails a job whose program could not be built.
-func (ex *executor) failBuild(ctx context.Context, j job, err error) {
-	ex.fail(ctx, j, fmt.Errorf("campaign: building %s: %w", j.id, err))
 }
 
 // fail records a permanent failure and escalates if the run was critical.

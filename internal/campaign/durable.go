@@ -383,7 +383,7 @@ func (ex *executor) replay(ctx context.Context, j job, ev event) error {
 		ex.record(j, out)
 	case evSkip:
 		ex.mu.Lock()
-		ex.res.Skipped = append(ex.res.Skipped, j.size)
+		ex.res.Skipped = append(ex.res.Skipped, j.Size)
 		ex.mu.Unlock()
 	case evQuarantine:
 		ex.res.Health.Add(ev.Findings...)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"scaltool/internal/apps"
@@ -115,12 +116,12 @@ func TestNewPlanCountsAchievedOverflow(t *testing.T) {
 	}
 }
 
-// TestVanishedEntryIsBuiltBetweenAttempts drives the one path where the
-// cache probe and the lookup disagree: every run's spill file exists — so
-// the job skips its build — but fails its integrity check on load. The
-// campaign must build between attempts and finish with the same results
-// as a clean one.
-func TestVanishedEntryIsBuiltBetweenAttempts(t *testing.T) {
+// TestCorruptSpillIsBuiltInsideTheLookup: every run's spill file exists
+// but fails its integrity check on load, and the recipe table is warm, so
+// no job has a program when its lookup starts. Each lookup's leader must
+// build the program once — one miss build per run — and the campaign must
+// finish with the same results as a clean one.
+func TestCorruptSpillIsBuiltInsideTheLookup(t *testing.T) {
 	app := apps.NewSwim()
 	app.Params.Steps = 3 // recipes unique to this test
 	plan, err := NewPlan(app, cfg(), 4, 0)
@@ -131,8 +132,8 @@ func TestVanishedEntryIsBuiltBetweenAttempts(t *testing.T) {
 	rn := &Runner{Cfg: cfg(), Workers: 2, Cache: runcache.New(runcache.Options{SpillDir: dir})}
 	ex := &executor{rn: rn, app: app}
 	jobs := 0
-	for _, j := range planJobs(plan) {
-		e, _ := recipe.Default.Resolve(context.Background(), ex.recipe(j))
+	for _, j := range plan.Jobs() {
+		e, _ := recipe.Default.Resolve(context.Background(), ex.recipe(job{Job: j}))
 		if e.Err != nil {
 			continue
 		}
@@ -159,14 +160,44 @@ func TestVanishedEntryIsBuiltBetweenAttempts(t *testing.T) {
 	}
 }
 
-// planJobs lists a plan's jobs as execute does.
-func planJobs(plan Plan) []job {
-	var jobs []job
-	for _, n := range plan.ProcCounts {
-		jobs = append(jobs, job{kind: jobBase, procs: n, size: plan.S0}, job{kind: jobSync, procs: n})
+// TestConcurrentColdCampaignsBuildOncePerRun: cold campaigns that start
+// together on one cache share each run's lookup, so a run-cache miss builds
+// a program at most once per run however many campaigns need it.
+func TestConcurrentColdCampaignsBuildOncePerRun(t *testing.T) {
+	app := apps.NewSwim()
+	app.Params.Steps = 5 // recipes unique to this test
+	plan, err := NewPlan(app, cfg(), 4, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range plan.UniSizes {
-		jobs = append(jobs, job{kind: jobUni, procs: 1, size: s})
+	rn := &Runner{Cfg: cfg(), Workers: 2, Cache: runcache.New(runcache.Options{})}
+	mt := obs.NewMetrics()
+	ctx := obs.NewContext(context.Background(), &obs.Observer{Metrics: mt})
+	const campaigns = 4
+	results := make([]*Result, campaigns)
+	errs := make([]error, campaigns)
+	var wg sync.WaitGroup
+	for i := range campaigns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = rn.Execute(ctx, app, plan)
+		}()
 	}
-	return append(jobs, job{kind: jobSpin, procs: max(plan.ProcCounts[len(plan.ProcCounts)-1], 2)})
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("campaign %d: %v", i, err)
+		}
+	}
+	runs := len(plan.Jobs()) - len(results[0].Skipped)
+	if got := mt.Counter("scaltool_program_builds_total", "", "cause", recipe.CauseMiss).Value(); got > uint64(runs) {
+		t.Fatalf("%d concurrent campaigns made %d miss builds, want at most one per run (%d)", campaigns, got, runs)
+	}
+	want := fitBreakdown(t, results[0])
+	for i, res := range results[1:] {
+		if !reflect.DeepEqual(fitBreakdown(t, res), want) {
+			t.Fatalf("campaign %d's results differ from campaign 0's", i+1)
+		}
+	}
 }

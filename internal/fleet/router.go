@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"scaltool/internal/client"
+	"scaltool/internal/obs"
 	"scaltool/internal/serve"
 )
 
@@ -128,19 +129,8 @@ func routingKeyFor(body []byte) string {
 // every attempt, so a failover or hedge shows up in replica logs as one
 // request identity hopping replicas — exactly what an incident needs.
 func requestID(r *http.Request) string {
-	id := r.Header.Get("X-Request-Id")
-	if id != "" && len(id) <= 64 {
-		ok := true
-		for i := 0; i < len(id); i++ {
-			c := id[i]
-			if !('0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '-' || c == '_') {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return id
-		}
+	if id := r.Header.Get("X-Request-Id"); obs.ValidRequestID(id) {
+		return id
 	}
 	return client.NewRequestID()
 }

@@ -94,6 +94,22 @@ func WithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey, id)
 }
 
+// ValidRequestID reports whether a client-supplied X-Request-Id may be
+// honored: 1 to 64 characters from [0-9a-zA-Z_-]. Anything else is replaced
+// with a freshly minted id, never reflected into headers or logs.
+func ValidRequestID(id string) bool {
+	if id == "" || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '-' || c == '_') {
+			return false
+		}
+	}
+	return true
+}
+
 // RequestIDFrom returns the context's request identity, or "".
 func RequestIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey).(string)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -16,8 +15,9 @@ import (
 	"scaltool/internal/sim"
 )
 
-// RunFunc produces the result for a cache miss — normally sim.RunContext or
-// the campaign's fault-tolerant attempt wrapper.
+// RunFunc produces the result for a cache miss: it runs in the key's
+// singleflight leader, after the disk tier has missed too — normally
+// sim.RunContext, or the campaign's build-then-simulate of one run.
 type RunFunc func(ctx context.Context) (*sim.Result, error)
 
 // Options configures a Cache.
@@ -110,29 +110,6 @@ func (c *Cache) GetOrRun(ctx context.Context, cfg machine.Config, prog *sim.Prog
 		return out, false, err
 	}
 	return c.GetOrRunKey(ctx, KeyFor(cfg, prog), run)
-}
-
-// Contains reports whether a lookup of key would be served without running:
-// the result is resident, being produced by an in-flight run, or spilled to
-// disk. It is a probe, not a reservation — the entry can leave before the
-// lookup that follows, so a caller that skips building on true must still
-// handle a RunFunc call.
-func (c *Cache) Contains(key Key) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	_, resident := c.items[key]
-	_, flying := c.inflight[key]
-	c.mu.Unlock()
-	if resident || flying {
-		return true
-	}
-	if p := c.spillPath(key); p != "" {
-		_, err := os.Stat(p)
-		return err == nil
-	}
-	return false
 }
 
 // GetOrRunKey returns the result for the run whose content key is key,

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"scaltool/internal/admission"
@@ -40,6 +38,17 @@ func (r *Request) Ident() string {
 	return r.App
 }
 
+// applyDefaults fills the document's omitted fields: 32 processors, the
+// paper's machine size, and the scaled machine.
+func (r *Request) applyDefaults() {
+	if r.Procs == 0 {
+		r.Procs = 32
+	}
+	if r.Machine == "" {
+		r.Machine = "scaled"
+	}
+}
+
 // resolved is a validated request, ready to estimate and execute.
 type resolved struct {
 	cfg  machine.Config
@@ -57,6 +66,7 @@ func invalid(code, format string, args ...any) *admission.Rejection {
 // is a typed rejection — 422 for semantic problems, 413 for documents whose
 // dataset is over this server's size budget.
 func (s *Server) validate(req *Request) (*resolved, *admission.Rejection) {
+	req.applyDefaults()
 	switch {
 	case req.App == "" && req.Program == nil:
 		return nil, invalid("missing_app", "set \"app\" or \"program\"")
@@ -75,17 +85,10 @@ func (s *Server) validate(req *Request) (*resolved, *admission.Rejection) {
 			return nil, invalid("unknown_app", "unknown app %q (known: %v)", req.App, apps.Names())
 		}
 	}
-	if req.Procs == 0 {
-		req.Procs = 32
-	}
 	if req.Procs < 1 || req.Procs&(req.Procs-1) != 0 {
 		return nil, invalid("bad_procs", "\"procs\" must be a power of two ≥ 1, got %d", req.Procs)
 	}
-	switch req.Machine {
-	case "":
-		req.Machine = "scaled"
-	case "scaled", "origin":
-	default:
+	if req.Machine != "scaled" && req.Machine != "origin" {
 		return nil, invalid("bad_machine", "unknown machine %q (want scaled or origin)", req.Machine)
 	}
 	cfg := configFor(req.Machine)
@@ -104,20 +107,6 @@ func (s *Server) validate(req *Request) (*resolved, *admission.Rejection) {
 		return nil, rej
 	}
 	return &resolved{cfg: cfg, app: app, plan: plan}, nil
-}
-
-// estimate prices the resolved request and gates it against the per-request
-// budget (the ledger gates the per-server one at admission).
-func (s *Server) estimate(ctx context.Context, rv *resolved) (admission.Cost, *admission.Rejection) {
-	budget := s.Budget()
-	cost, rej := budget.EstimatePlanContext(s.obsContext(ctx), rv.cfg, rv.app, rv.plan, s.opts.SimWorkers)
-	if rej != nil {
-		return admission.Cost{}, rej
-	}
-	if rej := budget.CheckRequest(cost); rej != nil {
-		return admission.Cost{}, rej
-	}
-	return cost, nil
 }
 
 // configFor maps the request's machine name to its configuration.
@@ -180,7 +169,12 @@ type BreakdownRow struct {
 
 // analyze runs the full pipeline for one resolved request: campaign
 // (through the shared run cache) → fit → response.
-func (s *Server) analyze(ctx context.Context, req *Request, rv *resolved) (*Response, error) {
+//
+// The route handler reaches it through the route table, which the
+// static call graph cannot follow, so it is marked a hot root itself:
+//
+//scalvet:hot
+func (s *Server) analyze(ctx context.Context, req *Request, rv *resolved) (any, error) {
 	rn := &campaign.Runner{
 		Cfg:     rv.cfg,
 		Workers: s.opts.SimWorkers,
@@ -230,16 +224,4 @@ func (s *Server) analyze(ctx context.Context, req *Request, rv *resolved) (*Resp
 		})
 	}
 	return resp, nil
-}
-
-// encodeResponse serializes a Response. Go's encoding/json is deterministic
-// over struct fields (fixed order, shortest-round-trip floats), which is what
-// makes "cached and fresh responses are byte-identical" testable.
-func encodeResponse(resp *Response) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(resp); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

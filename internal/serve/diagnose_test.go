@@ -139,8 +139,10 @@ func TestDiagnoseSharesRunCacheWithAnalyze(t *testing.T) {
 	}
 }
 
-// TestDiagnoseRejections covers the endpoint's own refusals on top of the
-// shared contract.
+// TestDiagnoseRejections covers the endpoint's own refusal — a
+// uniprocessor sweep has no scaling loss to explain — next to shared ones,
+// and checks /v1/analyze accepts the uniprocessor document the diagnosis
+// refuses.
 func TestDiagnoseRejections(t *testing.T) {
 	_, ts, _ := newTestServer(t, Options{Workers: 1})
 	cases := []struct {
@@ -171,6 +173,13 @@ func TestDiagnoseRejections(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET: %d, want 405", resp.StatusCode)
+	}
+	// Past validation, a one-processor analysis fails in the campaign (too
+	// few uniprocessor sizes to fit), not at a gate.
+	resp, body := postAnalyze(t, ts.URL, bytes.NewReader([]byte(`{"app":"swim","procs":1}`)))
+	var e apiError
+	if err := json.Unmarshal(body, &e); err != nil || e.Code == "bad_procs" {
+		t.Fatalf("/v1/analyze refused procs 1 at a gate: %d %s", resp.StatusCode, body)
 	}
 }
 

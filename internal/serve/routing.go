@@ -27,12 +27,7 @@ import (
 // stay total even for documents a replica will refuse.
 func RoutingKey(req *Request) string {
 	r := *req // defaults are applied to a copy
-	if r.Procs == 0 {
-		r.Procs = 32
-	}
-	if r.Machine == "" {
-		r.Machine = "scaled"
-	}
+	r.applyDefaults()
 	if r.App != "" && r.Program == nil && r.Procs >= 1 && r.Procs&(r.Procs-1) == 0 {
 		switch r.Machine {
 		case "scaled", "origin":

@@ -31,6 +31,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
@@ -48,7 +49,10 @@ import (
 	"time"
 
 	"scaltool/internal/admission"
+	"scaltool/internal/apps"
+	"scaltool/internal/campaign"
 	"scaltool/internal/health"
+	"scaltool/internal/machine"
 	"scaltool/internal/obs"
 	"scaltool/internal/runcache"
 )
@@ -100,7 +104,6 @@ type Server struct {
 	drain      drainEstimator
 	draining   atomic.Bool
 	inflight   sync.WaitGroup
-	diagCache  responseCache
 
 	mux *http.ServeMux
 
@@ -131,8 +134,13 @@ func New(opts Options) *Server {
 		quarantine: health.NewQuarantineSet(quarantineCapacity),
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/analyze", s.handleAnalyze)
-	s.mux.HandleFunc("/v1/diagnose", s.handleDiagnose)
+	for _, rt := range []*route{
+		{s: s, path: "/v1/analyze", minProcs: 1, price: admission.Budget.EstimatePlanContext, run: (*Server).analyze},
+		{s: s, path: "/v1/diagnose", qprefix: "diag:", minProcs: 2, price: admission.Budget.EstimateDiagnoseContext,
+			cache: &responseCache{}, run: (*Server).diagnose},
+	} {
+		s.mux.Handle(rt.path, rt)
+	}
 	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	return s
@@ -249,15 +257,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // megabyte is garbage.
 const maxBodyBytes = 1 << 20
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+// route is what sets one analysis endpoint apart in the shared request
+// pipeline. Both endpoints take the same document and pass the same gates in
+// the same order; only these differ.
+type route struct {
+	s    *Server
+	path string
+	// qprefix namespaces the route's quarantine keys, so a shape that
+	// crashed one pipeline is still served by the other.
+	qprefix  string
+	minProcs int
+	// price is the admission estimator of the route's work.
+	price func(admission.Budget, context.Context, machine.Config, apps.App, campaign.Plan, int) (admission.Cost, *admission.Rejection)
+	// cache remembers encoded response bodies by document digest; nil
+	// when the route has none.
+	cache *responseCache
+	// run executes an admitted request and returns the value to encode.
+	run func(*Server, context.Context, *Request, *resolved) (any, error)
+}
+
+// ServeHTTP serves one request on the route.
+func (rt *route) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rid := requestID(r)
 	w.Header().Set("X-Request-Id", rid)
-	code, ecode, err := s.serveAnalyze(w, r, rid, start)
+	code, ecode, err := rt.s.serve(w, r, rt, rid, start)
 	if err != nil {
 		writeError(w, code, ecode, "%s", err)
 	}
-	s.countRequest("/v1/analyze", code, start)
+	rt.s.countRequest(rt.path, code, start)
 }
 
 // requestID resolves the request's end-to-end trace identity: a
@@ -268,19 +296,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // never in a response body, which must stay byte-identical for identical
 // documents.
 func requestID(r *http.Request) string {
-	id := r.Header.Get("X-Request-Id")
-	if id != "" && len(id) <= 64 {
-		ok := true
-		for i := 0; i < len(id); i++ {
-			c := id[i]
-			if !('0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '-' || c == '_') {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return id
-		}
+	if id := r.Header.Get("X-Request-Id"); obs.ValidRequestID(id) {
+		return id
 	}
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -391,36 +408,59 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost admission.Co
 	return ctx, release, 0, "", nil
 }
 
-// serveAnalyze handles one analysis request; it reports the response status
-// and, for non-2xx, the machine-readable code and error to send (nil error
-// when the response was already written).
-func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, rid string, start time.Time) (int, string, error) {
+// serve handles one request on rt; it reports the response status and, for
+// non-2xx, the machine-readable code and error to send (nil error when the
+// response was already written). The gate order is decode → validate →
+// minimum procs → quarantine → estimate → response cache → admit → isolated
+// run → encode: every refusal that costs nothing comes before the request
+// may occupy a queue slot, and a response-cache hit burns none either.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt *route, rid string, start time.Time) (int, string, error) {
 	var req Request
 	if code, ecode, err := s.decodeRequest(w, r, &req); err != nil {
 		return code, ecode, err
 	}
 
 	// Validation and admission: semantic checks (422), then predicted cost
-	// against the per-request budget (413) — all before the request may
-	// occupy a queue slot.
+	// against the per-request budget (413).
 	rv, rej := s.validate(&req)
+	if rej == nil && req.Procs < rt.minProcs {
+		rej = invalid("bad_procs", "%s needs \"procs\" ≥ %d, got %d", rt.path, rt.minProcs, req.Procs)
+	}
 	if rej != nil {
 		s.countRejection(rej.Status)
 		return rej.Status, rej.Code, rej
 	}
-	qkey := requestKey(&req)
+	key := requestKey(&req)
+	qkey := rt.qprefix + key
 	if reason, ok := s.quarantine.Lookup(qkey); ok {
 		if mt := s.meter(); mt != nil {
 			mt.ServeQuarantined().Inc()
 		}
 		s.countRejection(http.StatusUnprocessableEntity)
 		return http.StatusUnprocessableEntity, "quarantined",
-			fmt.Errorf("an identical request previously crashed the analysis pipeline (%s); refusing to repeat it", reason)
+			fmt.Errorf("an identical request previously crashed the %s pipeline (%s); refusing to repeat it", rt.path, reason)
 	}
-	cost, rej := s.estimate(r.Context(), rv)
+	cost, rej := s.estimate(r.Context(), rt, rv)
 	if rej != nil {
 		s.countRejection(rej.Status)
 		return rej.Status, rej.Code, rej
+	}
+
+	if rt.cache != nil {
+		// Only /v1/diagnose has a response cache, so its verdicts are
+		// counted in the diagnose series.
+		body, ok := rt.cache.get(key)
+		if mt := s.meter(); mt != nil {
+			verdict := "miss"
+			if ok {
+				verdict = "hit"
+			}
+			mt.DiagnoseCache(verdict).Inc()
+		}
+		if ok {
+			writeBody(w, body)
+			return http.StatusOK, "", nil
+		}
 	}
 
 	ctx, release, code, ecode, err := s.admit(w, r, cost, rid)
@@ -429,17 +469,36 @@ func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, rid string
 	}
 	defer release()
 
-	resp, err := s.analyzeIsolated(ctx, &req, rv, qkey)
+	out, err := s.runIsolated(ctx, rt, &req, rv, qkey)
 	if err != nil {
 		return s.triageExecError(ctx, &req, err)
 	}
-	body, err := encodeResponse(resp)
-	if err != nil {
+	// encoding/json is deterministic over struct fields (fixed order,
+	// shortest-round-trip floats): that is what makes "cached and fresh
+	// responses are byte-identical" testable.
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(out); err != nil {
 		return http.StatusInternalServerError, "failed", fmt.Errorf("encoding response: %v", err)
 	}
+	body := buf.Bytes()
+	if rt.cache != nil {
+		rt.cache.put(key, body)
+	}
 	writeBody(w, body)
-	obs.Log(ctx).Info("analysis served", "app", req.Ident(), "procs", req.Procs, "elapsed", time.Since(start))
+	obs.Log(ctx).Info("request served", "route", rt.path, "app", req.Ident(), "procs", req.Procs, "elapsed", time.Since(start))
 	return http.StatusOK, "", nil
+}
+
+// estimate prices the resolved request with rt's estimator and gates it
+// against the per-request budget (the ledger gates the per-server one at
+// admission).
+func (s *Server) estimate(ctx context.Context, rt *route, rv *resolved) (admission.Cost, *admission.Rejection) {
+	budget := s.Budget()
+	cost, rej := rt.price(budget, s.obsContext(ctx), rv.cfg, rv.app, rv.plan, s.opts.SimWorkers)
+	if rej == nil {
+		rej = budget.CheckRequest(cost)
+	}
+	return cost, rej
 }
 
 // triageExecError maps an execution failure to the status contract: an
@@ -476,25 +535,24 @@ type panicFault struct {
 
 func (p *panicFault) Error() string { return fmt.Sprintf("analysis panicked: %v", p.value) }
 
-// analyzeIsolated runs the analysis with panic isolation: a panic anywhere
-// in the handler's half of the pipeline (campaign worker panics are already
+// runIsolated runs rt's pipeline with panic isolation: a panic anywhere in
+// the handler's half of the pipeline (campaign worker panics are already
 // recovered by the campaign and surface as errors) is converted to a
 // *panicFault instead of killing the daemon, counted, and its request shape
 // quarantined so a repeat is refused cheaply with 422.
-func (s *Server) analyzeIsolated(ctx context.Context, req *Request, rv *resolved, qkey string) (resp *Response, err error) {
+func (s *Server) runIsolated(ctx context.Context, rt *route, req *Request, rv *resolved, qkey string) (out any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.quarantinePanic(ctx, qkey, r, debug.Stack())
-			resp, err = nil, &panicFault{value: r, stack: debug.Stack()}
+			out, err = nil, &panicFault{value: r, stack: debug.Stack()}
 		}
 	}()
 	// The test hook runs inside the isolation scope: tests use it both to
-	// hold a worker slot at a known occupancy and to simulate an analysis
-	// panic.
+	// hold a worker slot at a known occupancy and to simulate a panic.
 	if s.testHookRun != nil {
 		s.testHookRun()
 	}
-	resp, err = s.analyze(ctx, req, rv)
+	out, err = rt.run(s, ctx, req, rv)
 	// A campaign worker goroutine's panic is recovered off-handler and
 	// surfaces here as a *campaign.PanicError; treat it exactly like a
 	// same-goroutine panic.
@@ -504,7 +562,7 @@ func (s *Server) analyzeIsolated(ctx context.Context, req *Request, rv *resolved
 		s.quarantinePanic(ctx, qkey, v, stack)
 		return nil, &panicFault{value: v, stack: stack}
 	}
-	return resp, err
+	return out, err
 }
 
 // quarantinePanic counts an isolated panic and quarantines its request
@@ -517,13 +575,13 @@ func (s *Server) quarantinePanic(ctx context.Context, qkey string, value any, st
 	obs.Log(ctx).Error("quarantined panicking request shape", "key", qkey, "panic", value, "stack", string(stack))
 }
 
-// requestKey is the quarantine identity of a request: a digest of its
-// normalized (defaults applied) document, so the same hostile shape is
-// recognized however it arrives.
+// requestKey is the identity of a request document: a 128-bit digest of
+// its normalized (defaults applied) form, so the same shape is recognized
+// however it arrives. It keys the quarantine and the response cache.
 func requestKey(req *Request) string {
 	doc, _ := json.Marshal(req)
 	sum := sha256.Sum256(doc)
-	return hex.EncodeToString(sum[:8])
+	return hex.EncodeToString(sum[:16])
 }
 
 // publishLedger exports the ledger occupancy gauges.

@@ -281,9 +281,40 @@ func TestDrain(t *testing.T) {
 // TestRequestValidation pins the 4xx contract: 400 for documents that are
 // not the request schema, 413 for documents or datasets over this server's
 // budgets, 422 for well-formed but semantically invalid requests — each with
-// a stable machine-readable code in the body.
+// a stable machine-readable code in the body. Both routes share the gates, so
+// every refusal is sent to both and must come back the same; so must 405,
+// 422 quarantined after a panic, and 429 draining.
 func TestRequestValidation(t *testing.T) {
-	_, ts, _ := newTestServer(t, Options{Workers: 1, MaxProcs: 8})
+	s, ts, _ := newTestServer(t, Options{Workers: 1, MaxProcs: 8})
+	routes := []string{"/v1/analyze", "/v1/diagnose"}
+	post := func(t *testing.T, route, body string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, b
+	}
+	refused := func(t *testing.T, route, body string, want int, code string) *http.Response {
+		t.Helper()
+		resp, b := post(t, route, body)
+		if resp.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d: %s", route, resp.StatusCode, want, b)
+		}
+		var e map[string]string
+		if err := json.Unmarshal(b, &e); err != nil || e["error"] == "" {
+			t.Fatalf("%s: error body not the uniform shape: %s", route, b)
+		}
+		if e["code"] != code {
+			t.Fatalf("%s: code %q, want %q (%s)", route, e["code"], code, b)
+		}
+		return resp
+	}
 	hugeBody := `{"app":"swim","procs":"` + strings.Repeat("x", maxBodyBytes+1) + `"}`
 	cases := []struct {
 		name string
@@ -309,26 +340,41 @@ func TestRequestValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, body := postAnalyze(t, ts.URL, strings.NewReader(tc.body))
-			if resp.StatusCode != tc.want {
-				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.want, body)
-			}
-			var e map[string]string
-			if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
-				t.Fatalf("error body not the uniform shape: %s", body)
-			}
-			if e["code"] != tc.code {
-				t.Fatalf("code %q, want %q (%s)", e["code"], tc.code, body)
+			for _, route := range routes {
+				refused(t, route, tc.body, tc.want, tc.code)
 			}
 		})
 	}
-	resp, err := http.Get(ts.URL + "/v1/analyze")
-	if err != nil {
+	for _, route := range routes {
+		resp, err := http.Get(ts.URL + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("GET %s = %d, want 405", route, resp.StatusCode)
+		}
+	}
+
+	// A panic quarantines the document's shape on the route it crashed.
+	const doc = `{"app":"swim","procs":4}`
+	s.testHookRun = func() { panic("simulated pipeline fault") }
+	for _, route := range routes {
+		refused(t, route, doc, http.StatusInternalServerError, "panic")
+	}
+	s.testHookRun = nil
+	for _, route := range routes {
+		refused(t, route, doc, http.StatusUnprocessableEntity, "quarantined")
+	}
+
+	// A draining server refuses new work on every route, retryably.
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/analyze = %d, want 405", resp.StatusCode)
+	for _, route := range routes {
+		if resp := refused(t, route, doc, http.StatusTooManyRequests, "draining"); resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: draining 429 without Retry-After", route)
+		}
 	}
 }
 

@@ -13,6 +13,9 @@ go test ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> benchmark harness against this tree (perfbench is its own module, so go build ./... never compiles it)"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "==> go test -race (sim, campaign, obs; resume sweeps run in their own gate below)"
 go test -race -skip 'Chaos.*Resume' ./internal/sim/... ./internal/campaign/... ./internal/obs/...
 
