@@ -19,10 +19,9 @@ import (
 // The sweep discovers the campaign's total append count by itself: it keeps
 // moving the crash point until a campaign completes without crashing.
 
-// resumeOpts exercises the journal hard: snapshots every 3 terminal events
-// and 2 KiB segments force compaction and rotation mid-campaign.
+// resumeOpts journals the sweep's campaign into dir.
 func resumeOpts(dir string) DurableOptions {
-	return DurableOptions{Dir: dir, SnapshotEvery: 3, SegmentBytes: 2048}
+	return DurableOptions{Dir: dir}
 }
 
 // resumePlan is the sweep's campaign: small enough that a full crash-point

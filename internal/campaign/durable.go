@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"scaltool/internal/apps"
@@ -30,9 +29,8 @@ import (
 // append fails the run is not recorded and the campaign aborts; on resume
 // the run simply executes again, and because every campaign decision is a
 // pure function of (spec, run identity), re-execution reproduces the
-// identical report. Attempt events are journaled for forensics and dropped
-// at compaction. In-flight runs (an attempt event but no terminal event)
-// simply run again on resume.
+// identical report. Attempt events are journaled for forensics; in-flight
+// runs (an attempt event but no terminal event) simply run again on resume.
 //
 // Replay ignores event types it does not know, so journals written by
 // earlier versions resume: their "retry" events are skipped, and the start
@@ -89,37 +87,17 @@ type fitSummary struct {
 type DurableOptions struct {
 	// Dir is the journal directory. Required.
 	Dir string
-	// SnapshotEvery compacts the journal into a snapshot after this many
-	// terminal run events (default 8; < 0 disables snapshots).
-	SnapshotEvery int
-	// SegmentBytes caps one journal segment (0 = the journal's default).
-	SegmentBytes int64
-	// Sync selects the journal's fsync policy (default journal.SyncAlways).
-	Sync journal.SyncPolicy
 }
 
-func (o DurableOptions) snapshotEvery() int {
-	if o.SnapshotEvery < 0 {
-		return 0
-	}
-	if o.SnapshotEvery == 0 {
-		return 8
-	}
-	return o.SnapshotEvery
-}
-
-// durable is the campaign's journal handle plus the compacted event state a
-// snapshot serializes.
+// durable is the campaign's journal handle plus the state replayed from it
+// on open.
 type durable struct {
-	j    *journal.Journal
-	opts DurableOptions
+	j        *journal.Journal
+	start    *event
+	terminal map[string]event // run identity → its journaled terminal event
 
-	mu        sync.Mutex
-	start     *event
-	terminal  map[string]event // run identity → its terminal event
-	fit       *event
-	sinceSnap int
-	closed    bool
+	mu     sync.Mutex
+	closed bool
 }
 
 // journalHook maps the injector's journal-fault decisions onto journal.Hook
@@ -148,50 +126,29 @@ func (rn *Runner) journalHook() journal.Hook {
 	}
 }
 
-// openDurable opens (or creates) the journal and rebuilds the compacted
-// event state from the snapshot plus the record tail.
+// openDurable opens (or creates) the journal and replays its records into
+// the campaign start and each run's terminal event.
 func (rn *Runner) openDurable(ctx context.Context, opts DurableOptions) (*durable, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("campaign: durable execution needs a journal directory")
 	}
-	j, open, err := journal.Open(opts.Dir, journal.Options{
-		SegmentBytes: opts.SegmentBytes,
-		Sync:         opts.Sync,
-		Hook:         rn.journalHook(),
-	})
+	j, open, err := journal.Open(opts.Dir, journal.Options{Hook: rn.journalHook()})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: opening journal: %w", err)
 	}
-	d := &durable{j: j, opts: opts, terminal: map[string]event{}}
-	apply := func(ev event) {
-		switch ev.Type {
-		case evStart:
-			e := ev
-			d.start = &e
-		case evDone, evSkip, evQuarantine, evFail:
-			d.terminal[ev.Run] = ev
-		case evFit:
-			e := ev
-			d.fit = &e
-		}
-	}
-	if len(open.Snapshot) > 0 {
-		var evs []event
-		if err := json.Unmarshal(open.Snapshot, &evs); err != nil {
-			closeQuietJournal(j)
-			return nil, fmt.Errorf("campaign: journal snapshot at seq %d is not an event list: %w", open.SnapshotSeq, err)
-		}
-		for _, ev := range evs {
-			apply(ev)
-		}
-	}
+	d := &durable{j: j, terminal: map[string]event{}}
 	for _, rec := range open.Tail {
 		var ev event
 		if err := json.Unmarshal(rec.Data, &ev); err != nil {
 			closeQuietJournal(j)
 			return nil, fmt.Errorf("campaign: journal record %d is not an event: %w", rec.Seq, err)
 		}
-		apply(ev)
+		switch ev.Type {
+		case evStart:
+			d.start = &ev
+		case evDone, evSkip, evQuarantine, evFail:
+			d.terminal[ev.Run] = ev
+		}
 	}
 	if mt := obs.Meter(ctx); mt != nil && open.TornBytes > 0 {
 		mt.Counter("scaltool_journal_torn_tail_truncations_total",
@@ -220,57 +177,7 @@ func (d *durable) record(ctx context.Context, ev event) error {
 		mt.Counter("scaltool_journal_appends_total", "journal records appended").Inc()
 		mt.Counter("scaltool_journal_bytes_total", "journal bytes appended, framed").Add(uint64(journal.AppendedBytes(data)))
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	switch ev.Type {
-	case evStart:
-		e := ev
-		d.start = &e
-	case evFit:
-		e := ev
-		d.fit = &e
-	case evDone, evSkip, evQuarantine, evFail:
-		d.terminal[ev.Run] = ev
-		d.sinceSnap++
-		if every := d.opts.snapshotEvery(); every > 0 && d.sinceSnap >= every {
-			d.sinceSnap = 0
-			blob, err := json.Marshal(d.compactLocked())
-			if err == nil {
-				err = d.j.Snapshot(blob)
-			}
-			if err != nil {
-				// A failed snapshot loses nothing: the full record tail is
-				// still in the segments. Log and carry on.
-				obs.Log(ctx).Warn("journal: snapshot failed; continuing on the record tail", "err", err)
-			} else if mt := obs.Meter(ctx); mt != nil {
-				mt.Counter("scaltool_journal_snapshots_total", "journal snapshots published").Inc()
-			}
-		}
-	}
 	return nil
-}
-
-// compactLocked builds the snapshot state: the start event, then each
-// terminal run's terminal event (in run-identity order so snapshots are
-// deterministic), then the fit if one was recorded. Attempt events are
-// dropped — resume regenerates them by re-running in-flight runs.
-func (d *durable) compactLocked() []event {
-	out := make([]event, 0, 2+len(d.terminal)) // start + fit + one terminal event per run
-	if d.start != nil {
-		out = append(out, *d.start)
-	}
-	ids := make([]string, 0, len(d.terminal))
-	for id := range d.terminal {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		out = append(out, d.terminal[id])
-	}
-	if d.fit != nil {
-		out = append(out, *d.fit)
-	}
-	return out
 }
 
 // close flushes and closes the journal. Idempotent.
@@ -289,13 +196,12 @@ func (d *durable) close() error {
 }
 
 // ExecuteDurable is Execute with a write-ahead journal under opts.Dir: the
-// campaign start, every attempt and terminal run outcome is
-// journaled before it takes effect, with periodic compact snapshots. A
-// campaign killed at any point — even mid-append — is resumable with Resume,
-// to a byte-identical model breakdown. The directory must be empty or hold
-// only journal bookkeeping from a previous Open; resuming an interrupted
-// campaign through ExecuteDurable is refused, so a stale -journal-dir cannot
-// be silently overwritten.
+// campaign start, every attempt and terminal run outcome is journaled before
+// it takes effect. A campaign killed at any point — even mid-append — is
+// resumable with Resume, to a byte-identical model breakdown. The directory
+// must be empty or hold only journal bookkeeping from a previous Open;
+// resuming an interrupted campaign through ExecuteDurable is refused, so a
+// stale -journal-dir cannot be silently overwritten.
 //
 // On success the journal is left open so Result.RecordFit can append the fit
 // event; call Result.CloseJournal when done. On error the journal is closed.

@@ -77,85 +77,18 @@ func (r *Result) SaveReports(dir string) (int, error) {
 	return n, nil
 }
 
-// LoadInputs reads a directory of counter-report files written by
-// SaveReports and assembles the model's inputs. Nothing but the files is
-// needed — the simulator, the application, and the plan are not consulted.
-func LoadInputs(dir string) (model.Inputs, error) {
-	var in model.Inputs
-	in.SyncKernel = map[int]model.Measurement{}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return in, err
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names) // deterministic assembly
-	var spin *counters.RunReport
-	for _, name := range names {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			return in, err
-		}
-		rep, err := counters.ReadJSON(f)
-		f.Close()
-		if err != nil {
-			return in, fmt.Errorf("campaign: %s: %w", name, err)
-		}
-		m := model.FromReport(rep)
-		switch {
-		case strings.HasPrefix(name, "base_"):
-			in.Base = append(in.Base, m)
-			if rep.Procs == 1 {
-				in.Uniproc = append(in.Uniproc, m)
-			}
-		case strings.HasPrefix(name, "uni_"):
-			in.Uniproc = append(in.Uniproc, m)
-		case strings.HasPrefix(name, "ksync_"):
-			in.SyncKernel[rep.Procs] = m
-		case strings.HasPrefix(name, "kspin_"):
-			spin = rep
-		default:
-			return in, fmt.Errorf("campaign: unrecognized report file %q", name)
-		}
-	}
-	if spin == nil {
-		return in, fmt.Errorf("campaign: %s has no spin-kernel report", dir)
-	}
-	cpiImb, err := model.SpinnerCPI(spin)
-	if err != nil {
-		return in, fmt.Errorf("campaign: spin kernel %s: %w", spin.Ident(), err)
-	}
-	in.SpinCPI = cpiImb
-	return in, nil
-}
-
-// FitDir loads a report directory and fits the model.
-func FitDir(dir string, opts model.Options) (*model.Model, error) {
-	in, err := LoadInputs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return model.Fit(in, opts)
-}
-
-// LoadInputsTolerant reads a report directory like LoadInputs, but survives
-// damaged inputs: a file that cannot be read or parsed, an unrecognized file
-// name, and a report that fails health sanitization are each quarantined
-// into the returned health report instead of aborting the load, and every
-// repair the sanitizer makes is recorded there. The error is non-nil only
-// when what remains cannot possibly fit (no usable spin-kernel report) — it
-// then wraps model.ErrInsufficientInputs.
-func LoadInputsTolerant(dir string) (model.Inputs, *health.Report, error) {
-	return LoadInputsTolerantContext(context.Background(), dir)
-}
-
-// LoadInputsTolerantContext is LoadInputsTolerant under a context: an
-// observer there gets a "campaign.load" span and a log line per quarantined
-// file, plus the per-severity findings counter.
+// LoadInputsTolerantContext reads a directory of counter-report files
+// written by SaveReports and assembles the model's inputs. Nothing but the
+// files is needed — the simulator, the application, and the plan are not
+// consulted. It survives damaged inputs: a file that cannot be read or
+// parsed, an unrecognized file name, and a report that fails health
+// sanitization are each quarantined into the returned health report instead
+// of aborting the load, and every repair the sanitizer makes is recorded
+// there. The error is non-nil only when the directory cannot be read or what
+// remains cannot possibly fit (no usable spin-kernel report) — it then wraps
+// model.ErrInsufficientInputs. An observer in ctx gets a "campaign.load"
+// span and a log line per quarantined file, plus the per-severity findings
+// counter.
 func LoadInputsTolerantContext(ctx context.Context, dir string) (model.Inputs, *health.Report, error) {
 	ctx, span := obs.StartSpan(ctx, "campaign.load", obs.A("dir", dir))
 	defer span.End()
@@ -229,15 +162,11 @@ func LoadInputsTolerantContext(ctx context.Context, dir string) (model.Inputs, *
 	return in, hr, nil
 }
 
-// FitDirTolerant loads a report directory tolerantly and fits the model on
-// whatever survived, returning the health report alongside. The model's
-// Degradation record carries the quarantined run identities.
-func FitDirTolerant(dir string, opts model.Options) (*model.Model, *health.Report, error) {
-	return FitDirTolerantContext(context.Background(), dir, opts)
-}
-
-// FitDirTolerantContext is FitDirTolerant under a context, threading the
-// observer through both the tolerant load and the fit.
+// FitDirTolerantContext loads a report directory with
+// LoadInputsTolerantContext and fits the model on whatever survived,
+// returning the health report alongside. The model's Degradation record
+// carries the quarantined run identities; the observer in ctx sees both the
+// load and the fit.
 func FitDirTolerantContext(ctx context.Context, dir string, opts model.Options) (*model.Model, *health.Report, error) {
 	in, hr, err := LoadInputsTolerantContext(ctx, dir)
 	if err != nil {

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -48,9 +49,12 @@ func TestSaveLoadFitRoundTrip(t *testing.T) {
 
 	// Fit the model from the files alone and compare to the in-memory fit.
 	opts := model.DefaultOptions(c.L2.SizeBytes)
-	fromFiles, err := FitDir(dir, opts)
+	fromFiles, hr, err := FitDirTolerantContext(context.Background(), dir, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(hr.Quarantined) != 0 {
+		t.Fatalf("clean report directory quarantined %v", hr.Quarantined)
 	}
 	inMem, err := res.Fit(opts)
 	if err != nil {
@@ -69,18 +73,19 @@ func TestSaveLoadFitRoundTrip(t *testing.T) {
 }
 
 func TestLoadInputsErrors(t *testing.T) {
-	if _, err := LoadInputs("/nonexistent-dir"); err == nil {
+	ctx := context.Background()
+	if _, _, err := LoadInputsTolerantContext(ctx, filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing dir accepted")
 	}
 	dir := t.TempDir()
-	if _, err := LoadInputs(dir); err == nil {
+	if _, _, err := LoadInputsTolerantContext(ctx, dir); err == nil {
 		t.Error("empty dir accepted (no spin kernel)")
 	}
 	// Unrecognized file name.
 	if err := os.WriteFile(filepath.Join(dir, "bogus_p01_s1.json"), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadInputs(dir); err == nil {
+	if _, _, err := LoadInputsTolerantContext(ctx, dir); err == nil {
 		t.Error("bogus report accepted")
 	}
 }
@@ -144,12 +149,9 @@ func TestLoadInputsTolerant(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The strict loader must refuse the damaged directory...
-	if _, err := LoadInputs(dir); err == nil {
-		t.Error("strict loader accepted a damaged directory")
-	}
-	// ...while the tolerant loader quarantines, repairs, and carries on.
-	in, hr, err := LoadInputsTolerant(dir)
+	// The loader quarantines, repairs, and carries on.
+	ctx := context.Background()
+	in, hr, err := LoadInputsTolerantContext(ctx, dir)
 	if err != nil {
 		t.Fatalf("tolerant load: %v", err)
 	}
@@ -171,7 +173,7 @@ func TestLoadInputsTolerant(t *testing.T) {
 		t.Errorf("DroppedRuns %v not propagated (%v)", got, want)
 	}
 
-	m, hr2, err := FitDirTolerant(dir, model.DefaultOptions(c.L2.SizeBytes))
+	m, hr2, err := FitDirTolerantContext(ctx, dir, model.DefaultOptions(c.L2.SizeBytes))
 	if err != nil {
 		t.Fatalf("tolerant fit: %v", err)
 	}
@@ -183,7 +185,7 @@ func TestLoadInputsTolerant(t *testing.T) {
 	}
 
 	// An empty directory is an insufficiency, stated as one.
-	_, _, err = LoadInputsTolerant(t.TempDir())
+	_, _, err = LoadInputsTolerantContext(ctx, t.TempDir())
 	if !errors.Is(err, model.ErrInsufficientInputs) {
 		t.Errorf("empty dir error %v does not wrap ErrInsufficientInputs", err)
 	}
@@ -195,10 +197,11 @@ func TestLoadInputsTolerant(t *testing.T) {
 // and an ErrInsufficientInputs refusal in both, never a nil-map panic.
 func TestTolerantLoadDegenerateDirs(t *testing.T) {
 	opts := model.DefaultOptions(cfg().L2.SizeBytes)
+	ctx := context.Background()
 
 	// Empty directory: nothing to load is an insufficiency, not a crash.
 	empty := t.TempDir()
-	in, hr, err := LoadInputsTolerant(empty)
+	in, hr, err := LoadInputsTolerantContext(ctx, empty)
 	if !errors.Is(err, model.ErrInsufficientInputs) {
 		t.Fatalf("empty dir error %v does not wrap ErrInsufficientInputs", err)
 	}
@@ -212,7 +215,7 @@ func TestTolerantLoadDegenerateDirs(t *testing.T) {
 		t.Fatal("empty dir left Inputs.SyncKernel nil")
 	}
 	in.SyncKernel[1] = model.Measurement{} // must not panic
-	m, hr, err := FitDirTolerant(empty, opts)
+	m, hr, err := FitDirTolerantContext(ctx, empty, opts)
 	if !errors.Is(err, model.ErrInsufficientInputs) || m != nil {
 		t.Fatalf("tolerant fit of empty dir: m=%v err=%v", m, err)
 	}
@@ -229,7 +232,7 @@ func TestTolerantLoadDegenerateDirs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	in, hr, err = LoadInputsTolerant(rotten)
+	in, hr, err = LoadInputsTolerantContext(ctx, rotten)
 	if !errors.Is(err, model.ErrInsufficientInputs) {
 		t.Fatalf("all-quarantined dir error %v does not wrap ErrInsufficientInputs", err)
 	}
@@ -245,7 +248,7 @@ func TestTolerantLoadDegenerateDirs(t *testing.T) {
 			t.Fatalf("DroppedRuns %v is missing quarantined file %s", in.DroppedRuns, id)
 		}
 	}
-	m, hr, err = FitDirTolerant(rotten, opts)
+	m, hr, err = FitDirTolerantContext(ctx, rotten, opts)
 	if !errors.Is(err, model.ErrInsufficientInputs) || m != nil {
 		t.Fatalf("tolerant fit of all-quarantined dir: m=%v err=%v", m, err)
 	}

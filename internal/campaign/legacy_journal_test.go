@@ -3,11 +3,17 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"scaltool/internal/apps"
 	"scaltool/internal/journal"
+	"scaltool/internal/obs"
 )
 
 // TestResumeLegacyRetryJournal resumes a journal written by a campaign that
@@ -23,11 +29,11 @@ func TestResumeLegacyRetryJournal(t *testing.T) {
 	}
 	app, plan := resumePlan(t)
 
-	// The uninterrupted campaign under the spec's surviving keys, journaled
-	// without snapshots so every event is a record to copy.
+	// The uninterrupted campaign under the spec's surviving keys; every
+	// event it journals is a record to copy.
 	refDir := t.TempDir()
 	res, err := resumeRunner(baseResumeSpec()).ExecuteDurable(context.Background(), app, plan,
-		DurableOptions{Dir: refDir, SnapshotEvery: -1})
+		DurableOptions{Dir: refDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,5 +117,113 @@ func TestResumeLegacyRetryJournal(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref, got) {
 		t.Fatalf("legacy resume differs from the uninterrupted campaign\nref: %+v\ngot: %+v", ref, got)
+	}
+}
+
+// TestDurableJournalIsOneFile runs the largest campaign any caller runs
+// (procs 32) durably and requires its journal directory to hold exactly one
+// file, which Resume replays into every run without simulating any.
+func TestDurableJournalIsOneFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a procs-32 campaign")
+	}
+	app, err := apps.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewPlan(app, cfg(), 32, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	res, err := (&Runner{Cfg: cfg()}).ExecuteDurable(context.Background(), app, plan, DurableOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := fitBreakdown(t, res)
+	if err := res.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("journal directory holds %v, want exactly one file", names)
+	}
+
+	mt := obs.NewMetrics()
+	ctx := obs.NewContext(context.Background(), &obs.Observer{Metrics: mt})
+	resumed, err := (&Runner{Cfg: cfg()}).Resume(ctx, DurableOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fitBreakdown(t, resumed)
+	if err := resumed.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Resumed != len(plan.Jobs()) {
+		t.Errorf("resume restored %d runs, the plan has %d", resumed.Resumed, len(plan.Jobs()))
+	}
+	if n := mt.Counter("scaltool_sim_runs_total", "").Value(); n != 0 {
+		t.Errorf("resume of a finished campaign simulated %d runs", n)
+	}
+	if !reflect.DeepEqual(ref, got) {
+		t.Fatal("resumed breakdown differs from the uninterrupted campaign's")
+	}
+}
+
+// TestLegacyLayoutRefused hands ExecuteDurable and Resume a journal
+// directory in the older snapshot/segment layout and requires a refusal
+// that names the offending file, with every file in the directory left
+// byte-unchanged.
+func TestLegacyLayoutRefused(t *testing.T) {
+	app, plan := resumePlan(t)
+	layouts := map[string]map[string]string{
+		"snapshot": {
+			"snap-0000000000000009.snap": "compacted state",
+			"wal-000000000000000a.seg":   "record tail",
+		},
+		"two segments": {
+			"wal-0000000000000001.seg": "first segment",
+			"wal-0000000000000005.seg": "second segment",
+		},
+	}
+	for name, files := range layouts {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for f, data := range files {
+				if err := os.WriteFile(filepath.Join(dir, f), []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rn := resumeRunner(baseResumeSpec())
+			_, rerr := rn.Resume(context.Background(), DurableOptions{Dir: dir})
+			_, eerr := rn.ExecuteDurable(context.Background(), app, plan, DurableOptions{Dir: dir})
+			for _, err := range []error{rerr, eerr} {
+				if !errors.Is(err, journal.ErrLegacyLayout) || !strings.Contains(err.Error(), "older binary") {
+					t.Fatalf("legacy layout not refused clearly: %v", err)
+				}
+			}
+			got := map[string]string{}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[e.Name()] = string(data)
+			}
+			if !reflect.DeepEqual(got, files) {
+				t.Fatalf("refused directory changed:\n got %q\nwant %q", got, files)
+			}
+		})
 	}
 }

@@ -1,38 +1,37 @@
-// Package journal is an append-only write-ahead log with checkpointing,
-// built only on the standard library. A campaign's expensive state is the
-// set of completed measurement runs; the journal makes that state survive
-// process death (kill -9, OOM, power loss) so a resumed campaign replays
-// what finished and re-executes only what did not.
+// Package journal is an append-only write-ahead log, built only on the
+// standard library. A campaign's expensive state is the set of completed
+// measurement runs; the journal makes that state survive process death
+// (kill -9, OOM, power loss) so a resumed campaign replays what finished and
+// re-executes only what did not.
 //
-// Layout: a journal is a directory of segment files (wal-<firstseq>.seg)
-// plus at most a few snapshot files (snap-<seq>.snap). A segment is a
-// sequence of framed records:
+// Layout: a journal is one file, wal-0000000000000001.seg, in its own
+// directory. The file is a sequence of framed records:
 //
 //	[4-byte LE payload length][4-byte LE CRC-32C][8-byte LE sequence][payload]
 //
 // The CRC (Castagnoli, the checksum NVMe and ext4 journaling use) covers
 // the sequence number and the payload, so a torn or bit-flipped record
-// never replays silently. Sequence numbers start at 1 and increase by one
-// across segment boundaries; a segment file is named by the sequence of its
-// first record.
+// never replays silently. Sequence numbers start at 1 and increase by one.
+// A campaign journals a few dozen records, so the file is never rotated or
+// compacted: Open replays all of it.
 //
-// Durability policy: with SyncAlways (the default) every append is
-// fsync'ed before it is acknowledged, and segment creation, rotation, and
-// snapshot publication additionally fsync the directory, so an
-// acknowledged record survives power loss. SyncNone leaves flushing to the
-// OS — crash-safe against process death only.
+// Durability: every append is fsync'ed before it is acknowledged, and
+// creating the file fsyncs the file and its directory, so an acknowledged
+// record survives power loss.
 //
 // Crash anatomy on Open:
 //
 //   - a clean tail replays fully;
-//   - a torn final record (partial header, short payload, CRC mismatch, or
-//     a sequence break) in the LAST segment is truncated away — the write
-//     never happened, which is exactly the contract the campaign relies on;
-//   - the same damage in an earlier segment is real corruption and Open
-//     refuses with ErrCorrupt rather than resurrecting a hole mid-history;
-//   - a torn snapshot (crash during checkpointing) is ignored in favor of
-//     the previous one — snapshots are published by atomic rename, and the
-//     segments they compact are deleted only after the rename is durable.
+//   - a torn final record (partial header, short payload, CRC mismatch) is
+//     truncated away, from the first bad frame on, and the truncation is
+//     fsync'ed — the write never happened, which is exactly the contract the
+//     campaign relies on;
+//   - a well-framed record whose sequence number does not follow its
+//     predecessor's is real corruption, and Open refuses with ErrCorrupt.
+//
+// A directory holding a snapshot (snap-*.snap) or a second segment was
+// written by the older layout, which compacted and rotated its journal.
+// Open refuses it with ErrLegacyLayout and touches nothing in it.
 //
 // The Hook option is the crash laboratory: tests inject clean crashes,
 // torn mid-record writes, and fsync failures at exact append counts
@@ -44,24 +43,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
-)
-
-// SyncPolicy selects when appends reach stable storage.
-type SyncPolicy int
-
-const (
-	// SyncAlways fsyncs after every append (the default): an acknowledged
-	// record survives power loss.
-	SyncAlways SyncPolicy = iota
-	// SyncNone never fsyncs on append: the OS flushes when it pleases.
-	// Records still survive process death (the write hit the page cache).
-	SyncNone
 )
 
 // Op names a journal operation a Hook can intercept.
@@ -87,10 +74,13 @@ func (o Op) String() string {
 // torn tail away.
 var ErrTornWrite = errors.New("journal: torn write injected")
 
-// ErrCorrupt marks damage outside the replayable tail: a bad record in a
-// non-final segment, or garbage where a frame should be. Test with
-// errors.Is.
+// ErrCorrupt marks damage outside the replayable tail: a well-framed record
+// out of sequence. Test with errors.Is.
 var ErrCorrupt = errors.New("journal: corrupt record")
+
+// ErrLegacyLayout marks a directory written by the older snapshotting,
+// segment-rotating journal. Test with errors.Is.
+var ErrLegacyLayout = errors.New("journal: directory uses the older snapshot/segment layout")
 
 // ErrClosed is returned by operations on a closed (or crash-failed)
 // journal.
@@ -105,18 +95,16 @@ type Hook func(op Op, n uint64) error
 
 // Options configures Open.
 type Options struct {
-	// SegmentBytes rotates to a fresh segment once the current one exceeds
-	// this size (0 = 256 KiB).
-	SegmentBytes int64
-	// Sync is the append durability policy.
-	Sync SyncPolicy
 	// Hook, when non-nil, intercepts appends and syncs (fault injection).
 	Hook Hook
 }
 
 const (
-	defaultSegmentBytes = 256 << 10
-	headerBytes         = 16
+	// fileName is the journal file. It keeps the name the older layout gave
+	// its first segment, so a single-segment journal from that layout opens
+	// unchanged.
+	fileName    = "wal-0000000000000001.seg"
+	headerBytes = 16
 	// maxRecordBytes bounds a frame's declared payload so a corrupt length
 	// field cannot drive a giant allocation.
 	maxRecordBytes = 16 << 20
@@ -138,118 +126,121 @@ type Record struct {
 
 // OpenResult reports what Open recovered.
 type OpenResult struct {
-	// Snapshot is the newest valid checkpoint state (nil if none).
-	Snapshot []byte
-	// SnapshotSeq is the last sequence number the snapshot covers.
-	SnapshotSeq uint64
-	// Tail holds the records after the snapshot, in sequence order.
+	// Tail holds every record in the journal, in sequence order.
 	Tail []Record
-	// TornBytes counts bytes truncated from the final segment (0 = clean).
+	// TornBytes counts bytes truncated from the file's end (0 = clean).
 	TornBytes int64
-	// Segments is the number of live segment files.
-	Segments int
-}
-
-// segment is one live segment file.
-type segment struct {
-	firstSeq uint64
-	path     string
 }
 
 // Journal is an open write-ahead journal. All methods are safe for
 // concurrent use.
 type Journal struct {
-	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	f        *os.File
-	size     int64
-	segments []segment
-	nextSeq  uint64
-	appendN  uint64 // hook counters
-	syncN    uint64
-	broken   error // first fatal error; journal refuses further work
-	closed   bool
+	mu      sync.Mutex
+	f       *os.File
+	nextSeq uint64
+	appendN uint64 // hook counters
+	syncN   uint64
+	broken  error // first fatal error; journal refuses further work
+	closed  bool
 }
 
-// Open opens (creating if needed) the journal in dir, recovers its state —
-// newest valid snapshot plus the record tail, truncating a torn final
-// record — and leaves the journal positioned to append.
+// Open opens (creating if needed) the journal in dir, replays its records —
+// truncating a torn final record — and leaves the journal positioned to
+// append.
 func Open(dir string, opts Options) (*Journal, *OpenResult, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir, opts: opts}
-	res := &OpenResult{}
-
-	snaps, segs, err := scanDir(dir)
-	if err != nil {
+	if err := refuseLegacy(dir); err != nil {
 		return nil, nil, err
 	}
-	// Newest parseable snapshot wins; torn ones (a crash mid-checkpoint)
-	// are skipped.
-	for i := len(snaps) - 1; i >= 0; i-- {
-		state, seq, err := readSnapshot(snaps[i].path)
-		if err != nil {
-			continue
-		}
-		res.Snapshot, res.SnapshotSeq = state, seq
-		break
-	}
-
-	maxSeq := res.SnapshotSeq
-	for i, seg := range segs {
-		recs, keptBytes, torn, err := replaySegment(seg, i == len(segs)-1)
-		if err != nil {
+	j := &Journal{opts: opts, nextSeq: 1}
+	res := &OpenResult{}
+	path := filepath.Join(dir, fileName)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		if j.f, err = create(dir, path); err != nil {
 			return nil, nil, err
 		}
-		if torn > 0 {
-			res.TornBytes = torn
-			if err := truncateSegment(seg.path, keptBytes); err != nil {
-				return nil, nil, err
-			}
-		}
-		for _, r := range recs {
-			if r.Seq <= res.SnapshotSeq {
-				continue // already folded into the snapshot
-			}
-			if r.Seq != maxSeq+1 {
-				return nil, nil, fmt.Errorf("journal: %s: sequence jumps %d → %d: %w",
-					filepath.Base(seg.path), maxSeq, r.Seq, ErrCorrupt)
-			}
-			maxSeq = r.Seq
-			res.Tail = append(res.Tail, r)
-		}
+		return j, res, nil
 	}
-	j.nextSeq = maxSeq + 1
-	j.segments = segs
-
-	// Position for appending: reuse the last segment, or start the first.
-	if len(segs) > 0 {
-		last := segs[len(segs)-1]
-		f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("journal: %w", err)
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal: %w", err)
+	}
+	data, err := io.ReadAll(f)
+	if err != nil {
+		closeQuiet(f)
+		return nil, nil, fmt.Errorf("journal: %w", err)
+	}
+	off := 0
+	for off < len(data) {
+		rec, n, ok := parseRecord(data[off:])
+		if !ok {
+			break // torn tail: everything from here on is truncated
 		}
-		st, err := f.Stat()
+		if rec.Seq != j.nextSeq {
+			closeQuiet(f)
+			return nil, nil, fmt.Errorf("journal: %s: sequence jumps %d → %d: %w",
+				fileName, j.nextSeq-1, rec.Seq, ErrCorrupt)
+		}
+		res.Tail = append(res.Tail, rec)
+		j.nextSeq++
+		off += n
+	}
+	if off < len(data) {
+		res.TornBytes = int64(len(data) - off)
+		err := f.Truncate(int64(off))
+		if err == nil {
+			err = f.Sync()
+		}
 		if err != nil {
 			closeQuiet(f)
-			return nil, nil, fmt.Errorf("journal: %w", err)
+			return nil, nil, fmt.Errorf("journal: truncating torn tail: %w", err)
 		}
-		j.f, j.size = f, st.Size()
-	} else if err := j.newSegmentLocked(); err != nil {
-		return nil, nil, err
 	}
-	res.Segments = len(j.segments)
+	j.f = f
 	return j, res, nil
 }
 
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
+// refuseLegacy fails with ErrLegacyLayout if dir holds a snapshot or any
+// segment but the journal file: the older layout's compaction state, which
+// this package no longer reads.
+func refuseLegacy(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		snap := strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap")
+		seg := strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg") && name != fileName
+		if snap || seg {
+			return fmt.Errorf("%w: found %s in %s; finish that campaign with the older binary, or start fresh in an empty directory",
+				ErrLegacyLayout, name, dir)
+		}
+	}
+	return nil
+}
+
+// create makes the empty journal file and fsyncs it and its directory, so
+// the file itself survives power loss.
+func create(dir, path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		closeQuiet(f)
+		return nil, fmt.Errorf("journal: fsync: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
+		closeQuiet(f)
+		return nil, err
+	}
+	return f, nil
+}
 
 // Append durably appends one record and returns its sequence number.
 // After any error the journal is broken: the write may or may not be on
@@ -282,33 +273,23 @@ func (j *Journal) Append(data []byte) (uint64, error) {
 		}
 	}
 
-	// Rotate before the write so a frame never straddles segments.
-	if j.size > 0 && j.size+int64(len(frame)) > j.opts.SegmentBytes {
-		if err := j.rotateLocked(); err != nil {
-			j.broken = err
-			return 0, err
-		}
-	}
 	if _, err := j.f.Write(frame); err != nil {
 		j.broken = fmt.Errorf("journal: %w", err)
 		return 0, j.broken
 	}
-	j.size += int64(len(frame))
-	if j.opts.Sync == SyncAlways {
-		j.syncN++
-		if h := j.opts.Hook; h != nil {
-			if err := h(OpSync, j.syncN); err != nil {
-				// The fsync "failed": the record is in the page cache but
-				// has no durability guarantee. Refuse further appends — a
-				// journal that cannot promise durability must say so.
-				j.broken = fmt.Errorf("journal: fsync of append %d: %w", j.appendN, err)
-				return 0, j.broken
-			}
-		}
-		if err := j.f.Sync(); err != nil {
-			j.broken = fmt.Errorf("journal: fsync: %w", err)
+	j.syncN++
+	if h := j.opts.Hook; h != nil {
+		if err := h(OpSync, j.syncN); err != nil {
+			// The fsync "failed": the record is in the page cache but has no
+			// durability guarantee. Refuse further appends — a journal that
+			// cannot promise durability must say so.
+			j.broken = fmt.Errorf("journal: fsync of append %d: %w", j.appendN, err)
 			return 0, j.broken
 		}
+	}
+	if err := j.f.Sync(); err != nil {
+		j.broken = fmt.Errorf("journal: fsync: %w", err)
+		return 0, j.broken
 	}
 	seq := j.nextSeq
 	j.nextSeq++
@@ -319,85 +300,6 @@ func (j *Journal) Append(data []byte) (uint64, error) {
 // callers that meter journal throughput.
 func AppendedBytes(data []byte) int { return headerBytes + len(data) }
 
-// Snapshot checkpoints the journal: state (the caller's compaction of
-// everything appended so far) is published atomically as the newest
-// snapshot, the journal rotates to a fresh segment, and segments wholly
-// covered by the snapshot are deleted. A crash at any point leaves either
-// the old snapshot+segments or the new ones — never neither.
-func (j *Journal) Snapshot(state []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.broken != nil {
-		return j.broken
-	}
-	if j.closed {
-		return ErrClosed
-	}
-	seq := j.nextSeq - 1 // everything appended so far is covered
-
-	// Write the snapshot to a temp file, fsync, then atomically rename.
-	final := filepath.Join(j.dir, snapName(seq))
-	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, frameRecord(seq, state)); err != nil {
-		j.broken = err
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		j.broken = fmt.Errorf("journal: publishing snapshot: %w", err)
-		return j.broken
-	}
-	if err := syncDir(j.dir); err != nil {
-		j.broken = err
-		return err
-	}
-
-	// Start a fresh segment so the pre-snapshot ones become garbage…
-	if err := j.rotateLocked(); err != nil {
-		j.broken = err
-		return err
-	}
-	// …and collect it: a segment is covered when the NEXT segment starts at
-	// or before seq+1 (so every record in it has sequence ≤ seq). Old
-	// snapshots are covered by the new one. Deletion failures are harmless
-	// (replay skips covered records); ignore them.
-	var live []segment
-	for i, s := range j.segments {
-		if i+1 < len(j.segments) && j.segments[i+1].firstSeq <= seq+1 {
-			_ = os.Remove(s.path)
-			continue
-		}
-		live = append(live, s)
-	}
-	j.segments = live
-	snaps, _, err := scanDir(j.dir)
-	if err == nil {
-		for _, s := range snaps {
-			if s.firstSeq < seq {
-				_ = os.Remove(s.path)
-			}
-		}
-	}
-	return nil
-}
-
-// Sync flushes the current segment to stable storage (a no-op under
-// SyncAlways, where every append already did).
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.broken != nil {
-		return j.broken
-	}
-	if j.closed {
-		return ErrClosed
-	}
-	if err := j.f.Sync(); err != nil {
-		j.broken = fmt.Errorf("journal: fsync: %w", err)
-		return j.broken
-	}
-	return nil
-}
-
 // Close flushes and closes the journal. Idempotent; safe after a fault.
 func (j *Journal) Close() error {
 	j.mu.Lock()
@@ -406,9 +308,6 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if j.f == nil {
-		return nil
-	}
 	var err error
 	if j.broken == nil {
 		err = j.f.Sync()
@@ -420,44 +319,6 @@ func (j *Journal) Close() error {
 	if err != nil {
 		return fmt.Errorf("journal: close: %w", err)
 	}
-	return nil
-}
-
-// NextSeq returns the sequence number the next append will get.
-func (j *Journal) NextSeq() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.nextSeq
-}
-
-// rotateLocked syncs and closes the current segment and opens a fresh one
-// starting at nextSeq. Callers hold j.mu.
-func (j *Journal) rotateLocked() error {
-	if j.f != nil {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: rotating: %w", err)
-		}
-		if err := j.f.Close(); err != nil {
-			return fmt.Errorf("journal: rotating: %w", err)
-		}
-		j.f = nil
-	}
-	return j.newSegmentLocked()
-}
-
-// newSegmentLocked creates the segment file for nextSeq. Callers hold j.mu.
-func (j *Journal) newSegmentLocked() error {
-	path := filepath.Join(j.dir, segName(j.nextSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: new segment: %w", err)
-	}
-	if err := syncDir(j.dir); err != nil {
-		closeQuiet(f)
-		return err
-	}
-	j.f, j.size = f, 0
-	j.segments = append(j.segments, segment{firstSeq: j.nextSeq, path: path})
 	return nil
 }
 
@@ -473,8 +334,7 @@ func frameRecord(seq uint64, data []byte) []byte {
 }
 
 // parseRecord decodes one frame from buf. ok=false means buf holds no
-// complete, checksummed record at its start (a torn tail if nothing
-// follows).
+// complete, checksummed record at its start (a torn tail).
 func parseRecord(buf []byte) (rec Record, frameLen int, ok bool) {
 	if len(buf) < headerBytes {
 		return rec, 0, false
@@ -493,122 +353,7 @@ func parseRecord(buf []byte) (rec Record, frameLen int, ok bool) {
 	return rec, frameLen, true
 }
 
-// replaySegment reads every valid record of one segment. For the final
-// segment a bad record marks a torn tail: replay stops, and the caller
-// truncates the file to keptBytes. For earlier segments the same damage is
-// ErrCorrupt.
-func replaySegment(seg segment, isLast bool) (recs []Record, keptBytes int64, tornBytes int64, err error) {
-	data, err := os.ReadFile(seg.path)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("journal: %w", err)
-	}
-	off := 0
-	for off < len(data) {
-		rec, n, ok := parseRecord(data[off:])
-		if !ok {
-			if !isLast {
-				return nil, 0, 0, fmt.Errorf("journal: %s: bad record at offset %d: %w",
-					filepath.Base(seg.path), off, ErrCorrupt)
-			}
-			return recs, int64(off), int64(len(data) - off), nil
-		}
-		recs = append(recs, rec)
-		off += n
-	}
-	return recs, int64(off), 0, nil
-}
-
-// truncateSegment durably truncates a torn tail off a segment file.
-func truncateSegment(path string, size int64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: truncating torn tail: %w", err)
-	}
-	err = f.Truncate(size)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("journal: truncating torn tail: %w", err)
-	}
-	return nil
-}
-
-// readSnapshot parses one snapshot file (a single frame).
-func readSnapshot(path string) (state []byte, seq uint64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	rec, n, ok := parseRecord(data)
-	if !ok || n != len(data) {
-		return nil, 0, fmt.Errorf("journal: %s: %w", filepath.Base(path), ErrCorrupt)
-	}
-	return rec.Data, rec.Seq, nil
-}
-
-// scanDir lists the journal's snapshot and segment files in ascending
-// sequence order. Unrelated files (including leftover .tmp snapshots) are
-// ignored.
-func scanDir(dir string) (snaps, segs []segment, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		switch {
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
-			if seq, ok := parseSeqName(name, "wal-", ".seg"); ok {
-				segs = append(segs, segment{firstSeq: seq, path: filepath.Join(dir, name)})
-			}
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-			if seq, ok := parseSeqName(name, "snap-", ".snap"); ok {
-				snaps = append(snaps, segment{firstSeq: seq, path: filepath.Join(dir, name)})
-			}
-		}
-	}
-	sort.Slice(segs, func(i, k int) bool { return segs[i].firstSeq < segs[k].firstSeq })
-	sort.Slice(snaps, func(i, k int) bool { return snaps[i].firstSeq < snaps[k].firstSeq })
-	return snaps, segs, nil
-}
-
-func segName(seq uint64) string { return fmt.Sprintf("wal-%016x.seg", seq) }
-
-func snapName(seq uint64) string { return fmt.Sprintf("snap-%016x.snap", seq) }
-
-func parseSeqName(name, prefix, suffix string) (uint64, bool) {
-	s := strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix)
-	seq, err := strconv.ParseUint(s, 16, 64)
-	return seq, err == nil
-}
-
-// writeFileSync writes data to path and fsyncs it before returning.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so file creations/renames in it are durable.
+// syncDir fsyncs a directory so a file creation in it is durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

@@ -115,102 +115,6 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 }
 
-func TestCorruptMiddleRefused(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := openClean(t, dir, Options{SegmentBytes: 32}) // rotate every record
-	appendAll(t, j, strings.Repeat("a", 24), strings.Repeat("b", 24), strings.Repeat("c", 24))
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if len(segs) < 3 {
-		t.Fatalf("want ≥ 3 segments, got %v", segs)
-	}
-	// Flip a payload byte in the FIRST segment: not a tail, so not repairable.
-	data, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[headerBytes] ^= 0xFF
-	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = Open(dir, Options{})
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("open error %v, want ErrCorrupt", err)
-	}
-}
-
-func TestSegmentRotationAndSequenceContinuity(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := openClean(t, dir, Options{SegmentBytes: 64})
-	var want []string
-	for i := 0; i < 20; i++ {
-		p := fmt.Sprintf("payload-%02d", i)
-		want = append(want, p)
-	}
-	appendAll(t, j, want...)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if len(segs) < 3 {
-		t.Fatalf("rotation produced %d segments, want ≥ 3", len(segs))
-	}
-	_, res := openClean(t, dir, Options{})
-	if got := tailStrings(res); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("replayed %v, want %v", got, want)
-	}
-}
-
-func TestSnapshotCompactsSegments(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := openClean(t, dir, Options{SegmentBytes: 64})
-	appendAll(t, j, "r1", "r2", "r3", "r4", "r5")
-	if err := j.Snapshot([]byte("STATE:r1..r5")); err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, j, "r6", "r7")
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	_, res := openClean(t, dir, Options{})
-	if string(res.Snapshot) != "STATE:r1..r5" {
-		t.Fatalf("snapshot = %q", res.Snapshot)
-	}
-	if res.SnapshotSeq != 5 {
-		t.Errorf("snapshot seq = %d, want 5", res.SnapshotSeq)
-	}
-	if got := tailStrings(res); fmt.Sprint(got) != fmt.Sprint([]string{"r6", "r7"}) {
-		t.Fatalf("tail after snapshot = %v, want [r6 r7]", got)
-	}
-}
-
-func TestSnapshotSurvivesTornSnapshotFile(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := openClean(t, dir, Options{})
-	appendAll(t, j, "r1", "r2")
-	if err := j.Snapshot([]byte("GOOD")); err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, j, "r3")
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A later snapshot that crashed mid-write: garbage content.
-	if err := os.WriteFile(filepath.Join(dir, snapName(3)), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, res := openClean(t, dir, Options{})
-	if string(res.Snapshot) != "GOOD" {
-		t.Fatalf("snapshot = %q, want the previous valid one", res.Snapshot)
-	}
-	if got := tailStrings(res); fmt.Sprint(got) != fmt.Sprint([]string{"r3"}) {
-		t.Fatalf("tail = %v, want [r3]", got)
-	}
-}
-
 func TestHookCrashBeforeAppend(t *testing.T) {
 	dir := t.TempDir()
 	crashAt := uint64(3)
@@ -312,27 +216,11 @@ func TestClosedJournalRefusesWork(t *testing.T) {
 	if _, err := j.Append([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Errorf("append after close: %v, want ErrClosed", err)
 	}
-	if err := j.Snapshot([]byte("x")); !errors.Is(err, ErrClosed) {
-		t.Errorf("snapshot after close: %v, want ErrClosed", err)
-	}
-}
-
-func TestSyncNonePolicyStillReplays(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := openClean(t, dir, Options{Sync: SyncNone})
-	appendAll(t, j, "a", "b", "c")
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, res := openClean(t, dir, Options{})
-	if got := tailStrings(res); fmt.Sprint(got) != fmt.Sprint([]string{"a", "b", "c"}) {
-		t.Fatalf("replayed %v", got)
-	}
 }
 
 func TestConcurrentAppendsAllSurvive(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := openClean(t, dir, Options{Sync: SyncNone, SegmentBytes: 256})
+	j, _ := openClean(t, dir, Options{})
 	const n = 64
 	done := make(chan error, n)
 	for i := 0; i < n; i++ {
@@ -359,5 +247,70 @@ func TestConcurrentAppendsAllSurvive(t *testing.T) {
 	}
 	if len(seen) != n {
 		t.Fatalf("replay lost records: %d distinct of %d", len(seen), n)
+	}
+}
+
+// readDirFiles maps every file in dir to its contents.
+func readDirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// TestOpenRefusesDamageAndLegacyLayouts feeds Open directories it must
+// refuse — a record out of sequence, and the older layout's snapshot and
+// second segment — and requires the right error with every file left
+// byte-unchanged.
+func TestOpenRefusesDamageAndLegacyLayouts(t *testing.T) {
+	frames := func(seqs ...uint64) string {
+		var b bytes.Buffer
+		for _, s := range seqs {
+			b.Write(frameRecord(s, []byte(fmt.Sprintf("r%d", s))))
+		}
+		return b.String()
+	}
+	cases := []struct {
+		name  string
+		files map[string]string
+		want  error
+		names string // the file the error must name
+	}{
+		{"sequence jump", map[string]string{fileName: frames(1, 2, 4)}, ErrCorrupt, fileName},
+		{"snapshot", map[string]string{
+			"snap-0000000000000002.snap": frames(2),
+			"wal-0000000000000003.seg":   frames(3),
+		}, ErrLegacyLayout, "snap-0000000000000002.snap"},
+		{"second segment", map[string]string{
+			fileName:                   frames(1, 2),
+			"wal-0000000000000003.seg": frames(3),
+		}, ErrLegacyLayout, "wal-0000000000000003.seg"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, data := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, err := Open(dir, Options{})
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.names) {
+				t.Fatalf("open error %v, want %v naming %s", err, tc.want, tc.names)
+			}
+			if got := readDirFiles(t, dir); fmt.Sprint(got) != fmt.Sprint(tc.files) {
+				t.Fatalf("refused open changed the directory:\n got %q\nwant %q", got, tc.files)
+			}
+		})
 	}
 }

@@ -16,8 +16,8 @@ go vet ./...
 echo "==> benchmark harness against this tree (perfbench is its own module, so go build ./... never compiles it)"
 (cd perfbench && go vet ./... && go test ./...)
 
-echo "==> go test -race (sim, campaign, obs; resume sweeps run in their own gate below)"
-go test -race -skip 'Chaos.*Resume' ./internal/sim/... ./internal/campaign/... ./internal/obs/...
+echo "==> go test -race (sim, campaign, obs, journal; resume sweeps run in their own gate below)"
+go test -race -skip 'Chaos.*Resume' ./internal/sim/... ./internal/campaign/... ./internal/obs/... ./internal/journal/...
 
 echo "==> byte-identity gate (golden SHA-256 of Result.Encode, app-set x proc-count matrix, under the race detector; goldens are never regenerated)"
 go test -run 'TestSimByteIdentity|TestSimRepeatDeterminism' -race .
