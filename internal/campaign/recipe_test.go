@@ -138,7 +138,7 @@ func TestCorruptSpillIsBuiltInsideTheLookup(t *testing.T) {
 			continue
 		}
 		jobs++
-		if err := os.WriteFile(filepath.Join(dir, e.Key.String()+".json"), []byte("not a spill frame"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, e.Key.String()+".spill"), []byte("not a spill frame"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,6 +150,9 @@ func TestCorruptSpillIsBuiltInsideTheLookup(t *testing.T) {
 	}
 	if got := mt.Counter("scaltool_program_builds_total", "", "cause", recipe.CauseMiss).Value(); got != uint64(jobs) {
 		t.Fatalf("%d miss builds, want one per run (%d)", got, jobs)
+	}
+	if got := mt.RuncacheCorrupt("header").Value(); got != uint64(jobs) {
+		t.Fatalf("%d spill files refused, want one per run (%d)", got, jobs)
 	}
 	clean, err := (&Runner{Cfg: cfg(), Workers: 2}).Execute(context.Background(), app, plan)
 	if err != nil {

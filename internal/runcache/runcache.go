@@ -27,8 +27,8 @@ type Options struct {
 	// is returned to the caller but not retained.
 	MaxBytes int64
 	// SpillDir, when non-empty, enables disk spill: entries evicted from
-	// memory are written there (one file per key) and reloaded on the next
-	// miss instead of re-simulating. The directory is created on first use;
+	// memory are written there (one file per key, once) and reloaded on the
+	// next miss instead of re-simulating. The directory is created on first use;
 	// campaigns typically point it under the journal directory. Every spill
 	// file carries a CRC-32C frame (see spill.go); entries that fail the
 	// check on load are quarantined under SpillDir/quarantine and treated as
@@ -58,11 +58,14 @@ type Cache struct {
 	inflight map[Key]*flight
 }
 
-// entry is one cached result with its accounting size.
+// entry is one cached result with its accounting size. onDisk records that
+// the result was loaded from SpillDir, so its spill file already exists and
+// evicting it writes nothing.
 type entry struct {
-	key  Key
-	res  *sim.Result
-	size int64
+	key    Key
+	res    *sim.Result
+	size   int64
+	onDisk bool
 }
 
 // flight is one in-progress simulation that identical requests share.
@@ -221,15 +224,22 @@ func (c *Cache) lead(ctx context.Context, key Key, fl *flight, run RunFunc, mt *
 	delete(c.inflight, key)
 	var evicted []*entry
 	if err == nil && out != nil {
-		evicted = c.insert(key, out)
+		evicted = c.insert(key, out, diskHit)
 	}
 	c.mu.Unlock()
 	close(fl.done)
 	published = true
 
 	// Spill evictions outside the lock: disk I/O must not stall readers.
+	// An entry with a spill copy already on disk is not rewritten.
 	for _, ev := range evicted {
-		spilled := c.writeSpill(ev.key, ev.res)
+		spilled := ev.onDisk
+		if !spilled {
+			spilled = c.writeSpill(ev.key, ev.res)
+			if spilled && mt != nil {
+				mt.Counter("scaltool_runcache_spill_writes_total", "spill files written").Inc()
+			}
+		}
 		if mt != nil {
 			mt.Counter("scaltool_runcache_evictions_total", "run-cache LRU evictions",
 				"spilled", strconv.FormatBool(spilled)).Inc()
@@ -253,8 +263,9 @@ func (c *Cache) lead(ctx context.Context, key Key, fl *flight, run RunFunc, mt *
 }
 
 // insert adds a result under c.mu, evicting past the byte budget; the
-// caller spills the returned evictions after releasing the lock.
-func (c *Cache) insert(key Key, res *sim.Result) (evicted []*entry) {
+// caller spills the returned evictions after releasing the lock. onDisk
+// says the result was loaded from its spill file.
+func (c *Cache) insert(key Key, res *sim.Result, onDisk bool) (evicted []*entry) {
 	if _, dup := c.items[key]; dup {
 		return nil
 	}
@@ -262,7 +273,7 @@ func (c *Cache) insert(key Key, res *sim.Result) (evicted []*entry) {
 	if size > c.maxBytes {
 		return nil // would evict everything and still not fit
 	}
-	c.items[key] = c.ll.PushFront(&entry{key: key, res: res, size: size})
+	c.items[key] = c.ll.PushFront(&entry{key: key, res: res, size: size, onDisk: onDisk})
 	c.bytes += size
 	for c.bytes > c.maxBytes {
 		el := c.ll.Back()
@@ -283,5 +294,5 @@ func (c *Cache) spillPath(key Key) string {
 	if c.spillDir == "" {
 		return ""
 	}
-	return filepath.Join(c.spillDir, key.String()+".json")
+	return filepath.Join(c.spillDir, key.String()+".spill")
 }

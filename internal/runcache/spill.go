@@ -20,15 +20,28 @@ import (
 // deterministic, so the safe conversion for any damage is a cache miss and a
 // re-simulation.
 //
-// Every spill file is therefore framed, reusing the journal's CRC-32C
-// (Castagnoli) machinery:
+// Every spill file, <key>.spill, is therefore framed, reusing the journal's
+// CRC-32C (Castagnoli) machinery:
 //
-//	[8-byte magic "SCSPILL1"][8-byte LE payload length][4-byte LE CRC-32C][payload]
+//	[8-byte magic "SCSPILL2"][8-byte LE payload length][4-byte LE CRC-32C][payload]
 //
-// On load the frame is verified before the payload is decoded. Damage is
+// The payload is the Result's fixed-layout binary form (sim.AppendBinary):
+// reloading a megabyte-sized entry is a bounds-checked copy, not a JSON
+// parse. On load the frame is verified before the payload is decoded, and
+// the decoder checks the Result's per-processor shape. Damage is
 // classified (header, torn, crc, decode), counted in
 // scaltool_runcache_corrupt_total, and the file is moved into a quarantine
-// subdirectory for forensics rather than silently deleted.
+// subdirectory for forensics rather than silently deleted. Files of the
+// older JSON format (SCSPILL1) were named <key>.json; this binary never
+// opens them, so replicas of both versions can share a directory while a
+// fleet upgrades, each missing on the other's files.
+//
+// Spill files are write-once. An entry that was loaded from the directory
+// already has its file there, and evicting it writes nothing: results are
+// deterministic and files content-addressed, so the file already holds the
+// bytes a rewrite would produce. If the file has since been quarantined or
+// deleted, the next lookup misses, re-simulates to the same answer, and
+// that entry is written on its own eviction.
 //
 // Sharing one SpillDir across PROCESSES is supported — it is the fleet's
 // shared cache tier: N scaltoold replicas point -cache-dir at one
@@ -52,7 +65,7 @@ import (
 // the same for two Cache instances in one process under the race detector.
 
 // spillMagic identifies (and versions) the spill frame format.
-var spillMagic = [8]byte{'S', 'C', 'S', 'P', 'I', 'L', 'L', '1'}
+var spillMagic = [8]byte{'S', 'C', 'S', 'P', 'I', 'L', 'L', '2'}
 
 const spillHeaderBytes = 8 + 8 + 4
 
@@ -60,18 +73,14 @@ const spillHeaderBytes = 8 + 8 + 4
 // failed their integrity check.
 const quarantineDirName = "quarantine"
 
-// encodeSpillFrame frames an encoded Result for disk.
-func encodeSpillFrame(res *sim.Result) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := sim.EncodeResult(&payload, res); err != nil {
-		return nil, err
-	}
-	out := make([]byte, spillHeaderBytes+payload.Len())
+// encodeSpillFrame frames the binary form of a Result for disk.
+func encodeSpillFrame(res *sim.Result) []byte {
+	out := sim.AppendBinary(make([]byte, spillHeaderBytes), res)
+	body := out[spillHeaderBytes:]
 	copy(out[:8], spillMagic[:])
-	binary.LittleEndian.PutUint64(out[8:16], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(out[16:20], journal.Checksum(payload.Bytes()))
-	copy(out[spillHeaderBytes:], payload.Bytes())
-	return out, nil
+	binary.LittleEndian.PutUint64(out[8:16], uint64(len(body)))
+	binary.LittleEndian.PutUint32(out[16:20], journal.Checksum(body))
+	return out
 }
 
 // decodeSpillFrame verifies a frame and decodes its payload. On failure it
@@ -89,7 +98,7 @@ func decodeSpillFrame(data []byte) (*sim.Result, string, error) {
 	if got, want := journal.Checksum(body), binary.LittleEndian.Uint32(data[16:20]); got != want {
 		return nil, "crc", fmt.Errorf("runcache: spill frame CRC %08x, want %08x", got, want)
 	}
-	res, err := sim.DecodeResult(bytes.NewReader(body))
+	res, err := sim.DecodeBinary(body)
 	if err != nil {
 		return nil, "decode", err
 	}
@@ -109,7 +118,8 @@ func (c *Cache) quarantineSpill(path string) {
 	_ = os.Remove(path)
 }
 
-// writeSpill persists an evicted entry; failures only lose the spill copy.
+// writeSpill persists an evicted entry that has no spill copy yet; failures
+// only lose the spill copy.
 // The write goes through a temp file + rename so a torn write never leaves a
 // half-entry under the final name, and the frame's CRC catches everything
 // rename cannot. The injector hook (Options.Inject) mangles the framed bytes
@@ -119,10 +129,7 @@ func (c *Cache) writeSpill(key Key, res *sim.Result) bool {
 	if path == "" {
 		return false
 	}
-	framed, err := encodeSpillFrame(res)
-	if err != nil {
-		return false
-	}
+	framed := encodeSpillFrame(res)
 	if c.inject != nil {
 		framed, _ = c.inject.MangleFile(filepath.Base(path), framed)
 	}

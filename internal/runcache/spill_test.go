@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,10 +25,7 @@ func TestSpillFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed, err := encodeSpillFrame(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	framed := encodeSpillFrame(res)
 	if !bytes.Equal(framed[:8], spillMagic[:]) {
 		t.Fatalf("frame magic = %q", framed[:8])
 	}
@@ -51,18 +49,19 @@ func TestSpillFrameDamageClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid, err := encodeSpillFrame(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A frame whose CRC is honest about a payload the decoder rejects: the
-	// integrity layer passes, the codec layer must still classify it.
-	badPayload := []byte(`{"version":9999}`)
-	undecodable := make([]byte, spillHeaderBytes+len(badPayload))
-	copy(undecodable[:8], spillMagic[:])
-	binary.LittleEndian.PutUint64(undecodable[8:16], uint64(len(badPayload)))
-	binary.LittleEndian.PutUint32(undecodable[16:20], journal.Checksum(badPayload))
-	copy(undecodable[spillHeaderBytes:], badPayload)
+	valid := encodeSpillFrame(res)
+	// Frames whose CRC is honest about a payload the decoder rejects: the
+	// integrity layer passes, the codec layer must still classify them.
+	undecodable := reframe([]byte(`{"version":9999}`))
+	payload := valid[spillHeaderBytes:]
+	shortPayload := reframe(payload[:len(payload)-1])
+	trailingPayload := reframe(append(append([]byte(nil), payload...), 0))
+	// Procs is the u64 after the machine name: a frame claiming one more
+	// processor than its per-processor slices hold fails the shape check.
+	wrongProcs := append([]byte(nil), payload...)
+	off := 8 + int(binary.LittleEndian.Uint64(wrongProcs))
+	binary.LittleEndian.PutUint64(wrongProcs[off:], binary.LittleEndian.Uint64(wrongProcs[off:])+1)
+	wrongShape := reframe(wrongProcs)
 
 	cases := []struct {
 		name   string
@@ -77,6 +76,9 @@ func TestSpillFrameDamageClasses(t *testing.T) {
 		{"flipped payload byte", func(b []byte) []byte { b[len(b)-2] ^= 0x01; return b }, "crc"},
 		{"flipped stored crc", func(b []byte) []byte { b[17] ^= 0x01; return b }, "crc"},
 		{"undecodable payload", func(b []byte) []byte { return undecodable }, "decode"},
+		{"payload one byte short", func(b []byte) []byte { return shortPayload }, "decode"},
+		{"payload trailing byte", func(b []byte) []byte { return trailingPayload }, "decode"},
+		{"processor count off by one", func(b []byte) []byte { return wrongShape }, "decode"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,6 +92,16 @@ func TestSpillFrameDamageClasses(t *testing.T) {
 			}
 		})
 	}
+}
+
+// reframe wraps payload in a spill frame with an honest length and CRC.
+func reframe(payload []byte) []byte {
+	out := make([]byte, spillHeaderBytes+len(payload))
+	copy(out[:8], spillMagic[:])
+	binary.LittleEndian.PutUint64(out[8:16], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(out[16:20], journal.Checksum(payload))
+	copy(out[spillHeaderBytes:], payload)
+	return out
 }
 
 // TestSpillLoadQuarantines drives loadSpill over an on-disk entry damaged in
@@ -206,5 +218,173 @@ func TestSpillFaultInjection(t *testing.T) {
 				t.Fatal("re-simulated result differs from the original")
 			}
 		})
+	}
+}
+
+// spillWrites reads the count of spill files a cache actually wrote.
+func spillWrites(mt *obs.Metrics) uint64 {
+	return mt.Counter("scaltool_runcache_spill_writes_total", "").Value()
+}
+
+// oneEntryCache is a spilling cache whose budget holds one TinyTest result,
+// with a getter that counts simulations.
+func oneEntryCache(t *testing.T, dir string) (c *Cache, get func(i int) (*sim.Result, bool), runs *int, mt *obs.Metrics) {
+	t.Helper()
+	cfg := machine.TinyTest()
+	mk := func(i int) *sim.Program { return testProg(t, cfg, fmt.Sprintf("app%d", i), 2, 2) }
+	one, err := sim.Run(cfg, mk(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = New(Options{MaxBytes: one.SizeEstimate() + 16, SpillDir: dir})
+	mt = obs.NewMetrics()
+	ctx := obs.NewContext(context.Background(), &obs.Observer{Metrics: mt})
+	runs = new(int)
+	get = func(i int) (*sim.Result, bool) {
+		prog := mk(i)
+		res, hit, err := c.GetOrRun(ctx, cfg, prog, func(ctx context.Context) (*sim.Result, error) {
+			*runs++
+			return sim.RunContext(ctx, cfg, prog)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, hit
+	}
+	return c, get, runs, mt
+}
+
+// TestSpillWriteOnce: an entry reloaded from its spill file and evicted
+// again leaves that file untouched — same inode, same mtime, no temp file —
+// and writes nothing, yet still counts as a spilled eviction.
+func TestSpillWriteOnce(t *testing.T) {
+	dir := t.TempDir()
+	c, get, runs, mt := oneEntryCache(t, dir)
+	get(0)
+	get(1) // evicts 0: written
+	if n := spillWrites(mt); n != 1 {
+		t.Fatalf("%d spill writes after the first eviction, want 1", n)
+	}
+	key0 := KeyFor(machine.TinyTest(), testProg(t, machine.TinyTest(), "app0", 2, 2))
+	path := c.spillPath(key0)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	get(0) // disk hit; evicts 1, a fresh simulation: written
+	// Disk hit; evicts 0, which came from disk: not written.
+	if _, hit := get(1); !hit {
+		t.Fatal("spilled entry 1 not reloaded")
+	}
+	if *runs != 2 {
+		t.Fatalf("%d simulations, want 2 (both reloads from disk)", *runs)
+	}
+	if n := spillWrites(mt); n != 2 {
+		t.Fatalf("%d spill writes, want 2: the reloaded entry was rewritten", n)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
+		t.Fatal("evicting a reloaded entry replaced its spill file")
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "spill-*.tmp")); len(tmps) != 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
+	}
+	spilled := mt.Counter("scaltool_runcache_evictions_total", "", "spilled", "true").Value()
+	unspilled := mt.Counter("scaltool_runcache_evictions_total", "", "spilled", "false").Value()
+	if spilled != 3 || unspilled != 0 {
+		t.Fatalf("evictions spilled=%d unspilled=%d, want 3 and 0", spilled, unspilled)
+	}
+}
+
+// TestSpillRewrittenAfterQuarantine: a reloaded entry whose file is then
+// found damaged is quarantined and re-simulated, and that fresh result is
+// written again on its next eviction.
+func TestSpillRewrittenAfterQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	c, get, runs, mt := oneEntryCache(t, dir)
+	want, _ := get(0)
+	get(1) // evicts 0: written
+	key0 := KeyFor(machine.TinyTest(), testProg(t, machine.TinyTest(), "app0", 2, 2))
+	path := c.spillPath(key0)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-2] ^= 0x10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Quarantined and re-simulated; evicts 1, a fresh simulation: written.
+	if _, hit := get(0); hit {
+		t.Fatal("damaged spill entry served as a hit")
+	}
+	if mt.RuncacheCorrupt("crc").Value() != 1 || *runs != 3 {
+		t.Fatalf("crc detections %d, simulations %d; want 1 and 3", mt.RuncacheCorrupt("crc").Value(), *runs)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("damaged file still at its spill path (err=%v)", err)
+	}
+	writes := spillWrites(mt)
+	get(1) // disk hit; evicts the re-simulated 0: written again
+	if n := spillWrites(mt); n != writes+1 {
+		t.Fatalf("re-simulated entry's eviction made %d spill writes, want 1", n-writes)
+	}
+	got, ok := c.loadSpill(key0, mt)
+	if !ok || !bytes.Equal(encode(t, got), encode(t, want)) {
+		t.Fatal("rewritten spill file does not reload to the original result")
+	}
+}
+
+// TestLegacyJSONSpillIgnored: a <key>.json file in the older SCSPILL1
+// format (JSON payload), as a replica of the previous version sharing the
+// directory would write it, is never opened — the lookup misses without
+// counting corruption, and the file is left as it was.
+func TestLegacyJSONSpillIgnored(t *testing.T) {
+	cfg := machine.TinyTest()
+	prog := testProg(t, cfg, "app", 2, 2)
+	res, err := sim.Run(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := encode(t, res)
+	legacy := reframe(payload)
+	copy(legacy[:8], "SCSPILL1")
+	dir := t.TempDir()
+	key := KeyFor(cfg, prog)
+	legacyPath := filepath.Join(dir, key.String()+".json")
+	if err := os.WriteFile(legacyPath, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := New(Options{MaxBytes: 1 << 20, SpillDir: dir})
+	mt := obs.NewMetrics()
+	ctx := obs.NewContext(context.Background(), &obs.Observer{Metrics: mt})
+	runs := 0
+	got, hit, err := c.GetOrRun(ctx, cfg, prog, func(ctx context.Context) (*sim.Result, error) {
+		runs++
+		return sim.RunContext(ctx, cfg, prog)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit || runs != 1 {
+		t.Fatalf("hit=%v after %d simulations; the legacy file must be a miss", hit, runs)
+	}
+	if !bytes.Equal(encode(t, got), payload) {
+		t.Fatal("re-simulated result differs from the legacy file's")
+	}
+	if n := corruptionCount(mt); n != 0 {
+		t.Fatalf("legacy file counted as %d corruptions", n)
+	}
+	if now, err := os.ReadFile(legacyPath); err != nil || !bytes.Equal(now, legacy) {
+		t.Fatalf("legacy file changed or moved (err=%v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDirName)); !os.IsNotExist(err) {
+		t.Fatalf("quarantine directory appeared (err=%v)", err)
 	}
 }

@@ -186,7 +186,7 @@ func TestCorruptSpillResimulatedByteIdentical(t *testing.T) {
 	if resp1.StatusCode != http.StatusOK {
 		t.Fatalf("first request: %d: %s", resp1.StatusCode, body1)
 	}
-	spills, err := filepath.Glob(filepath.Join(spillDir, "*.json"))
+	spills, err := filepath.Glob(filepath.Join(spillDir, "*.spill"))
 	if err != nil || len(spills) == 0 {
 		t.Fatalf("no spill files produced (err=%v) — cannot exercise integrity path", err)
 	}

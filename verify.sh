@@ -40,6 +40,7 @@ go test -run 'TestChaos|TestPanicIsolation|TestCorruptSpill' -race ./internal/se
 echo "==> fuzz smoke gate (committed seed corpora + 10s of new coverage per target)"
 go test -run '^$' -fuzz FuzzProgramAdmission -fuzztime 10s ./internal/admission/
 go test -run '^$' -fuzz FuzzAnalyzeRequest -fuzztime 10s ./internal/serve/
+go test -run '^$' -fuzz FuzzDecodeSpillFrame -fuzztime 10s ./internal/runcache/
 
 echo "==> serving e2e (scaltoold: bind, concurrent cached analyses, SIGTERM drain; budget flags; atomic trace flush)"
 go test -run 'TestScaltooldServeE2E|TestScaltooldBudgetFlags|TestScaltooldTraceFlush' ./cmd/scaltoold/
