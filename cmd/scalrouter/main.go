@@ -71,7 +71,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		failThresh = fs.Int("failure-threshold", 3, "consecutive hard failures that open a replica's circuit breaker")
 		cooldown   = fs.Duration("breaker-cooldown", 5*time.Second, "open-breaker wait before the half-open probe")
 		fwdTimeout = fs.Duration("forward-timeout", 90*time.Second, "per-attempt forward deadline")
-		hedgeAfter = fs.Duration("hedge-after", 0, "race a second replica if the first is silent this long (0 disables)")
 		heartbeat  = fs.Duration("heartbeat-interval", 250*time.Millisecond, "supervised-child liveness probe period")
 		misses     = fs.Int("heartbeat-misses", 4, "consecutive missed heartbeats before a supervised child is killed")
 		backoff    = fs.Duration("restart-backoff", 100*time.Millisecond, "pause before respawning a dead child")
@@ -88,8 +87,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		addr: *addr, replicas: replicas,
 		spawn: *spawn, scaltoold: *scaltoold, spawnArgs: spawnArgs,
 		probeEvery: *probeEvery, failThresh: *failThresh, cooldown: *cooldown,
-		fwdTimeout: *fwdTimeout, hedgeAfter: *hedgeAfter,
-		heartbeat: *heartbeat, misses: *misses, backoff: *backoff,
+		fwdTimeout: *fwdTimeout, heartbeat: *heartbeat, misses: *misses, backoff: *backoff,
 		grace: *grace, logLevel: *logLevel, logJSON: *logJSON,
 	}, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "scalrouter:", err)
@@ -109,7 +107,6 @@ type routerConfig struct {
 	failThresh int
 	cooldown   time.Duration
 	fwdTimeout time.Duration
-	hedgeAfter time.Duration
 
 	heartbeat time.Duration
 	misses    int
@@ -170,7 +167,6 @@ func run(cfg routerConfig, stdout, stderr io.Writer) error {
 		FailureThreshold: cfg.failThresh,
 		Cooldown:         cfg.cooldown,
 		ForwardTimeout:   cfg.fwdTimeout,
-		HedgeAfter:       cfg.hedgeAfter,
 		Obs:              o,
 	})
 

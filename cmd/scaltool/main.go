@@ -13,7 +13,8 @@
 //
 // Robustness flags (see README's Robustness section): -run-timeout sets the
 // deadline of every run, -fault-spec injects deterministic faults for chaos
-// drills, -health-json writes the machine-readable health report.
+// drills (journal faults into any campaign, report faults into the files
+// measure writes), -health-json writes the machine-readable health report.
 // -journal-dir makes the campaign crash-safe (every run outcome goes
 // through a write-ahead journal before it counts) and -resume continues an
 // interrupted campaign from that journal; -shutdown-grace bounds how long a
@@ -38,6 +39,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -142,7 +144,7 @@ func commonFlags(name string) *common {
 		rawTm:      fs.Bool("raw-tm", false, "paper-faithful single-pass tm(n) (no MP decontamination)"),
 		csv:        fs.Bool("csv", false, "emit CSV instead of aligned tables"),
 		workers:    fs.Int("workers", 0, "concurrent simulated runs (0 = GOMAXPROCS)"),
-		faultSpec:  fs.String("fault-spec", "", "fault-injection spec, e.g. seed=42,noise=0.02,poisonrun=<run id> (chaos drills)"),
+		faultSpec:  fs.String("fault-spec", "", "fault-injection spec for chaos drills: journal keys (crashappend, tornappend, fsyncfail) on any campaign; report keys (e.g. seed=42,noise=0.02,poisonrun=<run id>) on measure only"),
 		runTimeout: fs.Duration("run-timeout", 0, "per-run deadline; a run that blows it fails (0 = none)"),
 		healthJSON: fs.String("health-json", "", "write the machine-readable health report to this file"),
 
@@ -316,7 +318,10 @@ func (c *common) execute(ctx context.Context, rn *campaign.Runner, app apps.App,
 	return rn.ExecuteDurable(ctx, app, plan, opts)
 }
 
-// runner builds the fault-tolerant campaign runner the flags describe.
+// runner builds the fault-tolerant campaign runner the flags describe. The
+// runner honours -fault-spec's journal keys; its report keys perturb report
+// files, which only measure writes, so any other command refuses them
+// rather than silently running a clean campaign.
 func (c *common) runner(cfg machine.Config) (*campaign.Runner, error) {
 	rn := &campaign.Runner{
 		Cfg: cfg, Workers: *c.workers,
@@ -331,6 +336,10 @@ func (c *common) runner(cfg machine.Config) (*campaign.Runner, error) {
 	spec, err := faultinject.ParseSpec(*c.faultSpec)
 	if err != nil {
 		return nil, err
+	}
+	if keys := spec.ReportKeys(); len(keys) > 0 && c.fs.Name() != "measure" {
+		return nil, fmt.Errorf("-fault-spec key %s perturbs report files, which only 'scaltool measure' writes; inject it there and fit the files with 'scaltool fit'",
+			strings.Join(keys, ", "))
 	}
 	if spec.Active() {
 		rn.Inject = faultinject.New(spec)
@@ -607,7 +616,7 @@ func cmdMeasure(args []string) error {
 	if err := res.CloseJournal(); err != nil {
 		return fmt.Errorf("closing campaign journal: %w", err)
 	}
-	nFiles, err := res.SaveReports(*out)
+	nFiles, err := res.SaveReports(*out, rn.Inject)
 	if err != nil {
 		return err
 	}
@@ -626,6 +635,9 @@ func cmdFit(args []string) error {
 	dir := c.fs.String("dir", "scaltool-reports", "directory of counter-report files")
 	if err := c.fs.Parse(args); err != nil {
 		return err
+	}
+	if *c.faultSpec != "" {
+		return fmt.Errorf("-fault-spec: fit injects nothing; write faulted report files with 'scaltool measure -fault-spec'")
 	}
 	cfg, err := c.machine()
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -202,6 +203,37 @@ func TestCmdMeasureAndFit(t *testing.T) {
 	if err := cmdFit([]string{"-dir", t.TempDir()}); err == nil {
 		t.Error("empty dir accepted")
 	}
+
+	// measure honours the report keys: the files it writes carry the
+	// injected noise, and fit still fits them.
+	noisy := t.TempDir()
+	if err := cmdMeasure([]string{"-app", "swim", "-procs", "4", "-out", noisy, "-fault-spec", "seed=3,noise=0.02"}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differ := 0
+	for _, f := range files {
+		clean, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulted, err := os.ReadFile(filepath.Join(noisy, f.Name()))
+		if err != nil {
+			t.Fatalf("faulted directory lacks %s: %v", f.Name(), err)
+		}
+		if !bytes.Equal(clean, faulted) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Error("-fault-spec noise changed no report file")
+	}
+	if err := cmdFit([]string{"-dir", noisy}); err != nil {
+		t.Fatalf("fit of noisy reports: %v", err)
+	}
 }
 
 // TestCLIFlagValidation drives every bad flag combination the run-based
@@ -222,6 +254,12 @@ func TestCLIFlagValidation(t *testing.T) {
 			[]string{"-shutdown-grace", "0s"}, "-shutdown-grace must be positive"},
 		{"negative shutdown grace", cmdAnalyze,
 			[]string{"-shutdown-grace", "-5s"}, "-shutdown-grace must be positive"},
+		{"report fault key on analyze", cmdAnalyze,
+			[]string{"-fault-spec", "seed=1,noise=0.02"}, "key noise perturbs report files, which only 'scaltool measure' writes"},
+		{"report fault keys on whatif", cmdWhatif,
+			[]string{"-fault-spec", "crashappend=3,poisonrun=base_p01_s1,corrupt=0.5"}, "key corrupt, poisonrun perturbs report files"},
+		{"fault spec on fit", cmdFit,
+			[]string{"-dir", t.TempDir(), "-fault-spec", "noise=0.02"}, "fit injects nothing"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -236,11 +274,9 @@ func TestCLIFlagValidation(t *testing.T) {
 	}
 }
 
-// TestCLIResumeRejectsSpentFault prepares a completed journal, then asks for
-// a resume with a -fault-spec that targets a run the journal already records
-// as finished. The fault could never fire, so the CLI must refuse up front
-// rather than run a campaign whose injected failure silently never happens.
-func TestCLIResumeRejectsSpentFault(t *testing.T) {
+// TestCLIResumeCompletedJournal resumes a journal whose campaign already
+// finished: every run is replayed from the journal and the fit reruns.
+func TestCLIResumeCompletedJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a campaign")
 	}
@@ -248,15 +284,6 @@ func TestCLIResumeRejectsSpentFault(t *testing.T) {
 	if err := cmdAnalyze([]string{"-app", "swim", "-procs", "4", "-journal-dir", dir}); err != nil {
 		t.Fatal(err)
 	}
-	err := cmdAnalyze([]string{"-resume", "-journal-dir", dir, "-fault-spec", "poisonrun=ksync_p01_s0"})
-	if err == nil {
-		t.Fatal("resume with a spent fault target accepted")
-	}
-	if !strings.Contains(err.Error(), "never fire") {
-		t.Fatalf("error %q does not explain the fault can never fire", err)
-	}
-	// Without the spent fault the same resume succeeds: everything is
-	// replayed from the journal and the fit reruns.
 	if err := cmdAnalyze([]string{"-resume", "-journal-dir", dir}); err != nil {
 		t.Fatalf("plain resume of a completed journal: %v", err)
 	}

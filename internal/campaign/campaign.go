@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"scaltool/internal/apps"
+	"scaltool/internal/assert"
 	"scaltool/internal/faultinject"
 	"scaltool/internal/health"
 	"scaltool/internal/machine"
@@ -183,9 +184,9 @@ type Result struct {
 	// at (too small for its grid); the model interpolates across them.
 	Skipped []uint64
 
-	// Health records everything the fault-tolerance layer did — repairs,
-	// quarantines, permanent failures. Never nil on a Result returned by
-	// Execute/Run.
+	// Health records the plan's structural notes and every permanently
+	// failed run (plus the quarantines an older binary journaled, on
+	// resume). Never nil on a Result returned by Execute/Run.
 	Health *health.Report
 
 	// Resumed counts the runs Resume restored from the journal instead of
@@ -281,15 +282,16 @@ type Runner struct {
 	// a permanent failure, which aborts the campaign for a critical run and
 	// degrades the fit for any other.
 	RunTimeout time.Duration
-	// Inject, when non-nil, perturbs the campaign with deterministic
-	// faults — the chaos-test hook. Production campaigns leave it nil.
+	// Inject, when non-nil, injects its spec's journal faults (crashappend,
+	// tornappend, fsyncfail) — the kill-resume chaos hook. Its report
+	// faults apply only where report files are written (SaveReports).
+	// Production campaigns leave it nil.
 	Inject *faultinject.Injector
 	// Cache, when non-nil, serves repeated runs from the content-addressed
 	// run cache (internal/runcache) instead of re-simulating: the simulator
 	// is deterministic, so a (machine, program) pair seen before — by this
 	// campaign, an earlier campaign, or a concurrent one sharing the cache —
-	// skips straight to its recorded Result. Report perturbation still
-	// applies to a cached run; only the simulation itself is elided.
+	// skips straight to its recorded Result.
 	Cache *runcache.Cache
 }
 
@@ -319,17 +321,18 @@ func (rn *Runner) Run(app apps.App, plan Plan) (*Result, error) {
 //
 // An observer carried in ctx (internal/obs) sees the campaign: a "campaign"
 // span with one detached "run" lane per job and an "attempt" span per try,
-// counters for runs started/failed/quarantined plus per-severity health
-// findings, an attempt-latency histogram, and structured log lines for
-// every health finding and permanent failure.
+// counters for runs started/failed plus per-severity health findings, an
+// attempt-latency histogram, and structured log lines for every health
+// finding and permanent failure.
 //
 // Execute is the fault-tolerant path: each run gets one attempt under
-// RunTimeout, and every accepted report passes health.Sanitize. A run that
-// fails is dropped and recorded in Result.Health rather than killing the
-// campaign — unless the model cannot fit without it (the uniprocessor base
-// run, the spin kernel), in which case the remaining workers are canceled
-// promptly and Execute returns the critical failure. Canceling ctx stops
-// the campaign the same way.
+// RunTimeout, and every report must pass health.Sanitize untouched (a
+// report that needs sanitizing is a simulator bug and aborts the campaign
+// with a *PanicError). A run that fails is dropped and recorded in
+// Result.Health rather than killing the campaign — unless the model cannot
+// fit without it (the uniprocessor base run, the spin kernel), in which
+// case the remaining workers are canceled promptly and Execute returns the
+// critical failure. Canceling ctx stops the campaign the same way.
 func (rn *Runner) Execute(ctx context.Context, app apps.App, plan Plan) (*Result, error) {
 	return rn.execute(ctx, app, plan, nil)
 }
@@ -453,9 +456,6 @@ dispatch:
 		_ = d.close()
 		return nil, fmt.Errorf("campaign: only %d usable uniprocessor runs (app grid too coarse for the plan)", len(res.UniRuns))
 	}
-	_, repairs, quarantines := res.Health.Counts()
-	span.SetAttr("repairs", repairs)
-	span.SetAttr("quarantines", quarantines)
 	obs.Log(ctx).Info("campaign finished", "app", plan.App, "health", res.Health.Summary())
 	res.dur = d
 	return res, nil
@@ -500,7 +500,7 @@ func criticalJob(j job) bool {
 	return (j.Kind == KindBase && j.Procs == 1) || j.Kind == KindSpin
 }
 
-// run executes one job: build, attempt, sanitize, record. Each job runs on
+// run executes one job: build, attempt, check, record. Each job runs on
 // its own detached trace lane (workers interleave) with the run identity
 // threaded into the context's logger.
 func (ex *executor) run(ctx context.Context, j job) {
@@ -610,38 +610,20 @@ func (ex *executor) attempt(ctx context.Context, j job, key runcache.Key, rcp re
 	return out, nil
 }
 
-// accept perturbs (under injection), sanitizes, and records a successful
-// run. A report that fails sanitization is quarantined, not recorded.
+// accept checks and records a successful run. The simulator's reports are
+// not untrusted input: one that health.Sanitize would repair or quarantine
+// is a simulator bug, so it fails loudly (the worker's recover turns the
+// panic into a *PanicError) rather than being patched. Sanitizing and
+// quarantine belong where untrusted reports enter: the report-file loader.
 func (ex *executor) accept(ctx context.Context, j job, out *sim.Result) {
-	rep := &out.Report
-	if ex.rn.Inject != nil {
-		rep, _ = ex.rn.Inject.PerturbReport(j.id, rep)
+	if _, findings := health.Sanitize(j.id, &out.Report, MinCPI(ex.rn.Cfg)); len(findings) > 0 {
+		assert.Failf("campaign: run %s: simulator report fails sanitization: %s", j.id, findings[0])
 	}
-	clean, findings := health.Sanitize(j.id, rep, ex.rn.minCPI())
-	ex.res.Health.Add(findings...)
-	logFindings(ctx, findings)
-	if health.ShouldQuarantine(findings) {
-		ev := runEvent(evQuarantine, j)
-		ev.Findings = findings
-		if !ex.journal(ctx, ev) {
-			return
-		}
-		ex.res.Health.AddQuarantine(j.id)
-		if mt := obs.Meter(ctx); mt != nil {
-			mt.Counter("scaltool_campaign_runs_quarantined_total", "campaign runs whose reports failed sanitization").Inc()
-		}
-		if criticalJob(j) {
-			ex.critical(fmt.Errorf("campaign: critical run %s quarantined; the model cannot fit without it", j.id))
-		}
-		return
-	}
-	out.Report = *clean
-	// WAL discipline: the sanitized report reaches the journal before the
-	// Result. The journaled report is byte-complete — replaying it on resume
-	// reproduces the exact model inputs this run contributed.
+	// WAL discipline: the report reaches the journal before the Result. The
+	// journaled report is byte-complete — replaying it on resume reproduces
+	// the exact model inputs this run contributed.
 	ev := runEvent(evDone, j)
-	ev.Report = clean
-	ev.Findings = findings
+	ev.Report = &out.Report
 	if !ex.journal(ctx, ev) {
 		return
 	}
@@ -731,11 +713,11 @@ func (ex *executor) critical(err error) {
 	ex.cancel()
 }
 
-// minCPI is the quarantine floor for health.Sanitize: half the cheapest
-// per-instruction cost the machine can sustain.
-func (rn *Runner) minCPI() float64 {
-	m := rn.Cfg.Cost.ComputeCPI
-	if c := rn.Cfg.Cost.L1HitCPI; c > 0 && c < m {
+// MinCPI is the floor health.Sanitize holds a machine's reports to: half
+// the cheapest per-instruction cost the machine can sustain.
+func MinCPI(cfg machine.Config) float64 {
+	m := cfg.Cost.ComputeCPI
+	if c := cfg.Cost.L1HitCPI; c > 0 && c < m {
 		m = c
 	}
 	return m / 2

@@ -39,15 +39,14 @@ func resumePlan(t *testing.T) (apps.App, Plan) {
 	return app, plan
 }
 
-// resumeRunner builds the sweep's runner: seeded counter noise everywhere so
-// replayed reports must carry the exact perturbed bytes, plus one journal
+// resumeRunner builds the sweep's runner, injecting the spec's journal
 // fault at the sweep's current point.
 func resumeRunner(spec faultinject.Spec) *Runner {
 	return &Runner{Cfg: cfg(), Inject: faultinject.New(spec)}
 }
 
 func baseResumeSpec() faultinject.Spec {
-	return faultinject.Spec{Seed: 42, Noise: 0.02}
+	return faultinject.Spec{Seed: 42}
 }
 
 func fitBreakdown(t *testing.T, res *Result) []model.BreakdownPoint {

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -15,21 +18,48 @@ import (
 	"scaltool/internal/health"
 	"scaltool/internal/model"
 	"scaltool/internal/obs"
+	"scaltool/internal/sim"
 )
 
 // chaosTolerance bounds how far each breakdown component of a faulted
-// campaign may drift from the clean campaign's, as a fraction of the clean
-// Base at that processor count. 2% multiplexing noise scaled by the
-// two-counter sampling share (×√3 for 8 events) perturbs the miss counters
-// by ~3.5%, and the quarantined uniprocessor point forces one coherence
-// interpolation, so the bound is deliberately looser than the noise floor.
+// report directory's fit may drift from the clean campaign's, as a fraction
+// of the clean Base at that processor count. 2% multiplexing noise scaled
+// by the two-counter sampling share (×√3 for 8 events) perturbs the miss
+// counters by ~3.5%, and the quarantined uniprocessor point forces one
+// coherence interpolation, so the bound is deliberately looser than the
+// noise floor.
 const chaosTolerance = 0.10
 
-// TestChaosRoundTrip is the end-to-end fault drill: a campaign under seeded
-// injection — counter noise everywhere, one poisoned (quarantined) run, one
-// repairable skew — must complete via degraded fitting, report every
-// repair and quarantine in the health report, and produce a breakdown
-// within chaosTolerance of the clean campaign's.
+// fileID is the run identity of a result's report file: its RunID at the
+// achieved data-set size, the name SaveReports writes and fault specs target.
+func fileID(kind string, r *sim.Result) string {
+	return RunID(kind, r.Report.Procs, r.Report.DataBytes)
+}
+
+// readDirBytes maps every file name in dir to its contents.
+func readDirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
+	}
+	return out
+}
+
+// TestChaosRoundTrip is the end-to-end fault drill at the boundary where
+// untrusted reports enter: a campaign's report files written under seeded
+// injection — counter noise everywhere, one poisoned (quarantined) file,
+// one repairable skew — must load and fit via degraded fitting, report
+// every repair and quarantine in the health report, and produce a
+// breakdown within chaosTolerance of the clean campaign's.
 func TestChaosRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three campaigns")
@@ -40,40 +70,52 @@ func TestChaosRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := model.DefaultOptions(c.L2.SizeBytes)
 
 	clean, err := (&Runner{Cfg: c}).Run(app, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanModel, err := clean.Fit(model.DefaultOptions(c.L2.SizeBytes))
+	cleanModel, err := clean.Fit(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	poisonID := RunID("uni", 1, plan.UniSizes[1])
-	skewID := RunID("base", 2, plan.S0)
+	// Poison the second-largest fractional uniprocessor file and skew the
+	// 2-processor base file.
+	var uni []uint64
+	for s, r := range clean.UniRuns {
+		if r != clean.BaseRuns[1] {
+			uni = append(uni, s)
+		}
+	}
+	sort.Slice(uni, func(i, k int) bool { return uni[i] > uni[k] })
+	poisonID := fileID("uni", clean.UniRuns[uni[1]])
+	skewID := fileID("base", clean.BaseRuns[2])
 	spec := faultinject.Spec{
 		Seed:       42,
 		Noise:      0.02,
 		PoisonRuns: []string{poisonID},
 		SkewRuns:   []string{skewID},
 	}
-	faulted := func(workers int) (*Result, *model.Model) {
-		rn := &Runner{Cfg: c, Workers: workers, Inject: faultinject.New(spec)}
-		res, err := rn.Run(app, plan)
+	faulted := func(workers int) (string, *health.Report, *model.Model) {
+		res, err := (&Runner{Cfg: c, Workers: workers}).Run(app, plan)
 		if err != nil {
-			t.Fatalf("faulted campaign (workers=%d) did not survive: %v", workers, err)
+			t.Fatalf("campaign (workers=%d): %v", workers, err)
 		}
-		m, err := res.Fit(model.DefaultOptions(c.L2.SizeBytes))
+		dir := t.TempDir()
+		if _, err := res.SaveReports(dir, faultinject.New(spec)); err != nil {
+			t.Fatal(err)
+		}
+		m, hr, err := FitDirTolerantContext(context.Background(), dir, opts)
 		if err != nil {
-			t.Fatalf("faulted fit (workers=%d): %v", workers, err)
+			t.Fatalf("faulted fit (workers=%d) did not survive: %v", workers, err)
 		}
-		return res, m
+		return dir, hr, m
 	}
-	res, m := faulted(1)
+	dir, hr, m := faulted(1)
 
 	// The health report enumerates what happened, by run identity.
-	hr := res.Health
 	if got := hr.Quarantined; len(got) != 1 || got[0] != poisonID {
 		t.Errorf("quarantined %v, want [%s]", got, poisonID)
 	}
@@ -90,7 +132,7 @@ func TestChaosRoundTrip(t *testing.T) {
 		t.Errorf("unexpected permanent failures: %v", hr.Failed)
 	}
 	if hr.Clean() {
-		t.Error("health report claims a clean campaign")
+		t.Error("health report claims a clean load")
 	}
 
 	// The fit knows it ran degraded and which run it lost.
@@ -120,25 +162,27 @@ func TestChaosRoundTrip(t *testing.T) {
 		comp("Imb", cb[i].Imb, fb[i].Imb)
 	}
 
-	// Same seed, different worker count: identical faults, identical health
-	// trace, identical breakdown — chaos is reproducible.
-	res2, m2 := faulted(4)
-	hr2 := res2.Health
-	if !reflect.DeepEqual(hr.Findings, hr2.Findings) {
-		t.Errorf("findings differ across worker counts:\n%v\nvs\n%v", hr.Findings, hr2.Findings)
+	// Same seed, different worker count: byte-identical report directories,
+	// identical health reports, identical breakdown — chaos is reproducible.
+	dir4, hr4, m4 := faulted(4)
+	if !reflect.DeepEqual(readDirBytes(t, dir), readDirBytes(t, dir4)) {
+		t.Error("faulted report directories differ across worker counts")
 	}
-	if !reflect.DeepEqual(hr.Quarantined, hr2.Quarantined) {
-		t.Errorf("quarantine lists differ: %v vs %v", hr.Quarantined, hr2.Quarantined)
+	if !reflect.DeepEqual(hr.Findings, hr4.Findings) {
+		t.Errorf("findings differ across worker counts:\n%v\nvs\n%v", hr.Findings, hr4.Findings)
 	}
-	if !reflect.DeepEqual(m.Breakdown(), m2.Breakdown()) {
+	if !reflect.DeepEqual(hr.Quarantined, hr4.Quarantined) {
+		t.Errorf("quarantine lists differ: %v vs %v", hr.Quarantined, hr4.Quarantined)
+	}
+	if !reflect.DeepEqual(m.Breakdown(), m4.Breakdown()) {
 		t.Error("breakdowns differ across worker counts under identical faults")
 	}
 }
 
-// TestChaosCriticalRunKillsCampaign checks that losing a run the model
-// cannot fit without — here the uniprocessor base run, poisoned into
-// quarantine — cancels the campaign promptly instead of producing a
-// silently unusable result.
+// TestChaosCriticalRunKillsCampaign checks that losing a report the model
+// cannot fit without — here the uniprocessor base run's file, poisoned into
+// quarantine — makes the fit refuse with model.ErrInsufficientInputs, naming
+// the run, instead of producing a silently unusable model.
 func TestChaosCriticalRunKillsCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign")
@@ -149,20 +193,23 @@ func TestChaosCriticalRunKillsCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	critical := RunID("base", 1, plan.S0)
-	rn := &Runner{
-		Cfg:    c,
-		Inject: faultinject.New(faultinject.Spec{Seed: 7, PoisonRuns: []string{critical}}),
+	res, err := (&Runner{Cfg: c}).Run(app, plan)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := rn.Run(app, plan)
-	if err == nil {
-		t.Fatal("campaign succeeded without its critical run")
+	critical := fileID("base", res.BaseRuns[1])
+	dir := t.TempDir()
+	in := faultinject.New(faultinject.Spec{Seed: 7, PoisonRuns: []string{critical}})
+	if _, err := res.SaveReports(dir, in); err != nil {
+		t.Fatal(err)
 	}
-	if res != nil {
-		t.Error("aborted campaign returned a Result")
+	m, hr, err := FitDirTolerantContext(context.Background(), dir, model.DefaultOptions(c.L2.SizeBytes))
+	if err == nil || m != nil {
+		t.Fatalf("fit succeeded without its critical run: m=%v err=%v", m, err)
 	}
-	if !strings.Contains(err.Error(), critical) || !strings.Contains(err.Error(), "quarantined") {
-		t.Errorf("error %q does not name the quarantined critical run %s", err, critical)
+	assertInsufficientRoundTrip(t, err, []string{critical})
+	if got := hr.Quarantined; len(got) != 1 || got[0] != critical {
+		t.Errorf("quarantined %v, want [%s]", got, critical)
 	}
 }
 

@@ -24,16 +24,18 @@ import (
 // by the chaos tests) is that crash + resume produces a byte-identical model
 // breakdown to an uninterrupted campaign.
 //
-// WAL discipline: a run's terminal event (done/skip/quarantine/fail) is
-// appended to the journal BEFORE the run is recorded in the Result. If the
-// append fails the run is not recorded and the campaign aborts; on resume
-// the run simply executes again, and because every campaign decision is a
-// pure function of (spec, run identity), re-execution reproduces the
-// identical report. Attempt events are journaled for forensics; in-flight
-// runs (an attempt event but no terminal event) simply run again on resume.
+// WAL discipline: a run's terminal event (done/skip/fail) is appended to
+// the journal BEFORE the run is recorded in the Result. If the append fails
+// the run is not recorded and the campaign aborts; on resume the run simply
+// executes again, and because the simulator is deterministic, re-execution
+// reproduces the identical report. Attempt events are journaled for
+// forensics; in-flight runs (an attempt event but no terminal event) simply
+// run again on resume.
 //
 // Replay ignores event types it does not know, so journals written by
-// earlier versions resume: their "retry" events are skipped, and the start
+// earlier versions resume: their "retry" events are skipped, their
+// "quarantine" events (written when the campaign still sanitized simulator
+// reports) restore the same health report and dropped runs, and the start
 // event's fault spec — which may name fault keys that no longer parse — is
 // stored, never re-parsed.
 
@@ -41,9 +43,9 @@ import (
 const (
 	evStart      = "start"      // campaign identity: app, machine, plan, fault spec
 	evAttempt    = "attempt"    // one run began
-	evDone       = "done"       // run accepted; Report is the sanitized counter report
+	evDone       = "done"       // run accepted; Report is its counter report
 	evSkip       = "skip"       // uniprocessor size below the app's grid
-	evQuarantine = "quarantine" // report failed sanitization
+	evQuarantine = "quarantine" // report failed sanitization (older binaries; replayed, never written)
 	evFail       = "fail"       // run dropped after a permanent failure
 	evFit        = "fit"        // model fitted from this campaign's measurements
 )
@@ -229,9 +231,7 @@ func (rn *Runner) ExecuteDurable(ctx context.Context, app apps.App, plan Plan, o
 // campaign: runs with a journaled terminal event are restored without
 // re-execution (Result.Resumed counts them), and in-flight runs and
 // everything not yet started run normally. The runner's machine must match
-// the journaled campaign's, and a fault spec that targets an
-// already-completed run is refused — the fault could no longer fire, which
-// would silently weaken a chaos experiment.
+// the journaled campaign's.
 func (rn *Runner) Resume(ctx context.Context, opts DurableOptions) (*Result, error) {
 	d, err := rn.openDurable(ctx, opts)
 	if err != nil {
@@ -255,14 +255,6 @@ func (rn *Runner) Resume(ctx context.Context, opts DurableOptions) (*Result, err
 		_ = d.close()
 		return nil, fmt.Errorf("campaign: journal %s was recorded on machine %q, runner is configured for %q",
 			opts.Dir, st.Machine, rn.Cfg.Name)
-	}
-	if rn.Inject != nil {
-		for _, id := range rn.Inject.Spec().TargetedRuns() {
-			if ev, ok := d.terminal[id]; ok {
-				_ = d.close()
-				return nil, fmt.Errorf("campaign: fault-spec targets run %s, but the journal already records it as %s; the fault can never fire", id, ev.Type)
-			}
-		}
 	}
 	return rn.execute(ctx, app, *st.Plan, d)
 }

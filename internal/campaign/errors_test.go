@@ -8,21 +8,24 @@ import (
 	"testing"
 
 	"scaltool/internal/apps"
+	"scaltool/internal/counters"
 	"scaltool/internal/faultinject"
 	"scaltool/internal/model"
+	"scaltool/internal/runcache"
+	"scaltool/internal/sim"
 )
 
 // These are the error round-trip drills: an insufficient-input fit refusal
-// produced by the campaign's quarantine path must keep satisfying
+// produced by the report loader's quarantine path must keep satisfying
 // errors.Is(err, model.ErrInsufficientInputs) AND surrender its typed
 // Degradation record to errors.As, no matter how many fmt.Errorf("%w")
 // layers the CLI or file loaders stack on top. Wrapping must never silently
 // break the contract.
 
-// TestInsufficientInputsRoundTrip runs a campaign whose every sync-kernel
-// run is poisoned into quarantine. The campaign completes — sync kernels
-// are not critical — but the fit must refuse, and the refusal must carry
-// exactly the quarantined run identities.
+// TestInsufficientInputsRoundTrip writes a campaign's report files with
+// every sync-kernel report poisoned. The directory still loads — sync
+// kernels are not critical — but the fit must refuse, and the refusal must
+// carry exactly the quarantined run identities.
 func TestInsufficientInputsRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a campaign")
@@ -35,22 +38,25 @@ func TestInsufficientInputsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poisoned := make([]string, 0, len(plan.ProcCounts))
-	for _, p := range plan.ProcCounts {
-		poisoned = append(poisoned, RunID("ksync", p, 0))
-	}
-	rn := &Runner{
-		Cfg:    cfg(),
-		Inject: faultinject.New(faultinject.Spec{Seed: 11, PoisonRuns: poisoned}),
-	}
-	res, err := rn.Execute(context.Background(), app, plan)
+	res, err := (&Runner{Cfg: cfg()}).Execute(context.Background(), app, plan)
 	if err != nil {
-		t.Fatalf("campaign with quarantined sync kernels must still complete: %v", err)
+		t.Fatal(err)
+	}
+	poisoned := make([]string, 0, len(res.SyncKernels))
+	for _, k := range res.SyncKernels {
+		poisoned = append(poisoned, fileID("ksync", k))
+	}
+	dir := t.TempDir()
+	if _, err := res.SaveReports(dir, faultinject.New(faultinject.Spec{Seed: 11, PoisonRuns: poisoned})); err != nil {
+		t.Fatal(err)
 	}
 
-	_, err = res.Fit(model.DefaultOptions(cfg().L2.SizeBytes))
+	_, hr, err := FitDirTolerantContext(context.Background(), dir, model.DefaultOptions(cfg().L2.SizeBytes))
 	if err == nil {
 		t.Fatal("fit succeeded without any sync-kernel run")
+	}
+	if len(hr.Quarantined) != len(poisoned) {
+		t.Fatalf("quarantined %v, want the %d sync kernels %v", hr.Quarantined, len(poisoned), poisoned)
 	}
 	assertInsufficientRoundTrip(t, err, poisoned)
 
@@ -108,5 +114,52 @@ func TestInsufficientInputsTypedFromModel(t *testing.T) {
 	}
 	if !errors.Is(ie, model.ErrInsufficientInputs) {
 		t.Fatal("typed refusal does not unwrap to the sentinel")
+	}
+}
+
+// TestImplausibleSimulatorReportPanics plants a result whose report fails
+// health.Sanitize under a job's run-cache key. The campaign no longer
+// repairs or quarantines simulator reports: it must abort with a
+// *PanicError that names the run and the failed check.
+func TestImplausibleSimulatorReportPanics(t *testing.T) {
+	app, err := apps.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewPlan(app, cfg(), 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn := &Runner{Cfg: cfg(), Cache: runcache.New(runcache.Options{})}
+	j := job{Job: Job{Kind: KindBase, Procs: 2, Size: plan.S0}}
+	j.id = RunID(j.Kind.String(), j.Procs, j.Size)
+	ctx := context.Background()
+	ex := &executor{rn: rn, app: app}
+	key, _, err := ex.program(ctx, ex.recipe(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := &sim.Result{Procs: 2, DataBytes: plan.S0, Report: counters.RunReport{
+		Procs: 2, DataBytes: plan.S0, PerProc: make([]counters.Set, 2), WallCycles: 1000,
+	}}
+	for p := range planted.Report.PerProc {
+		planted.Report.PerProc[p][counters.Cycles] = 1000
+		planted.Report.PerProc[p][counters.GradInstr] = 500
+	}
+	planted.Report.PerProc[1][counters.GradInstr] = 0 // proc 1 graduated nothing
+	if _, _, err := rn.Cache.GetOrRunKey(ctx, key, func(context.Context) (*sim.Result, error) {
+		return planted, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := rn.Execute(ctx, app, plan)
+	var pe *PanicError
+	if !errors.As(err, &pe) || res != nil {
+		t.Fatalf("campaign over an implausible report: res=%v err=%v, want a *PanicError", res, err)
+	}
+	msg := fmt.Sprint(pe.Value)
+	if pe.Run != j.id || !strings.Contains(msg, j.id) || !strings.Contains(msg, "instructions") {
+		t.Fatalf("panic names run %q with %q; want run %s and the failed check \"instructions\"", pe.Run, msg, j.id)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"scaltool/internal/counters"
+	"scaltool/internal/faultinject"
 	"scaltool/internal/health"
 	"scaltool/internal/model"
 	"scaltool/internal/obs"
@@ -28,23 +29,28 @@ func fileName(kind string, procs int, size uint64) string {
 }
 
 // SaveReports writes every counter report of the campaign into dir (created
-// if needed). It returns the number of files written.
-func (r *Result) SaveReports(dir string) (int, error) {
+// if needed). It returns the number of files written. A non-nil injector
+// applies its report faults on the way out — each report through
+// PerturbReport, keyed by its file's run identity, and its bytes through
+// MangleFile — since report files are where untrusted measurements enter
+// the model; nil writes the reports as measured.
+func (r *Result) SaveReports(dir string, in *faultinject.Injector) (int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
 	}
 	n := 0
 	write := func(kind string, rep *counters.RunReport) error {
-		path := filepath.Join(dir, fileName(kind, rep.Procs, rep.DataBytes))
-		f, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("campaign: saving report for %s: %w", rep.Ident(), err)
+		name := fileName(kind, rep.Procs, rep.DataBytes)
+		if in != nil {
+			rep, _ = in.PerturbReport(strings.TrimSuffix(name, ".json"), rep)
 		}
-		if err := rep.WriteJSON(f); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("campaign: writing %s: %w", path, err)
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			return fmt.Errorf("campaign: encoding report for %s: %w", rep.Ident(), err)
 		}
-		if err := f.Close(); err != nil {
+		data, _ := in.MangleFile(name, buf.Bytes())
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			return fmt.Errorf("campaign: writing %s: %w", path, err)
 		}
 		n++

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"scaltool/internal/apps"
 	"scaltool/internal/counters"
+	"scaltool/internal/health"
 	"scaltool/internal/model"
 )
 
@@ -31,7 +33,7 @@ func TestSaveLoadFitRoundTrip(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	nFiles, err := res.SaveReports(dir)
+	nFiles, err := res.SaveReports(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestLoadInputsTolerant(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := res.SaveReports(dir); err != nil {
+	if _, err := res.SaveReports(dir, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -254,5 +256,74 @@ func TestTolerantLoadDegenerateDirs(t *testing.T) {
 	}
 	if _, _, quarantines := hr.Counts(); quarantines != len(casualties) {
 		t.Fatalf("health report lost the quarantines: %s", hr.Summary())
+	}
+}
+
+// writeL2Report writes a one-processor report file whose L2 misses sit at
+// l2PerL1 times its L1 misses, and returns the file's run identity.
+func writeL2Report(t *testing.T, dir string, l2PerL1 float64) string {
+	t.Helper()
+	rep := &counters.RunReport{
+		Machine: "m", App: "swim", Procs: 1, DataBytes: 1 << 16,
+		PerProc: make([]counters.Set, 1), WallCycles: 1_000_000,
+	}
+	s := &rep.PerProc[0]
+	s[counters.Cycles] = 1_000_000
+	s[counters.GradInstr] = 400_000
+	s[counters.GradLoads] = 100_000
+	s[counters.GradStores] = 20_000
+	s[counters.L1DMisses] = 10_000
+	s[counters.L2Misses] = uint64(l2PerL1 * 10_000)
+	id := RunID("uni", 1, rep.DataBytes)
+	f, err := os.Create(filepath.Join(dir, id+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := rep.WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// loadL2Findings loads a directory holding one report and returns the
+// health report (the directory has no spin kernel, so the load itself ends
+// in an insufficiency).
+func loadL2Findings(t *testing.T, dir string) *health.Report {
+	t.Helper()
+	_, hr, err := LoadInputsTolerantContext(context.Background(), dir)
+	if !errors.Is(err, model.ErrInsufficientInputs) {
+		t.Fatalf("load without a spin kernel: %v", err)
+	}
+	return hr
+}
+
+// TestLoaderRepairsL2SkewInsideBand: a report file whose L2 misses exceed
+// its L1 misses by 5% — what the skewrun fault writes, inside health's 15%
+// repair band — is repaired by the sanitizer, not quarantined as unreadable.
+func TestLoaderRepairsL2SkewInsideBand(t *testing.T) {
+	dir := t.TempDir()
+	id := writeL2Report(t, dir, 1.05)
+	hr := loadL2Findings(t, dir)
+	if len(hr.Quarantined) != 0 {
+		t.Fatalf("in-band L2 skew quarantined: %v (%v)", hr.Quarantined, hr.Findings)
+	}
+	if len(hr.Findings) != 1 || hr.Findings[0].Run != id || hr.Findings[0].Check != "l2-misses" ||
+		hr.Findings[0].Severity != health.Repair {
+		t.Fatalf("findings %v, want one l2-misses repair of %s", hr.Findings, id)
+	}
+}
+
+// TestLoaderQuarantinesL2SkewPastBand: L2 misses at 1.5× the L1 misses are
+// no multiplexing noise; the sanitizer quarantines the report.
+func TestLoaderQuarantinesL2SkewPastBand(t *testing.T) {
+	dir := t.TempDir()
+	id := writeL2Report(t, dir, 1.5)
+	hr := loadL2Findings(t, dir)
+	if !reflect.DeepEqual(hr.Quarantined, []string{id}) {
+		t.Fatalf("quarantined %v, want [%s]", hr.Quarantined, id)
+	}
+	if len(hr.Findings) != 1 || hr.Findings[0].Check != "l2-misses" || hr.Findings[0].Severity != health.Quarantine {
+		t.Fatalf("findings %v, want one l2-misses quarantine", hr.Findings)
 	}
 }

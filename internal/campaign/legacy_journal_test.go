@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"scaltool/internal/apps"
+	"scaltool/internal/health"
 	"scaltool/internal/journal"
+	"scaltool/internal/model"
 	"scaltool/internal/obs"
 )
 
@@ -225,5 +227,107 @@ func TestLegacyLayoutRefused(t *testing.T) {
 				t.Fatalf("refused directory changed:\n got %q\nwant %q", got, files)
 			}
 		})
+	}
+}
+
+// TestResumeLegacyQuarantineJournal resumes journals written when the
+// campaign still sanitized simulator reports, so a run could end in a
+// "quarantine" event instead of "done". Resume must restore the health
+// report and dropped runs that binary reported, and a quarantined critical
+// run must still abort the resume.
+func TestResumeLegacyQuarantineJournal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a campaign")
+	}
+	app, plan := resumePlan(t)
+	refDir := t.TempDir()
+	res, err := (&Runner{Cfg: cfg()}).ExecuteDurable(context.Background(), app, plan, DurableOptions{Dir: refDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	j, open, err := journal.Open(refDir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// legacy copies the reference journal, with run's done event replaced
+	// by the quarantine record an older binary wrote for a poisoned report.
+	legacy := func(run string) (dir string, finding health.Finding, terminal int) {
+		finding = health.Finding{Run: run, Check: "instructions", Severity: health.Quarantine,
+			Detail: "proc 0 graduated no instructions"}
+		dir = t.TempDir()
+		lj, _, err := journal.Open(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replaced := false
+		for _, rec := range open.Tail {
+			data := rec.Data
+			var ev event
+			if err := json.Unmarshal(data, &ev); err != nil {
+				t.Fatal(err)
+			}
+			switch ev.Type {
+			case evDone, evSkip, evFail:
+				terminal++
+			}
+			if ev.Type == evDone && ev.Run == run {
+				data = []byte(fmt.Sprintf(`{"type":"quarantine","run":%q,"kind":%q,"procs":%d,"size":%d,`+
+					`"findings":[{"run":%q,"check":%q,"severity":"quarantine","detail":%q}]}`,
+					run, ev.Kind, ev.Procs, ev.Size, run, finding.Check, finding.Detail))
+				replaced = true
+			}
+			if _, err := lj.Append(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lj.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !replaced {
+			t.Fatalf("reference journal has no done event for %s", run)
+		}
+		return dir, finding, terminal
+	}
+
+	dropped := RunID("ksync", 2, 0)
+	dir, finding, terminal := legacy(dropped)
+	resumed, err := (&Runner{Cfg: cfg()}).Resume(context.Background(), DurableOptions{Dir: dir})
+	if err != nil {
+		t.Fatalf("resuming a journal with a quarantine event: %v", err)
+	}
+	defer resumed.CloseJournal()
+	if resumed.Resumed != terminal {
+		t.Errorf("resumed %d runs, the journal holds %d terminal events", resumed.Resumed, terminal)
+	}
+	if got := resumed.Health.Quarantined; !reflect.DeepEqual(got, []string{dropped}) {
+		t.Errorf("Health.Quarantined = %v, want [%s]", got, dropped)
+	}
+	found := false
+	for _, f := range resumed.Health.Findings {
+		found = found || f == finding
+	}
+	if !found {
+		t.Errorf("replayed health report lost the journaled finding %v: %v", finding, resumed.Health.Findings)
+	}
+	m, err := resumed.Fit(model.DefaultOptions(cfg().L2.SizeBytes))
+	if err != nil {
+		t.Fatalf("fit after replayed quarantine: %v", err)
+	}
+	if got := m.Degradation.DroppedRuns; !reflect.DeepEqual(got, []string{dropped}) {
+		t.Errorf("Degradation.DroppedRuns = %v, want [%s]", got, dropped)
+	}
+
+	critical := RunID("base", 1, plan.S0)
+	dir, _, _ = legacy(critical)
+	if _, err := (&Runner{Cfg: cfg()}).Resume(context.Background(), DurableOptions{Dir: dir}); err == nil ||
+		!strings.Contains(err.Error(), critical) || !strings.Contains(err.Error(), "quarantined") {
+		t.Fatalf("resume over a quarantined critical run: %v, want an abort naming %s", err, critical)
 	}
 }

@@ -136,12 +136,19 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadJSONRejectsGarbage: ReadJSON refuses what does not decode, and
+// only that. A well-formed but implausible report decodes; Validate (and, at
+// the file boundary, health.Sanitize) is what refuses it.
 func TestReadJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSON(bytes.NewBufferString("{")); err == nil {
 		t.Error("truncated JSON accepted")
 	}
-	if _, err := ReadJSON(bytes.NewBufferString(`{"procs":0}`)); err == nil {
-		t.Error("invalid report accepted")
+	rep, err := ReadJSON(bytes.NewBufferString(`{"procs":0}`))
+	if err != nil {
+		t.Fatalf("well-formed report refused: %v", err)
+	}
+	if rep.Validate() == nil {
+		t.Error("zero-processor report validates")
 	}
 }
 

@@ -1,20 +1,26 @@
-package counters
+package counters_test
 
 import (
 	"bytes"
 	"testing"
+
+	"scaltool/internal/counters"
+	"scaltool/internal/health"
 )
 
-// FuzzReadJSON checks the report parser never panics and that anything it
-// accepts passes validation and round-trips.
+// FuzzReadJSON checks the file-boundary contract: ReadJSON only decodes,
+// and health.Sanitize is the one plausibility check. The parser never
+// panics; anything it accepts passes through Sanitize without panicking
+// and round-trips; and any report Sanitize does not quarantine — repaired
+// or not — passes Validate, the simulator's own strict check.
 func FuzzReadJSON(f *testing.F) {
 	var buf bytes.Buffer
-	r := &RunReport{
+	r := &counters.RunReport{
 		Machine: "m", App: "a", Procs: 1, DataBytes: 64,
-		PerProc: make([]Set, 1), WallCycles: 10,
+		PerProc: make([]counters.Set, 1), WallCycles: 10,
 	}
-	r.PerProc[0].Add(Cycles, 10)
-	r.PerProc[0].Add(GradInstr, 8)
+	r.PerProc[0].Add(counters.Cycles, 10)
+	r.PerProc[0].Add(counters.GradInstr, 8)
 	if err := r.WriteJSON(&buf); err != nil {
 		f.Fatal(err)
 	}
@@ -34,35 +40,41 @@ func FuzzReadJSON(f *testing.F) {
 	// A wrapped 32-bit counter: cycles far below wall_cycles by a whole
 	// number of 2^32 wraps. Structurally valid — the parser accepts it and
 	// health.Sanitize (not this package) is responsible for the repair.
-	wrapped := &RunReport{
+	wrapped := &counters.RunReport{
 		Machine: "m", App: "a", Procs: 1, DataBytes: 64,
-		PerProc: make([]Set, 1), WallCycles: (uint64(3) << 32) + 12345,
+		PerProc: make([]counters.Set, 1), WallCycles: (uint64(3) << 32) + 12345,
 	}
-	wrapped.PerProc[0].Add(Cycles, 12345)
-	wrapped.PerProc[0].Add(GradInstr, 8)
+	wrapped.PerProc[0].Add(counters.Cycles, 12345)
+	wrapped.PerProc[0].Add(counters.GradInstr, 8)
 	var wbuf bytes.Buffer
 	if err := wrapped.WriteJSON(&wbuf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(wbuf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rep, err := ReadJSON(bytes.NewReader(data))
+		rep, err := counters.ReadJSON(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if err := rep.Validate(); err != nil {
-			t.Fatalf("accepted report fails validation: %v", err)
+		for _, minCPI := range []float64{0, 0.25} {
+			clean, findings := health.Sanitize("fuzz", rep, minCPI)
+			if health.ShouldQuarantine(findings) {
+				continue
+			}
+			if err := clean.Validate(); err != nil {
+				t.Fatalf("report Sanitize kept (findings %v) fails validation: %v", findings, err)
+			}
 		}
 		var out bytes.Buffer
 		if err := rep.WriteJSON(&out); err != nil {
 			t.Fatalf("accepted report cannot serialize: %v", err)
 		}
-		rep2, err := ReadJSON(&out)
+		rep2, err := counters.ReadJSON(&out)
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
-		if rep2.Total() != rep.Total() {
-			t.Fatal("round trip changed the counters")
+		if rep2.Procs != rep.Procs || len(rep2.PerProc) != len(rep.PerProc) || rep2.Total() != rep.Total() {
+			t.Fatal("round trip changed the report")
 		}
 	})
 }

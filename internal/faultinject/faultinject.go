@@ -7,6 +7,12 @@
 // survive all of that, and a reproducible chaos test has to inject it on
 // demand.
 //
+// Each fault is injected where its real counterpart arises. Report faults
+// (PerturbReport, MangleFile) apply where report files are written, the
+// boundary at which untrusted measurements enter the model; MangleFile
+// also damages run-cache spill files; journal faults (JournalAppend,
+// JournalSync) apply to the campaign's write-ahead journal.
+//
 // Run failures are not injected: runs come from a deterministic simulator,
 // so the transient crashes and hangs of a real machine cannot happen, and a
 // campaign gives each run a single attempt.
@@ -117,22 +123,6 @@ func (s Spec) JournalTargets() bool {
 	return s.CrashAppend > 0 || s.TornAppend > 0 || s.FsyncFail > 0
 }
 
-// TargetedRuns returns every run identity the spec names, deduplicated —
-// the set a resume validator checks against already-completed runs.
-func (s Spec) TargetedRuns() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, list := range [][]string{s.PoisonRuns, s.SkewRuns} {
-		for _, id := range list {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}
-
 // muxShareScale is the noise amplification of two-counter multiplexing: the
 // R10000 exposes two physical counters, so each of the muxed events (all but
 // cycles and graduated instructions, which perfex pins) is live for a 2/muxed
@@ -144,6 +134,8 @@ func muxShareScale() float64 {
 
 // PerturbReport returns a perturbed copy of a run's counter report, plus
 // the list of faults injected. The input report is never modified.
+// Multiplexing noise is counters.MultiplexReport's, scaled by the
+// two-counter sampling share and seeded per run.
 func (in *Injector) PerturbReport(run string, rep *counters.RunReport) (*counters.RunReport, []Fault) {
 	out := *rep
 	out.PerProc = append([]counters.Set(nil), rep.PerProc...)
@@ -155,28 +147,21 @@ func (in *Injector) PerturbReport(run string, rep *counters.RunReport) (*counter
 		faults = append(faults, Fault{Kind: kind, Run: run, Detail: detail})
 	}
 
-	relErr := in.spec.Noise * muxShareScale()
+	if relErr := in.spec.Noise * muxShareScale(); relErr > 0 {
+		out = *counters.MultiplexReport(rep, counters.MuxOptions{RelError: relErr, Seed: mix(in.spec.Seed, hashString(run))})
+		for p := range out.PerProc {
+			for e := 0; e < counters.NumEvents; e++ {
+				if v, nv := rep.PerProc[p][e], out.PerProc[p][e]; nv != v {
+					add(KindNoise, fmt.Sprintf("proc %d %s: %d → %d", p, counters.Event(e), v, nv))
+				}
+			}
+		}
+	}
 	for p := range out.PerProc {
 		s := &out.PerProc[p]
 		for e := 0; e < counters.NumEvents; e++ {
 			ev := counters.Event(e)
-			exact := ev == counters.Cycles || ev == counters.GradInstr
 			v := s.Get(ev)
-			// Multiplexing noise: muxed events only, scaled by sampling
-			// share; pinned events are exact, as perfex reports them.
-			if !exact && v != 0 && relErr > 0 {
-				frac := in.signedFrac(hashString(run), uint64(p), uint64(e), 0x11) // [-1, 1]
-				scaled := float64(v) * (1 + frac*relErr)
-				if scaled < 0 {
-					scaled = 0
-				}
-				nv := uint64(scaled + 0.5)
-				if nv != v {
-					s[ev] = nv
-					add(KindNoise, fmt.Sprintf("proc %d %s: %d → %d", p, ev, v, nv))
-					v = nv
-				}
-			}
 			// 32-bit wraparound: only values that actually exceed the
 			// counter width can wrap.
 			if v >= 1<<32 && in.prob(in.spec.Wrap, hashString(run), uint64(p), uint64(e), 0x22) {
@@ -242,12 +227,6 @@ func (in *Injector) prob(p float64, parts ...uint64) bool {
 	}
 	h := mix(append([]uint64{in.spec.Seed}, parts...)...)
 	return float64(h%1_000_000_007)/1_000_000_007 < p
-}
-
-// signedFrac draws a deterministic value in [-1, 1].
-func (in *Injector) signedFrac(parts ...uint64) float64 {
-	h := mix(append([]uint64{in.spec.Seed}, parts...)...)
-	return float64(h%2_000_001)/1_000_000 - 1
 }
 
 // mix chains splitmix64 over the parts — the same construction the counters

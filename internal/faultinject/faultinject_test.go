@@ -3,7 +3,6 @@ package faultinject
 import (
 	"bytes"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -73,6 +72,48 @@ func TestNilInjectorIsInert(t *testing.T) {
 	out, faults := in.PerturbReport("r", sampleReport())
 	if len(faults) != 0 || !bytes.Equal(reportBytes(t, out), reportBytes(t, sampleReport())) {
 		t.Fatal("nil injector perturbed a report")
+	}
+}
+
+// TestNoiseIsMultiplexReport pins the one multiplexing-noise model: the
+// noise step is counters.MultiplexReport at Noise × the sampling-share
+// scale, and it records exactly one KindNoise fault per counter it changed.
+func TestNoiseIsMultiplexReport(t *testing.T) {
+	const run = "base_p04_s1048576"
+	spec := Spec{Seed: 5, Noise: 0.03}
+	in := New(spec)
+	got, faults := in.PerturbReport(run, sampleReport())
+	want := counters.MultiplexReport(sampleReport(), counters.MuxOptions{
+		RelError: spec.Noise * muxShareScale(),
+		Seed:     mix(spec.Seed, hashString(run)),
+	})
+	if !bytes.Equal(reportBytes(t, got), reportBytes(t, want)) {
+		t.Fatal("noise step differs from counters.MultiplexReport")
+	}
+	changed := 0
+	orig := sampleReport()
+	for p := range orig.PerProc {
+		for e := 0; e < counters.NumEvents; e++ {
+			if got.PerProc[p][e] != orig.PerProc[p][e] {
+				changed++
+			}
+		}
+		if got.PerProc[p][counters.Cycles] != orig.PerProc[p][counters.Cycles] ||
+			got.PerProc[p][counters.GradInstr] != orig.PerProc[p][counters.GradInstr] {
+			t.Fatalf("proc %d: noise touched a pinned counter", p)
+		}
+	}
+	if changed == 0 || len(faults) != changed {
+		t.Fatalf("%d counters changed, %d faults recorded", changed, len(faults))
+	}
+	for _, f := range faults {
+		if f.Kind != KindNoise || f.Run != run {
+			t.Fatalf("unexpected fault %+v", f)
+		}
+	}
+	other, _ := in.PerturbReport("base_p08_s1048576", sampleReport())
+	if bytes.Equal(reportBytes(t, got), reportBytes(t, other)) {
+		t.Fatal("two runs drew identical noise (seed not mixed with the run identity)")
 	}
 }
 
@@ -195,8 +236,9 @@ func TestSpecParseErrors(t *testing.T) {
 }
 
 // TestSpecParseJournalKeys covers the durability fault keys: parse, render,
-// round-trip, and the Active/JournalTargets/TargetedRuns views the journal
-// hook and the resume pre-flight rely on.
+// round-trip, the Active/JournalTargets views the journal hook relies on,
+// and the ReportKeys view the CLI uses to refuse report keys outside
+// measure.
 func TestSpecParseJournalKeys(t *testing.T) {
 	spec, err := ParseSpec("seed=9,crashappend=3,tornappend=7,fsyncfail=11,poisonrun=a,skewrun=b")
 	if err != nil {
@@ -208,10 +250,11 @@ func TestSpecParseJournalKeys(t *testing.T) {
 	if !spec.Active() || !spec.JournalTargets() {
 		t.Fatalf("journal-fault spec reported inactive: %+v", spec)
 	}
-	targets := spec.TargetedRuns()
-	sort.Strings(targets)
-	if !reflect.DeepEqual(targets, []string{"a", "b"}) {
-		t.Fatalf("TargetedRuns = %v", targets)
+	if keys := spec.ReportKeys(); !reflect.DeepEqual(keys, []string{"poisonrun", "skewrun"}) {
+		t.Fatalf("ReportKeys = %v", keys)
+	}
+	if keys := (Spec{CrashAppend: 1, Noise: 0.1, Corrupt: 0.5}).ReportKeys(); !reflect.DeepEqual(keys, []string{"corrupt", "noise"}) {
+		t.Fatalf("ReportKeys = %v", keys)
 	}
 	again, err := ParseSpec(spec.String())
 	if err != nil {

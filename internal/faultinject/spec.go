@@ -170,15 +170,26 @@ func (s Spec) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Active reports whether the spec injects anything at all.
-func (s Spec) Active() bool {
-	for _, f := range []float64{s.Noise, s.Drop, s.Wrap, s.Truncate, s.Corrupt} {
-		if f > 0 {
-			return true
+// ReportKeys lists, sorted, the keys the spec sets that perturb report
+// files: every probability and run-list key. Only the command that writes
+// report files can honour them.
+func (s Spec) ReportKeys() []string {
+	var keys []string
+	for k, f := range s.floatFields() {
+		if *f > 0 {
+			keys = append(keys, k)
 		}
 	}
-	if s.CrashAppend > 0 || s.TornAppend > 0 || s.FsyncFail > 0 {
-		return true
+	for k, l := range s.listFields() {
+		if len(*l) > 0 {
+			keys = append(keys, k)
+		}
 	}
-	return len(s.PoisonRuns)+len(s.SkewRuns) > 0
+	sort.Strings(keys)
+	return keys
+}
+
+// Active reports whether the spec injects anything at all.
+func (s Spec) Active() bool {
+	return s.JournalTargets() || len(s.ReportKeys()) > 0
 }

@@ -1,6 +1,5 @@
 // Package fleet turns N scaltoold replicas into one fault-tolerant analysis
-// service — the scale-out tier of the ROADMAP's "millions of users" north
-// star, and the system the repo then measures with its own scalability law
+// service, and measures that tier with the repo's own scalability law
 // (usl.go).
 //
 // The pieces, bottom up:
@@ -11,15 +10,13 @@
 //     replica whose memory tier is warm for it. Each replica carries a
 //     health verdict (prober.go) and a circuit breaker (the client
 //     package's Breaker, one per replica); a refused, unreachable, or
-//     breaker-open replica fails over to the next in hash order, and an
-//     optional hedge races a second replica when the first is slow. The
-//     simulator is deterministic, so every forwarded request is idempotent
-//     and byte-identical across replicas — failover and hedging can never
-//     change an answer, only deliver it.
+//     breaker-open replica fails over to the next in hash order, one
+//     attempt at a time. The simulator is deterministic, so every
+//     forwarded request is idempotent and byte-identical across replicas —
+//     failover can never change an answer, only deliver it.
 //
 //   - Supervisor: keeps N replica slots alive. Each slot watches its
-//     instance's exit and probes its health on a heartbeat (the same
-//     watchdog shape as campaign's worker supervisor); a dead or hung
+//     instance's exit and probes its health on a heartbeat; a dead or hung
 //     replica is killed and respawned with backoff, and the router learns
 //     the replacement's URL through SetReplicaURL.
 //
@@ -77,10 +74,6 @@ type Options struct {
 	// ForwardTimeout bounds one forwarded attempt (0 = 90s: a shade over
 	// the replica's own 60s request deadline, so the replica's 504 wins).
 	ForwardTimeout time.Duration
-	// HedgeAfter, when positive, races a second replica if the first has
-	// not answered within this long — tail-latency insurance that is safe
-	// because analyses are deterministic and idempotent.
-	HedgeAfter time.Duration
 	// Obs instruments the router (scaltool_fleet_* metrics). May be nil.
 	Obs *obs.Observer
 }

@@ -11,7 +11,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"scaltool/internal/client"
@@ -19,8 +18,8 @@ import (
 	"scaltool/internal/serve"
 )
 
-// The forward path. One client request becomes a sequence (or, with
-// hedging, a small race) of attempts against the key's rendezvous order.
+// The forward path. One client request becomes a sequence of attempts,
+// one at a time, against the key's rendezvous order.
 // Every attempt's outcome is classified into exactly one of:
 //
 //	final    — the replica answered with a verdict the client should see:
@@ -39,10 +38,10 @@ import (
 // Only failures count against a replica's breaker. A refusal is the
 // replica protecting itself while healthy — punishing it would open
 // breakers during load spikes, exactly when capacity matters most. And an
-// attempt canceled because a hedge sibling already won is neutral by
-// construction: the replica did nothing wrong, so it must not inherit the
-// cancellation as a failure (that would let a slow-but-healthy replica's
-// breaker open purely because a faster peer exists).
+// attempt canceled because the client hung up is neutral: the replica did
+// nothing wrong, so it must not inherit the cancellation as a failure
+// (that would let clients with short deadlines open a slow-but-healthy
+// replica's breaker).
 
 // maxResponseBytes bounds a replica response body. Analysis responses are
 // tens of kilobytes; even a full 32-proc diagnose report is far under a
@@ -126,7 +125,7 @@ func routingKeyFor(body []byte) string {
 
 // requestID mirrors the replica's X-Request-Id contract: honor a
 // well-formed client ID, otherwise mint one. The same ID is forwarded on
-// every attempt, so a failover or hedge shows up in replica logs as one
+// every attempt, so a failover shows up in replica logs as one
 // request identity hopping replicas — exactly what an incident needs.
 func requestID(r *http.Request) string {
 	if id := r.Header.Get("X-Request-Id"); obs.ValidRequestID(id) {
@@ -135,101 +134,37 @@ func requestID(r *http.Request) string {
 	return client.NewRequestID()
 }
 
-// forward drives the attempt sequence for one request and returns the
-// response to relay. It never returns a zero attemptResult.
+// forward tries the key's rendezvous order one replica at a time and
+// returns the response to relay. It never returns a zero attemptResult.
 func (rt *Router) forward(ctx context.Context, route, key, rid string, body []byte) attemptResult {
-	order := rank(rt.snapshot(), key)
-	if len(order) == 0 {
-		return noReplicaResult()
-	}
-
-	attemptCtx, cancelAll := context.WithCancel(ctx)
-	results := make(chan attemptResult, len(order))
-	var wg sync.WaitGroup
-	// LIFO: cancelAll fires first, so losing attempts abort promptly and
-	// wg.Wait only reaps them — never rides out their full timeouts.
-	defer wg.Wait()
-	defer cancelAll()
-
-	next := 0    // index of the next candidate to try
-	pending := 0 // attempts in flight
-	// launch starts the next eligible candidate, skipping instanceless
-	// slots and open breakers (both are known-useless without a network
-	// round trip). Reports whether an attempt was started.
-	launch := func() bool {
-		for next < len(order) {
-			m := order[next]
-			next++
-			url := m.currentURL()
-			if url == "" {
-				continue
-			}
-			if err := m.breaker.Allow(time.Now()); err != nil {
-				continue
-			}
-			pending++
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				res := rt.attempt(attemptCtx, m, url, route, rid, body)
-				select {
-				case results <- res:
-				case <-attemptCtx.Done():
-				}
-			}()
-			return true
-		}
-		return false
-	}
-
-	if !launch() {
-		return noReplicaResult()
-	}
-
-	var hedgeTimer *time.Timer
-	var hedgeCh <-chan time.Time
-	if rt.opts.HedgeAfter > 0 {
-		hedgeTimer = time.NewTimer(rt.opts.HedgeAfter)
-		defer hedgeTimer.Stop()
-		hedgeCh = hedgeTimer.C
-	}
-
 	var lastRefusal *attemptResult
-	for pending > 0 {
-		select {
-		case <-ctx.Done():
+	failed := false // the previous attempt was a hard failure
+	for _, m := range rank(rt.snapshot(), key) {
+		// Instanceless slots and open breakers are known-useless without a
+		// network round trip.
+		url := m.currentURL()
+		if url == "" || m.breaker.Allow(time.Now()) != nil {
+			continue
+		}
+		if failed {
+			rt.count("scaltool_fleet_failovers_total", "attempts failed over to the next replica")
+		}
+		res := rt.attempt(ctx, m, url, route, rid, body)
+		if res.final {
+			return res
+		}
+		if ctx.Err() != nil {
 			return attemptResult{
 				final:  true,
 				status: http.StatusServiceUnavailable,
 				header: errHeader(""),
 				body:   errBody("client canceled or router shutting down", "canceled"),
 			}
-		case <-hedgeCh:
-			// One hedge per request: after HedgeAfter with no verdict, race
-			// the next candidate against the slow one.
-			hedgeCh = nil
-			if launch() {
-				rt.count("scaltool_fleet_hedges_total", "hedged attempts launched")
-			}
-		case res := <-results:
-			pending--
-			if res.final {
-				return res
-			}
-			if res.refusal {
-				lastRefusal = &res
-			}
-			if pending == 0 && !launch() {
-				// Candidates exhausted.
-				if lastRefusal != nil {
-					return *lastRefusal
-				}
-				return noReplicaResult()
-			}
-			if res.err != nil {
-				rt.count("scaltool_fleet_failovers_total", "attempts failed over to the next replica")
-			}
 		}
+		if res.refusal {
+			lastRefusal = &res
+		}
+		failed = res.err != nil
 	}
 	if lastRefusal != nil {
 		return *lastRefusal
@@ -249,10 +184,10 @@ func (rt *Router) attempt(ctx context.Context, m *member, url, route, rid string
 	req.Header.Set("X-Request-Id", rid)
 	resp, err := rt.opts.HTTP.Do(req)
 	if err != nil {
-		// A cancellation from the parent (hedge sibling won, or the client
-		// hung up) is not the replica's fault: report neutral so the
-		// breaker's half-open probe flag is not stranded and no failure is
-		// charged. A blown ForwardTimeout — actx expired while ctx is
+		// A cancellation from the parent (the client hung up, or the
+		// router is shutting down) is not the replica's fault: report
+		// neutral so the breaker's half-open probe flag is not stranded and
+		// no failure is charged. A blown ForwardTimeout — actx expired while ctx is
 		// still live — IS the replica's fault (hung or wedged).
 		if ctx.Err() != nil {
 			m.breaker.OnSuccess()

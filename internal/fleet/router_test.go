@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"scaltool/internal/obs"
 	"scaltool/internal/serve"
 )
 
@@ -251,49 +253,93 @@ func TestRouterRefusalFallsOverThenSurfaces(t *testing.T) {
 	}
 }
 
-// TestRouterHedging: when the preferred replica sits on a request past
-// HedgeAfter, a hedge races the backup and the client gets the fast answer.
-func TestRouterHedging(t *testing.T) {
-	release := make(chan struct{})
+// TestRouterClientCancelIsNeutral: a client that hangs up mid-forward
+// cancels the attempt, and that cancellation is not the replica's fault.
+// More cancels than FailureThreshold against a slow replica must leave its
+// breaker closed, charge no failed attempt, fail over nowhere, and leave
+// the replica serving the next request.
+func TestRouterClientCancelIsNeutral(t *testing.T) {
+	var slowMode atomic.Bool
+	slowMode.Store(true)
+	arrived := make(chan struct{}, 16)
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "healthz") {
 			fmt.Fprintln(w, `{"status":"ok"}`)
 			return
 		}
-		select {
-		case <-release:
-		case <-r.Context().Done():
+		if slowMode.Load() {
+			// Reading the body to EOF lets the server notice the client's
+			// hang-up and cancel r.Context().
+			_, _ = io.Copy(io.Discard, r.Body)
+			arrived <- struct{}{}
+			<-r.Context().Done()
 			return
 		}
-		fmt.Fprintln(w, `{"slow":true}`)
+		fmt.Fprintln(w, `{"slow":false}`)
 	}))
 	defer slow.Close()
-	defer close(release)
-	fast := newStubBackend(t, http.StatusOK, `{"fast":true}`)
+	backup := newStubBackend(t, http.StatusOK, `{"backup":true}`)
 
 	doc := analyzeDoc("swim", 2)
 	key := routingKeyFor(doc)
-	slowName, fastName := SlotName(0), SlotName(1)
-	if rendezvousScore(fastName, key) > rendezvousScore(slowName, key) {
-		slowName, fastName = fastName, slowName
+	slowName, backupName := SlotName(0), SlotName(1)
+	if rendezvousScore(backupName, key) > rendezvousScore(slowName, key) {
+		slowName, backupName = backupName, slowName
 	}
+	const threshold = 2
+	o := &obs.Observer{Metrics: obs.NewMetrics()}
 	rt := NewRouter(Options{
 		Replicas: []Replica{
 			{Name: slowName, URL: slow.URL},
-			{Name: fastName, URL: fast.ts.URL},
+			{Name: backupName, URL: backup.ts.URL},
 		},
-		HedgeAfter: 30 * time.Millisecond,
+		FailureThreshold: threshold,
+		Cooldown:         time.Hour,
+		Obs:              o,
 	})
-	start := time.Now()
+
+	for i := 0; i < threshold+1; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(doc)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			rt.Handler().ServeHTTP(rec, req)
+		}()
+		select {
+		case <-arrived: // the forward is in flight at the slow replica
+		case <-done:
+			t.Fatalf("cancel %d: forward answered %d without reaching the slow replica: %s", i, rec.Code, rec.Body.Bytes())
+		}
+		cancel()
+		<-done
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("cancel %d: status %d, want 503: %s", i, rec.Code, rec.Body.Bytes())
+		}
+	}
+
+	for _, m := range rt.snapshot() {
+		if m.name == slowName {
+			if err := m.breaker.Allow(time.Now()); err != nil {
+				t.Fatalf("slow replica's breaker opened after client cancels: %v", err)
+			}
+		}
+	}
+	if n := o.Metrics.Counter("scaltool_fleet_attempts_total", "", "replica", slowName, "outcome", "failed").Value(); n != 0 {
+		t.Fatalf("client cancels charged %d failed attempts", n)
+	}
+	if n := backup.hits.Load(); n != 0 {
+		t.Fatalf("client cancels failed over %d times to the backup", n)
+	}
+
+	slowMode.Store(false)
 	resp, body := postRouter(t, rt.Handler(), "/v1/analyze", doc, nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("hedged request: %d: %s", resp.StatusCode, body)
+		t.Fatalf("request after cancels: %d: %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("X-Fleet-Replica"); got != fastName {
-		t.Fatalf("served by %q, want the hedge target %q", got, fastName)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("hedged request took %v — hedge never fired", elapsed)
+	if got := resp.Header.Get("X-Fleet-Replica"); got != slowName {
+		t.Fatalf("served by %q, want the preferred replica %q", got, slowName)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package health validates the measurement data Scal-Tool's model consumes.
 // The model is only as trustworthy as its counter inputs, and real counters
-// are noisy, multiplexed, saturating, and occasionally missing — so before a
-// RunReport reaches model.Fit it passes through Sanitize, which checks the
-// physical invariants a plausible report must satisfy:
+// are noisy, multiplexed, saturating, and occasionally missing — so a
+// RunReport read from a report file passes through Sanitize before it
+// reaches model.Fit. (Reports straight from the simulator must pass it
+// untouched; the campaign asserts so.) Sanitize checks the physical
+// invariants a plausible report must satisfy:
 //
 //   - L1 data misses ≤ graduated loads + stores (a miss needs an access);
 //   - L2 misses ≤ L1 misses (the hierarchy is inclusive on the miss path);
