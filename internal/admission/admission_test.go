@@ -131,7 +131,7 @@ func TestEstimatePlanPreBuildGate(t *testing.T) {
 	}
 	// A plan whose dataset exceeds the byte budget must be rejected from the
 	// size alone — before Build gets a chance to allocate O(size) state.
-	plan, err := campaign.NewPlan(app, cfg, 2, 1<<30)
+	plan, err := campaign.NewPlan(app, cfg, 4, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +293,10 @@ func TestSpecEstimateMatchesWalk(t *testing.T) {
 
 // TestPricedRunsAreTheStartedRuns: admission prices the runs Execute starts
 // — the same count, and the spin kernel at the processor count it runs at,
-// which is two even for a one-processor document. Execute may still refuse
-// to fit a tiny plan; what it started is what was priced.
+// which is two even for a one-processor document. At its default size a
+// one-processor hydro2d plan reaches too few uniprocessor sizes to fit and
+// NewPlan refuses it; at half the L2 the plan adds sizes above s0 until two
+// overflow the L2, so the one-processor case keeps a plan to price.
 func TestPricedRunsAreTheStartedRuns(t *testing.T) {
 	cfg := machine.ScaledOrigin()
 	app, err := apps.ByName("hydro2d")
@@ -302,7 +304,11 @@ func TestPricedRunsAreTheStartedRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{1, 2, 4} {
-		plan, err := campaign.NewPlan(app, cfg, procs, 0)
+		s0 := uint64(0)
+		if procs == 1 {
+			s0 = uint64(cfg.L2.SizeBytes) / 2
+		}
+		plan, err := campaign.NewPlan(app, cfg, procs, s0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,9 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -45,7 +47,9 @@ type Plan struct {
 }
 
 // NewPlan builds the Table 3 plan for an application. maxProcs must be a
-// power of two ≥ 1; s0 == 0 selects the application's default size.
+// power of two ≥ 1; s0 == 0 selects the application's default size. A plan
+// whose uniprocessor runs reach fewer than three distinct achieved sizes
+// cannot be fitted, and is refused.
 func NewPlan(app apps.App, cfg machine.Config, maxProcs int, s0 uint64) (Plan, error) {
 	if maxProcs < 1 || maxProcs&(maxProcs-1) != 0 {
 		return Plan{}, fmt.Errorf("campaign: maxProcs must be a power of two ≥ 1, got %d", maxProcs)
@@ -69,10 +73,18 @@ func NewPlan(app apps.App, cfg machine.Config, maxProcs int, s0 uint64) (Plan, e
 	// quantizes a size just over the threshold to one below it.
 	overflow := 0
 	threshold := uint64(1.5 * float64(cfg.L2.SizeBytes))
-	for _, s := range append([]uint64{s0}, p.UniSizes...) {
-		if achievedBytes(app, cfg, s) >= threshold {
+	var distinct []uint64 // distinct non-zero achieved sizes of s0 and UniSizes
+	add := func(s uint64) {
+		a := achievedBytes(app, cfg, s)
+		if a >= threshold {
 			overflow++
 		}
+		if a != 0 && !slices.Contains(distinct, a) {
+			distinct = append(distinct, a)
+		}
+	}
+	for _, s := range append([]uint64{s0}, p.UniSizes...) {
+		add(s)
 	}
 	for f := 1.5; overflow < 2 && f <= 16; f *= 1.5 {
 		s := uint64(f * float64(s0))
@@ -80,9 +92,14 @@ func NewPlan(app apps.App, cfg machine.Config, maxProcs int, s0 uint64) (Plan, e
 			continue
 		}
 		p.UniSizes = append(p.UniSizes, s)
-		if achievedBytes(app, cfg, s) >= threshold {
-			overflow++
-		}
+		add(s)
+	}
+	// The fit needs three uniprocessor runs of distinct achieved size (the
+	// t2/tm least squares and the hit-rate curve). A plan that cannot reach
+	// them would simulate every run and then fail to fit: refuse it before
+	// anything runs.
+	if len(distinct) < 3 {
+		return Plan{}, fmt.Errorf("campaign: plan reaches only %d distinct uniprocessor sizes at %d processors, the fit needs 3 (app grid too coarse for the plan)", len(distinct), maxProcs)
 	}
 	return p, nil
 }
@@ -274,7 +291,10 @@ func (r *Result) MeasuredMP() map[int]float64 {
 // Runner executes campaigns.
 type Runner struct {
 	Cfg machine.Config
-	// Workers bounds concurrent simulated runs (0 = GOMAXPROCS).
+	// Workers bounds the concurrent runs that build, load a spill file or
+	// simulate (0 = GOMAXPROCS). A run whose result the run cache holds in
+	// memory, or whose recipe replays a build error, needs none of these: it
+	// runs on the dispatching goroutine, outside the pool.
 	Workers int
 
 	// RunTimeout is the per-run deadline (0 = none). The simulator is
@@ -307,7 +327,16 @@ type job struct {
 // report, and the report file names (with a ".json" suffix, using the
 // achieved size) all refer to runs this way.
 func RunID(kind string, procs int, size uint64) string {
-	return fmt.Sprintf("%s_p%02d_s%d", kind, procs, size)
+	var buf [48]byte
+	b := append(buf[:0], kind...)
+	b = append(b, "_p"...)
+	if procs >= 0 && procs < 10 {
+		b = append(b, '0') // %02d
+	}
+	b = strconv.AppendInt(b, int64(procs), 10)
+	b = append(b, "_s"...)
+	b = strconv.AppendUint(b, size, 10)
+	return string(b)
 }
 
 // Run executes the plan with no cancellation: Execute under a background
@@ -316,8 +345,10 @@ func (rn *Runner) Run(app apps.App, plan Plan) (*Result, error) {
 	return rn.Execute(context.Background(), app, plan)
 }
 
-// Execute runs the plan for an application on a worker pool. Results are
-// deterministic regardless of worker count, including under fault injection.
+// Execute runs the plan for an application on a worker pool; a run the
+// run cache answers from memory runs inline on the calling goroutine
+// instead (Runner.Workers). Results are deterministic regardless of worker
+// count, including under fault injection.
 //
 // An observer carried in ctx (internal/obs) sees the campaign: a "campaign"
 // span with one detached "run" lane per job and an "attempt" span per try,
@@ -414,27 +445,27 @@ func (rn *Runner) execute(ctx context.Context, app apps.App, plan Plan, d *durab
 	sem := make(chan struct{}, workers)
 dispatch:
 	for _, j := range pending {
+		if ctx.Err() != nil {
+			break
+		}
+		// A job that needs no build, spill load or simulation costs about a
+		// microsecond, less than starting a goroutine for it: it runs here.
+		pj := ex.prepare(ctx, j)
+		if pj.inline() {
+			ex.runIsolated(ctx, j, pj)
+			continue
+		}
 		select {
 		case <-ctx.Done():
 			break dispatch
 		case sem <- struct{}{}:
 		}
 		wg.Add(1)
-		go func(j job) {
+		go func(j job, pj prepared) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			// Panic isolation: a panicking simulation (a hostile program shape
-			// hitting an internal assertion) must not kill the process — the
-			// serving daemon shares it with every other request. The panic
-			// becomes a typed critical error; the campaign aborts cleanly and
-			// the serving layer converts it to a 500 plus a quarantine entry.
-			defer func() {
-				if r := recover(); r != nil {
-					ex.critical(&PanicError{Run: j.id, Value: r, Stack: debug.Stack()})
-				}
-			}()
-			ex.run(ctx, j)
-		}(j)
+			ex.runIsolated(ctx, j, pj)
+		}(j, pj)
 	}
 	wg.Wait()
 	res.Health.Finalize()
@@ -500,10 +531,60 @@ func criticalJob(j job) bool {
 	return (j.Kind == KindBase && j.Procs == 1) || j.Kind == KindSpin
 }
 
-// run executes one job: build, attempt, check, record. Each job runs on
-// its own detached trace lane (workers interleave) with the run identity
-// threaded into the context's logger.
-func (ex *executor) run(ctx context.Context, j job) {
+// prepared is what dispatch learns about a job without building, loading
+// or simulating anything: its recipe, the recipe table's entry when the
+// table holds one, and the run cache's memory-tier result for its key when
+// resident.
+type prepared struct {
+	rcp    recipe.Recipe
+	e      recipe.Entry
+	tabled bool
+	out    *sim.Result
+}
+
+// inline reports whether the job can run on the dispatching goroutine: its
+// recipe replays a build error (a skip), or its result is already taken
+// from memory.
+func (pj prepared) inline() bool { return pj.tabled && (pj.e.Err != nil || pj.out != nil) }
+
+// prepare looks a job up in the recipe table and the run cache's memory
+// tier. A memory hit is counted here, once, as GetOrRunKey would have
+// counted it; a miss counts nothing. Without a cache every job goes to the
+// pool.
+func (ex *executor) prepare(ctx context.Context, j job) prepared {
+	pj := prepared{rcp: ex.recipe(j)}
+	if ex.rn.Cache == nil {
+		return pj
+	}
+	if pj.e, pj.tabled = recipe.Default.Lookup(pj.rcp); pj.tabled && pj.e.Err == nil {
+		pj.out, _ = ex.rn.Cache.Lookup(ctx, pj.e.Key)
+	}
+	return pj
+}
+
+// runIsolated is run under panic isolation, on a pool worker or inline: a
+// panicking simulation (a hostile program shape hitting an internal
+// assertion) must not kill the process — the serving daemon shares it with
+// every other request. The panic becomes a typed critical error; the
+// campaign aborts cleanly and the serving layer converts it to a 500 plus a
+// quarantine entry.
+func (ex *executor) runIsolated(ctx context.Context, j job, pj prepared) {
+	defer ex.recoverRun(j)
+	ex.run(ctx, j, pj)
+}
+
+// recoverRun is runIsolated's deferred recovery.
+func (ex *executor) recoverRun(j job) {
+	if r := recover(); r != nil {
+		ex.critical(&PanicError{Run: j.id, Value: r, Stack: debug.Stack()})
+	}
+}
+
+// run executes one job: resolve, attempt, check, record. What dispatch
+// already found (pj) is not looked up again. Each job runs on its own
+// detached trace lane (workers interleave) with the run identity threaded
+// into the context's logger.
+func (ex *executor) run(ctx context.Context, j job, pj prepared) {
 	ctx, span := obs.StartSpan(obs.Detach(ctx), "run",
 		obs.A("id", j.id), obs.A("kind", j.Kind.String()),
 		obs.A("procs", j.Procs), obs.A("size", j.Size))
@@ -512,8 +593,10 @@ func (ex *executor) run(ctx context.Context, j job) {
 	if mt := obs.Meter(ctx); mt != nil {
 		mt.Counter("scaltool_campaign_runs_started_total", "campaign runs dispatched").Inc()
 	}
-	rcp := ex.recipe(j)
-	key, prog, err := ex.program(ctx, rcp)
+	key, prog, err := pj.e.Key, (*sim.Program)(nil), pj.e.Err
+	if !pj.tabled {
+		key, prog, err = ex.program(ctx, pj.rcp)
+	}
 	if err != nil {
 		// A size too small for the app's grid is an expected skip for
 		// uniprocessor fractions; the model interpolates across it.
@@ -542,7 +625,7 @@ func (ex *executor) run(ctx context.Context, j job) {
 		rctx, cancel = context.WithTimeout(ctx, ex.rn.RunTimeout)
 		defer cancel()
 	}
-	out, err := ex.attempt(rctx, j, key, rcp, prog)
+	out, err := ex.attempt(rctx, j, key, pj.rcp, prog, pj.out)
 	if err != nil {
 		ex.fail(ctx, j, err)
 		return
@@ -575,10 +658,11 @@ func (ex *executor) program(ctx context.Context, rcp recipe.Recipe) (runcache.Ke
 	return e.Key, prog, e.Err
 }
 
-// attempt looks one run up in the run cache. On a miss in both tiers the
+// attempt looks one run up in the run cache, unless dispatch already took
+// its result (out) from the memory tier. On a miss in both tiers the
 // lookup's singleflight leader builds the program, unless program already
 // has, and simulates it.
-func (ex *executor) attempt(ctx context.Context, j job, key runcache.Key, rcp recipe.Recipe, prog *sim.Program) (_ *sim.Result, err error) {
+func (ex *executor) attempt(ctx context.Context, j job, key runcache.Key, rcp recipe.Recipe, prog *sim.Program, out *sim.Result) (_ *sim.Result, err error) {
 	rn := ex.rn
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "attempt")
@@ -592,17 +676,20 @@ func (ex *executor) attempt(ctx context.Context, j job, key runcache.Key, rcp re
 				obs.LatencyBuckets).Observe(time.Since(start).Seconds())
 		}
 	}()
-	out, hit, err := rn.Cache.GetOrRunKey(ctx, key, func(rctx context.Context) (*sim.Result, error) {
-		if prog == nil {
-			var err error
-			if prog, err = rcp.Build(rctx, recipe.CauseMiss); err != nil {
-				return nil, fmt.Errorf("building: %w", err)
+	hit := out != nil
+	if !hit {
+		out, hit, err = rn.Cache.GetOrRunKey(ctx, key, func(rctx context.Context) (*sim.Result, error) {
+			if prog == nil {
+				var err error
+				if prog, err = rcp.Build(rctx, recipe.CauseMiss); err != nil {
+					return nil, fmt.Errorf("building: %w", err)
+				}
 			}
+			return sim.RunContext(rctx, rn.Cfg, prog)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("campaign: %s: %w", j.id, err)
 		}
-		return sim.RunContext(rctx, rn.Cfg, prog)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %s: %w", j.id, err)
 	}
 	if hit {
 		span.SetAttr("cache_hit", true)

@@ -120,7 +120,9 @@ func TestInsufficientInputsTypedFromModel(t *testing.T) {
 // TestImplausibleSimulatorReportPanics plants a result whose report fails
 // health.Sanitize under a job's run-cache key. The campaign no longer
 // repairs or quarantines simulator reports: it must abort with a
-// *PanicError that names the run and the failed check.
+// *PanicError that names the run and the failed check. The planted entry is
+// memory-resident, so the job runs inline and the dispatching goroutine's
+// own recover converts the panic.
 func TestImplausibleSimulatorReportPanics(t *testing.T) {
 	app, err := apps.ByName("swim")
 	if err != nil {
@@ -161,5 +163,8 @@ func TestImplausibleSimulatorReportPanics(t *testing.T) {
 	msg := fmt.Sprint(pe.Value)
 	if pe.Run != j.id || !strings.Contains(msg, j.id) || !strings.Contains(msg, "instructions") {
 		t.Fatalf("panic names run %q with %q; want run %s and the failed check \"instructions\"", pe.Run, msg, j.id)
+	}
+	if !strings.Contains(string(pe.Stack), dispatcher+"(") || strings.Contains(string(pe.Stack), dispatcher+".func") {
+		t.Fatalf("panic was not recovered on the dispatching goroutine:\n%s", pe.Stack)
 	}
 }

@@ -75,7 +75,10 @@ func (m *Metrics) Histogram(name, help string, buckets []float64, labels ...stri
 }
 
 func (m *Metrics) lookup(typ, name, help string, labels []string, mk func() any) any {
-	key := renderLabels(labels)
+	// Rendered on the stack: indexing the map with string(key) does not
+	// allocate, so only a series' first registration copies the key.
+	var buf [128]byte
+	key := appendLabels(buf[:0], labels)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fam, ok := m.families[name]
@@ -86,38 +89,42 @@ func (m *Metrics) lookup(typ, name, help string, labels []string, mk func() any)
 	if fam.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, typ, fam.typ))
 	}
-	s, ok := fam.series[key]
+	s, ok := fam.series[string(key)]
 	if !ok {
 		s = mk()
-		fam.series[key] = s
+		fam.series[string(key)] = s
 	}
 	return s
 }
 
-// renderLabels turns key,value pairs into a deterministic {k="v",…} suffix.
-func renderLabels(labels []string) string {
+// appendLabels appends key,value pairs to dst as a deterministic
+// {k="v",…} suffix: keys sorted, values Go-quoted. Label sets are a pair or
+// two, so an insertion sort over pair indices on the stack orders them.
+func appendLabels(dst []byte, labels []string) []byte {
 	if len(labels) == 0 {
-		return ""
+		return dst
 	}
 	if len(labels)%2 != 0 {
 		panic("obs: labels must be key, value pairs")
 	}
-	type kv struct{ k, v string }
-	kvs := make([]kv, 0, len(labels)/2)
+	var idxBuf [8]int
+	order := idxBuf[:0]
 	for i := 0; i < len(labels); i += 2 {
-		kvs = append(kvs, kv{labels[i], labels[i+1]})
-	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].k < kvs[j].k })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, p := range kvs {
-		if i > 0 {
-			b.WriteByte(',')
+		order = append(order, i)
+		for k := len(order) - 1; k > 0 && labels[order[k-1]] > labels[i]; k-- {
+			order[k], order[k-1] = order[k-1], order[k]
 		}
-		fmt.Fprintf(&b, "%s=%q", p.k, p.v)
 	}
-	b.WriteByte('}')
-	return b.String()
+	dst = append(dst, '{')
+	for n, i := range order {
+		if n > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, labels[i]...)
+		dst = append(dst, '=')
+		dst = strconv.AppendQuote(dst, labels[i+1])
+	}
+	return append(dst, '}')
 }
 
 // Counter is a monotonically increasing uint64.

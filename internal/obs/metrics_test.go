@@ -3,8 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -192,4 +194,54 @@ func TestTypeConflictPanics(t *testing.T) {
 	m := NewMetrics()
 	m.Counter("scaltool_x", "x")
 	m.Gauge("scaltool_x", "x")
+}
+
+// fmtLabels is the fmt-based label rendering appendLabels replaced; the
+// /metrics exposition must not change by a byte.
+func fmtLabels(labels []string) string {
+	if len(labels) == 0 {
+		return ""
+	}
+	type kv struct{ k, v string }
+	kvs := make([]kv, 0, len(labels)/2)
+	for i := 0; i < len(labels); i += 2 {
+		kvs = append(kvs, kv{labels[i], labels[i+1]})
+	}
+	sort.Slice(kvs, func(i, j int) bool { return kvs[i].k < kvs[j].k })
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, p := range kvs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%q", p.k, p.v)
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+func TestAppendLabelsMatchesFmt(t *testing.T) {
+	for _, labels := range [][]string{
+		nil,
+		{"tier", "mem"},
+		{"spilled", "true"},
+		{"route", "/v1/analyze", "code", "200"},
+		{"z", "1", "a", "2", "m", "3"},
+		{"e", "5", "d", "4", "c", "3", "b", "2", "a", "1", "f", "6", "h", "8", "g", "7", "j", "10", "i", "9"},
+		{"quote", `say "hi"`},
+		{"backslash", `C:\path\to`},
+		{"newline", "two\nlines\ttab"},
+		{"unicode", "Grüße, 世界 ✓"},
+		{"control", "\x00\x7f\u2028"},
+		{"invalid", "\xff\xfe"},
+		{"empty", ""},
+	} {
+		want := fmtLabels(labels)
+		if got := string(appendLabels(nil, labels)); got != want {
+			t.Errorf("labels %q rendered %s, want %s", labels, got, want)
+		}
+		if got := string(appendLabels([]byte("prefix"), labels)); got != "prefix"+want {
+			t.Errorf("labels %q appended as %s, want prefix%s", labels, got, want)
+		}
+	}
 }

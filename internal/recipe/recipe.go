@@ -179,6 +179,30 @@ func (t *Table) Len() int {
 	return t.ll.Len()
 }
 
+// Lookup returns the recipe's entry when the table already holds it in
+// final form. It never builds and never waits: an untabled application, a
+// recipe the table has not seen, and one whose first build is still running
+// all report false, and the caller falls back to Resolve.
+func (t *Table) Lookup(r Recipe) (Entry, bool) {
+	if !r.tabled {
+		return Entry{}, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	el, ok := t.items[r.id]
+	if !ok {
+		return Entry{}, false
+	}
+	s := el.Value.(*slot)
+	select {
+	case <-s.done:
+	default:
+		return Entry{}, false
+	}
+	t.ll.MoveToFront(el)
+	return s.e, true
+}
+
 // Resolve returns the recipe's entry, building the program only on the
 // recipe's first sight (or for an untabled application). The program is
 // returned when this call built it, nil when the entry came from the table.

@@ -238,3 +238,58 @@ func TestPanickingBuildLeavesNoEntry(t *testing.T) {
 		}
 	}
 }
+
+// blockApp's Build waits for release, so a test can look a recipe up while
+// its first build is still running.
+type blockApp struct {
+	plainApp
+	started, release chan struct{}
+}
+
+func (blockApp) Identity() any { return "blockApp" }
+func (a blockApp) Build(cfg machine.Config, procs int, size uint64) (*sim.Program, error) {
+	close(a.started)
+	<-a.release
+	return apps.NewSwim().Build(cfg, procs, size)
+}
+
+// TestLookupNeverBuilds: Lookup answers only from a final table entry. An
+// unseen recipe, an untabled application and a recipe whose first build is
+// still running all miss at once, building and waiting for nothing.
+func TestLookupNeverBuilds(t *testing.T) {
+	cfg := machine.ScaledOrigin()
+	tab := newTable(16)
+	ctx, builds := meter()
+	r := ForApp(swimWith(5), cfg, 4, 200_000)
+	if _, ok := tab.Lookup(r); ok || builds(CauseRecipe) != 0 || tab.Len() != 0 {
+		t.Fatalf("Lookup of an unseen recipe hit (%v), built %d times or tabled %d entries", ok, builds(CauseRecipe), tab.Len())
+	}
+	want, _ := tab.Resolve(ctx, r)
+	if got, ok := tab.Lookup(r); !ok || got != want {
+		t.Fatalf("Lookup after Resolve: %+v, %v; want %+v", got, ok, want)
+	}
+	if builds(CauseRecipe) != 1 {
+		t.Fatalf("%d builds, want the one Resolve made", builds(CauseRecipe))
+	}
+
+	if _, ok := tab.Lookup(ForApp(plainApp{}, cfg, 2, 1<<16)); ok {
+		t.Fatal("Lookup hit for an untabled application")
+	}
+
+	b := blockApp{started: make(chan struct{}), release: make(chan struct{})}
+	br := ForApp(b, cfg, 2, 1<<16)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tab.Resolve(context.Background(), br)
+	}()
+	<-b.started
+	if _, ok := tab.Lookup(br); ok {
+		t.Fatal("Lookup hit a recipe whose first build is still running")
+	}
+	close(b.release)
+	<-done
+	if e, ok := tab.Lookup(br); !ok || e.Err != nil {
+		t.Fatalf("Lookup after the build finished: %+v, %v", e, ok)
+	}
+}

@@ -139,15 +139,9 @@ func (c *Cache) GetOrRunKey(ctx context.Context, key Key, run RunFunc) (res *sim
 	fresh := &flight{done: make(chan struct{})}
 	for {
 		c.mu.Lock()
-		// Memory tier.
-		if el, ok := c.items[key]; ok {
-			c.ll.MoveToFront(el)
-			out := el.Value.(*entry).res
+		if out := c.resident(key); out != nil {
 			c.mu.Unlock()
-			if mt != nil {
-				mt.Counter("scaltool_runcache_hits_total", "run-cache hits by tier", "tier", "mem").Inc()
-			}
-			return out.Clone(), true, nil
+			return memHit(out, mt), true, nil
 		}
 		// Join an in-flight identical request.
 		if fl, ok := c.inflight[key]; ok {
@@ -190,6 +184,45 @@ func (c *Cache) GetOrRunKey(ctx context.Context, key Key, run RunFunc) (res *sim
 
 		return c.lead(ctx, key, fl, run, mt)
 	}
+}
+
+// Lookup returns the result for key when the memory tier holds it: a
+// mutation-safe clone, counted as one memory hit exactly as GetOrRunKey's
+// memory tier counts it. It reads no spill file and joins no flight, so it
+// never blocks on another request's simulation. On a miss it counts nothing
+// and the caller takes GetOrRunKey; an entry evicted in between is just a
+// miss there too. A nil *Cache always misses.
+func (c *Cache) Lookup(ctx context.Context, key Key) (*sim.Result, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	out := c.resident(key)
+	c.mu.Unlock()
+	if out == nil {
+		return nil, false
+	}
+	return memHit(out, obs.Meter(ctx)), true
+}
+
+// resident is the memory tier under c.mu: key's cached result, marked most
+// recently used, or nil.
+func (c *Cache) resident(key Key) *sim.Result {
+	el, ok := c.items[key]
+	if !ok {
+		return nil
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*entry).res
+}
+
+// memHit counts one memory-tier hit and clones the cached result for the
+// caller.
+func memHit(out *sim.Result, mt *obs.Metrics) *sim.Result {
+	if mt != nil {
+		mt.Counter("scaltool_runcache_hits_total", "run-cache hits by tier", "tier", "mem").Inc()
+	}
+	return out.Clone()
 }
 
 // lead executes the miss path as the key's singleflight leader: disk tier,

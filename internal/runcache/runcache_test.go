@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"scaltool/internal/machine"
+	"scaltool/internal/obs"
 	"scaltool/internal/sim"
 )
 
@@ -416,4 +417,60 @@ func waitForInflight(t *testing.T, c *Cache) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(10 * time.Millisecond)
+}
+
+// TestLookupMemoryTierOnly: Lookup answers from memory alone. It counts one
+// memory hit per hit, exactly as GetOrRunKey's memory tier does, and hands
+// out a mutation-safe clone; a miss counts nothing, loads no spill file and
+// never waits on an in-flight simulation.
+func TestLookupMemoryTierOnly(t *testing.T) {
+	c, get, runs, mt := oneEntryCache(t, t.TempDir())
+	ctx := obs.NewContext(context.Background(), &obs.Observer{Metrics: mt})
+	cfg := machine.TinyTest()
+	key := func(i int) Key { return KeyFor(cfg, testProg(t, cfg, fmt.Sprintf("app%d", i), 2, 2)) }
+	memHits := func() uint64 { return mt.Counter("scaltool_runcache_hits_total", "", "tier", "mem").Value() }
+	diskHits := func() uint64 { return mt.Counter("scaltool_runcache_hits_total", "", "tier", "disk").Value() }
+
+	if _, ok := c.Lookup(ctx, key(0)); ok || memHits() != 0 {
+		t.Fatal("Lookup hit an empty cache")
+	}
+	want, _ := get(0)
+	got, ok := c.Lookup(ctx, key(0))
+	if !ok || memHits() != 1 || !bytes.Equal(encode(t, got), encode(t, want)) {
+		t.Fatalf("Lookup of a resident entry: hit %v, %d memory hits; want the entry and one hit", ok, memHits())
+	}
+	got.Report.PerProc[0][0]++ // the caller's copy is its own
+	if again, _ := c.Lookup(ctx, key(0)); !bytes.Equal(encode(t, again), encode(t, want)) {
+		t.Fatal("mutating a Lookup result corrupted the cached entry")
+	}
+
+	get(1) // the one-entry budget spills entry 0 to disk
+	hits := memHits()
+	if _, ok := c.Lookup(ctx, key(0)); ok || memHits() != hits || diskHits() != 0 {
+		t.Fatalf("Lookup of a spilled entry: hit %v, memory hits %d → %d, disk hits %d; want a miss that touches no tier", ok, hits, memHits(), diskHits())
+	}
+	if _, hit := get(0); !hit || diskHits() != 1 {
+		t.Fatal("GetOrRunKey did not load the spilled entry Lookup missed")
+	}
+
+	// An in-flight key is a miss: Lookup joins no flight.
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.GetOrRunKey(ctx, key(7), func(context.Context) (*sim.Result, error) {
+			close(started)
+			<-release
+			return want, nil
+		})
+	}()
+	<-started
+	if _, ok := c.Lookup(ctx, key(7)); ok {
+		t.Fatal("Lookup hit a key whose simulation is still in flight")
+	}
+	close(release)
+	<-done
+	if *runs != 2 {
+		t.Fatalf("%d simulations, want 2", *runs)
+	}
 }

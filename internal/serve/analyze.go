@@ -61,11 +61,13 @@ func invalid(code, format string, args ...any) *admission.Rejection {
 	return admission.Reject(http.StatusUnprocessableEntity, code, format, args...)
 }
 
-// validate resolves a request before it takes an admission slot: defaults
-// applied, workload resolved, plan built, shape caps checked. Every failure
-// is a typed rejection — 422 for semantic problems, 413 for documents whose
-// dataset is over this server's size budget.
-func (s *Server) validate(req *Request) (*resolved, *admission.Rejection) {
+// validate resolves a request for route rt before it takes an admission
+// slot: defaults applied, workload resolved, the route's minimum processor
+// count checked, plan built (a plan the fit could not use is refused here,
+// before any run), shape caps checked. Every failure is a typed rejection —
+// 422 for semantic problems, 413 for documents whose dataset is over this
+// server's size budget.
+func (s *Server) validate(req *Request, rt *route) (*resolved, *admission.Rejection) {
 	req.applyDefaults()
 	switch {
 	case req.App == "" && req.Program == nil:
@@ -87,6 +89,9 @@ func (s *Server) validate(req *Request) (*resolved, *admission.Rejection) {
 	}
 	if req.Procs < 1 || req.Procs&(req.Procs-1) != 0 {
 		return nil, invalid("bad_procs", "\"procs\" must be a power of two ≥ 1, got %d", req.Procs)
+	}
+	if req.Procs < rt.minProcs {
+		return nil, invalid("bad_procs", "%s needs \"procs\" ≥ %d, got %d", rt.path, rt.minProcs, req.Procs)
 	}
 	if req.Machine != "scaled" && req.Machine != "origin" {
 		return nil, invalid("bad_machine", "unknown machine %q (want scaled or origin)", req.Machine)

@@ -141,8 +141,8 @@ func TestDiagnoseSharesRunCacheWithAnalyze(t *testing.T) {
 
 // TestDiagnoseRejections covers the endpoint's own refusal — a
 // uniprocessor sweep has no scaling loss to explain — next to shared ones,
-// and checks /v1/analyze accepts the uniprocessor document the diagnosis
-// refuses.
+// and checks /v1/analyze does not refuse the uniprocessor document for its
+// processor count.
 func TestDiagnoseRejections(t *testing.T) {
 	_, ts, _ := newTestServer(t, Options{Workers: 1})
 	cases := []struct {
@@ -174,12 +174,13 @@ func TestDiagnoseRejections(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET: %d, want 405", resp.StatusCode)
 	}
-	// Past validation, a one-processor analysis fails in the campaign (too
-	// few uniprocessor sizes to fit), not at a gate.
+	// /v1/analyze accepts one processor, but swim's plan at one processor
+	// reaches too few uniprocessor sizes to fit: refused as a bad plan,
+	// before any run.
 	resp, body := postAnalyze(t, ts.URL, bytes.NewReader([]byte(`{"app":"swim","procs":1}`)))
 	var e apiError
-	if err := json.Unmarshal(body, &e); err != nil || e.Code == "bad_procs" {
-		t.Fatalf("/v1/analyze refused procs 1 at a gate: %d %s", resp.StatusCode, body)
+	if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusUnprocessableEntity || e.Code != "bad_plan" {
+		t.Fatalf("/v1/analyze swim at procs 1: %d %s, want 422 bad_plan", resp.StatusCode, body)
 	}
 }
 

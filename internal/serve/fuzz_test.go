@@ -60,6 +60,8 @@ func FuzzAnalyzeRequest(f *testing.F) {
 	f.Add([]byte(`{"program":{"name":"p","arrays":[{"name":"a","elems":0}],"regions":[]}}`))
 	f.Add([]byte(`[`))
 	f.Add([]byte(`not json at all`))
+	f.Add([]byte(`{"app":"swim","procs":8}garbage`))
+	f.Add([]byte(`{"app":"swim","procs":8}{"app":"nope"}`))
 	f.Add([]byte("\x00\xff\xfe"))
 
 	f.Fuzz(func(t *testing.T, body []byte) {

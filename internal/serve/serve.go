@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -75,9 +76,11 @@ type Options struct {
 	// admission default): the plan's cost grows as 2^n, so an unbounded
 	// request is a DoS. Overrides Budget.MaxProcs when set.
 	MaxProcs int
-	// SimWorkers bounds the concurrent simulated runs inside one analysis
-	// (0 = GOMAXPROCS). With several analysis workers a smaller value keeps
-	// one big campaign from starving the rest.
+	// SimWorkers bounds the concurrent runs inside one analysis that build,
+	// load a spill file or simulate (0 = GOMAXPROCS); runs answered from the
+	// run cache's memory run inline on the request's goroutine (see
+	// campaign.Runner.Workers). With several analysis workers a smaller value
+	// keeps one big campaign from starving the rest.
 	SimWorkers int
 	// Budget bounds what a request, and the server in aggregate, may cost
 	// (zero fields take the admission defaults).
@@ -307,7 +310,8 @@ func requestID(r *http.Request) string {
 }
 
 // decodeRequest decodes and gates one request document, with the shared
-// pre-admission refusals: method, draining, body size, malformed JSON.
+// pre-admission refusals: method, draining, body size, malformed JSON
+// (trailing data after the document included).
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req *Request) (int, string, error) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -322,8 +326,18 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req *Requ
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		var tooBig *http.MaxBytesError
+	var tooBig *http.MaxBytesError
+	err := dec.Decode(req)
+	if err == nil {
+		// One document per body: anything but whitespace after it is as
+		// malformed as a syntax error inside it.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, &tooBig) {
+			err = errors.New("trailing data after the request document")
+		}
+	}
+	if err != nil {
 		if errors.As(err, &tooBig) {
 			s.countRejection(http.StatusRequestEntityTooLarge)
 			return http.StatusRequestEntityTooLarge, "body_too_large",
@@ -410,10 +424,11 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost admission.Co
 
 // serve handles one request on rt; it reports the response status and, for
 // non-2xx, the machine-readable code and error to send (nil error when the
-// response was already written). The gate order is decode → validate →
-// minimum procs → quarantine → estimate → response cache → admit → isolated
-// run → encode: every refusal that costs nothing comes before the request
-// may occupy a queue slot, and a response-cache hit burns none either.
+// response was already written). The gate order is decode → validate
+// (minimum procs and plan included) → quarantine → estimate → response cache
+// → admit → isolated run → encode: every refusal that costs nothing comes
+// before the request may occupy a queue slot, and a response-cache hit
+// burns none either.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt *route, rid string, start time.Time) (int, string, error) {
 	var req Request
 	if code, ecode, err := s.decodeRequest(w, r, &req); err != nil {
@@ -422,10 +437,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt *route, rid st
 
 	// Validation and admission: semantic checks (422), then predicted cost
 	// against the per-request budget (413).
-	rv, rej := s.validate(&req)
-	if rej == nil && req.Procs < rt.minProcs {
-		rej = invalid("bad_procs", "%s needs \"procs\" ≥ %d, got %d", rt.path, rt.minProcs, req.Procs)
-	}
+	rv, rej := s.validate(&req, rt)
 	if rej != nil {
 		s.countRejection(rej.Status)
 		return rej.Status, rej.Code, rej

@@ -175,7 +175,7 @@ func TestLoadShedding(t *testing.T) {
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", analyzeBody("swim", 2))
+			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", analyzeBody("swim", 4))
 			if err == nil {
 				resp.Body.Close()
 			}
@@ -191,7 +191,7 @@ func TestLoadShedding(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp, body := postAnalyze(t, ts.URL, analyzeBody("swim", 2))
+	resp, body := postAnalyze(t, ts.URL, analyzeBody("swim", 4))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overloaded server returned %d, want 429: %s", resp.StatusCode, body)
 	}
@@ -325,6 +325,8 @@ func TestRequestValidation(t *testing.T) {
 		{"garbage body", `{"app":`, http.StatusBadRequest, "malformed"},
 		{"unknown field", `{"app":"swim","frobnicate":1}`, http.StatusBadRequest, "malformed"},
 		{"wrong type", `{"app":"swim","procs":"four"}`, http.StatusBadRequest, "malformed"},
+		{"trailing garbage", `{"app":"swim","procs":8}garbage`, http.StatusBadRequest, "malformed"},
+		{"trailing document", `{"app":"swim","procs":8}{"app":"nope"}`, http.StatusBadRequest, "malformed"},
 		{"body over limit", hugeBody, http.StatusRequestEntityTooLarge, "body_too_large"},
 		{"s0 over budget", `{"app":"swim","procs":4,"s0":18446744073709551615}`, http.StatusRequestEntityTooLarge, "s0_budget"},
 		{"missing app", `{}`, http.StatusUnprocessableEntity, "missing_app"},
@@ -332,6 +334,7 @@ func TestRequestValidation(t *testing.T) {
 		{"app and program", `{"app":"swim","program":{"name":"x","arrays":[{"name":"a","elems":64}],"regions":[{"name":"r","ops":[{"kind":"read","array":"a"}]}]}}`,
 			http.StatusUnprocessableEntity, "ambiguous_app"},
 		{"bad procs", `{"app":"swim","procs":3}`, http.StatusUnprocessableEntity, "bad_procs"},
+		{"plan too small to fit", `{"app":"swim","procs":2}`, http.StatusUnprocessableEntity, "bad_plan"},
 		{"procs over limit", `{"app":"swim","procs":16}`, http.StatusUnprocessableEntity, "procs_cap"},
 		{"bad machine", `{"app":"swim","machine":"cray"}`, http.StatusUnprocessableEntity, "bad_machine"},
 		{"bad spec", `{"program":{"name":"x","arrays":[],"regions":[]}}`, http.StatusUnprocessableEntity, "spec_arrays"},
