@@ -56,7 +56,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		reqTimeout = fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request analysis deadline")
 		maxProcs   = fs.Int("max-procs", 64, "largest processor count a request may analyze")
 		simWorkers = fs.Int("sim-workers", 0, "concurrent simulated runs within one analysis (0 = GOMAXPROCS)")
-		cacheMB    = fs.Int("cache-mb", 256, "run-cache byte budget in MiB (0 disables caching)")
+		cacheMB    = fs.Int("cache-mb", 256, "run-cache byte budget in MiB (0 disables caching: no run cache and no response cache)")
 		cacheDir   = fs.String("cache-dir", "", "spill evicted run-cache entries to this directory")
 		maxS0MB    = fs.Int("max-s0-mb", 0, "largest dataset a request may declare, in MiB (0 = 256)")
 		reqGCycles = fs.Float64("max-request-gcycles", 0, "predicted simulated cycles one request may cost, in billions (0 = 4000)")

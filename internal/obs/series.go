@@ -63,11 +63,11 @@ func (m *Metrics) DiagnoseLossCycles() *Histogram {
 		"measured scaling loss per diagnosis, in cycles", CycleBuckets)
 }
 
-// DiagnoseCache counts /v1/diagnose response-cache lookups, by outcome
-// ("hit" or "miss").
-func (m *Metrics) DiagnoseCache(outcome string) *Counter {
-	return m.Counter("scaltool_serve_diagnose_cache_total",
-		"diagnose response-cache lookups, by outcome", "outcome", outcome)
+// ResponseCache counts response-cache lookups, by route and outcome ("hit"
+// or "miss").
+func (m *Metrics) ResponseCache(route, outcome string) *Counter {
+	return m.Counter("scaltool_serve_response_cache_total",
+		"response-cache lookups, by route and outcome", "route", route, "outcome", outcome)
 }
 
 // AdmittedCycles gauges the predicted simulated cycles of work currently

@@ -11,11 +11,14 @@ import (
 	"scaltool/internal/runcache"
 )
 
-// BenchmarkServeAnalyze measures the /v1/analyze endpoint end to end over
-// HTTP — the serving-path baseline recorded in BENCH_serve.json:
+// BenchmarkServeAnalyze measures the /v1/analyze endpoint — the
+// serving-path baseline recorded in BENCH_serve.json:
 //
-//	uncached — every request simulates its full campaign (no cache wired)
-//	hit      — a warm run cache answers without any simulation
+//	uncached — every request simulates its full campaign (no cache wired);
+//	           over HTTP
+//	hit      — a repeat answered from the response cache; over HTTP
+//	runcache — a fresh Server per request on one warm run cache, served in
+//	           process: recipe lookup, inline runs, fit and encode
 //
 // The acceptance bar is a ≥ 10× hit speedup over uncached.
 func BenchmarkServeAnalyze(b *testing.B) {
@@ -56,6 +59,26 @@ func BenchmarkServeAnalyze(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			post(b, ts.URL)
+		}
+	})
+	b.Run("runcache", func(b *testing.B) {
+		opts := Options{
+			Workers: 1,
+			Cache:   runcache.New(runcache.Options{}),
+			Obs:     &obs.Observer{Metrics: obs.NewMetrics()},
+		}
+		serve := func(b *testing.B) {
+			w := httptest.NewRecorder()
+			New(opts).Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(req)))
+			if w.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", w.Code, w.Body)
+			}
+		}
+		serve(b) // warm the run cache
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serve(b)
 		}
 	})
 }

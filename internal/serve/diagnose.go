@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"scaltool/internal/campaign"
 	"scaltool/internal/diagnose"
@@ -16,45 +15,8 @@ import (
 // base-run sweep through the shared run cache, overlays the per-region
 // attribution on the program structure graph, and returns the ranked
 // culprit report (diagnose.Report). Identical requests get byte-identical
-// bodies, served from a bounded response cache keyed by the normalized
-// document — a hit costs no admission slot and no simulation.
-
-// diagCacheCapacity bounds the remembered diagnose response bodies. A
-// report for a 32-processor campaign is a few tens of kilobytes, so the
-// cache tops out around a few megabytes.
-const diagCacheCapacity = 256
-
-// responseCache is a bounded FIFO map of encoded response bodies, keyed by
-// the content address of the normalized request document.
-type responseCache struct {
-	mu    sync.Mutex
-	items map[string][]byte
-	order []string
-}
-
-func (c *responseCache) get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.items[key]
-	return b, ok
-}
-
-func (c *responseCache) put(key string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.items == nil {
-		c.items = make(map[string][]byte, diagCacheCapacity)
-	}
-	if _, ok := c.items[key]; ok {
-		return
-	}
-	if len(c.order) >= diagCacheCapacity {
-		delete(c.items, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.items[key] = body
-	c.order = append(c.order, key)
-}
+// bodies; a repeat is answered from the server's response cache, which
+// both routes share (respcache.go).
 
 // diagnose runs the full pipeline for one resolved request: campaign
 // (through the shared run cache) → attribution family → structure graph →

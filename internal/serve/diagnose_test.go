@@ -32,7 +32,7 @@ func diagnoseBody(app string, procs int, s0 uint64) *bytes.Reader {
 	return bytes.NewReader([]byte(fmt.Sprintf(`{"app":%q,"procs":%d,"s0":%d}`, app, procs, s0)))
 }
 
-func diagCacheHits(mt *obs.Metrics) uint64 { return mt.DiagnoseCache("hit").Value() }
+func diagCacheHits(mt *obs.Metrics) uint64 { return mt.ResponseCache("/v1/diagnose", "hit").Value() }
 
 // TestDiagnoseEndToEnd is the acceptance test: a 1/2/4/8-processor campaign
 // of a seeded app returns a deterministic ranked culprit list whose

@@ -132,12 +132,16 @@ func TestRetryAfterUsesObservedRate(t *testing.T) {
 		}
 	}
 
-	// Fill the pool, then shed one.
+	// Fill the pool with documents not answered yet (a repeat could be a
+	// response-cache hit, which takes no slot), then shed one.
 	blocking = true
 	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
+	for _, doc := range []string{
+		`{"app":"swim","procs":4,"raw_tm":true}`,
+		`{"app":"swim","procs":4,"machine":"origin"}`,
+	} {
 		go func() {
-			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", analyzeBody("swim", 4))
+			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(doc))
 			if err == nil {
 				resp.Body.Close()
 			}

@@ -25,12 +25,17 @@ func programBuilds(mt *obs.Metrics) uint64 {
 // table: the first request for a document builds its programs (counted on
 // /metrics by cause), and a warm repeat of it — on /v1/analyze, on
 // /v1/diagnose, or a user program spec — builds nothing and answers the
-// same bytes.
+// same bytes. A repeat on the same server is a response-cache hit, so the
+// recipe table is exercised by a second server sharing the run cache (the
+// table is process-wide): its campaign builds nothing, though a diagnosis
+// still builds its structure graph.
 func TestWarmRepeatBuildsNothing(t *testing.T) {
-	_, ts, mt := newTestServer(t, Options{Workers: 2, Cache: runcache.New(runcache.Options{})})
-	post := func(route, doc string) []byte {
+	cache := runcache.New(runcache.Options{})
+	_, ts, mt := newTestServer(t, Options{Workers: 2, Cache: cache})
+	_, wts, wmt := newTestServer(t, Options{Workers: 2, Cache: cache})
+	post := func(url, route, doc string) []byte {
 		t.Helper()
-		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(doc))
+		resp, err := http.Post(url+route, "application/json", strings.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +56,7 @@ func TestWarmRepeatBuildsNothing(t *testing.T) {
 	}
 	for i, c := range cases {
 		before := programBuilds(mt)
-		cold := post(c.route, c.doc)
+		cold := post(ts.URL, c.route, c.doc)
 		if i == 0 {
 			if mt.Counter("scaltool_program_builds_total", "", "cause", recipe.CauseRecipe).Value() == 0 ||
 				mt.Counter("scaltool_program_builds_total", "", "cause", recipe.CauseMiss).Value() == 0 {
@@ -62,12 +67,22 @@ func TestWarmRepeatBuildsNothing(t *testing.T) {
 		if i != 2 && cold2 == before {
 			t.Fatalf("%s %s: the cold request counted no builds", c.route, c.doc)
 		}
-		warm := post(c.route, c.doc)
+		warm := post(ts.URL, c.route, c.doc)
 		if n := programBuilds(mt) - cold2; n != 0 {
 			t.Fatalf("%s %s: a warm repeat built %d programs, want 0", c.route, c.doc, n)
 		}
 		if !bytes.Equal(cold, warm) {
 			t.Fatalf("%s %s: warm body differs from cold", c.route, c.doc)
+		}
+		graphBefore := wmt.Counter("scaltool_program_builds_total", "", "cause", recipe.CauseGraph).Value()
+		runBefore := programBuilds(wmt) - graphBefore
+		warm = post(wts.URL, c.route, c.doc)
+		graphAfter := wmt.Counter("scaltool_program_builds_total", "", "cause", recipe.CauseGraph).Value()
+		if n := programBuilds(wmt) - graphAfter - runBefore; n != 0 {
+			t.Fatalf("%s %s: a warm campaign on a second server built %d programs, want 0", c.route, c.doc, n)
+		}
+		if !bytes.Equal(cold, warm) {
+			t.Fatalf("%s %s: second server's warm body differs from cold", c.route, c.doc)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/metrics")

@@ -1,0 +1,193 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+	"testing"
+
+	"scaltool/internal/obs"
+	"scaltool/internal/runcache"
+)
+
+func post(t *testing.T, url, path, doc string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+path, "application/json", strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, b
+}
+
+func post200(t *testing.T, url, path, doc string) []byte {
+	t.Helper()
+	resp, body := post(t, url, path, doc)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: status %d: %s", path, doc, resp.StatusCode, body)
+	}
+	return body
+}
+
+func runcacheCounts(mt *obs.Metrics) [3]uint64 {
+	return [3]uint64{
+		mt.Counter("scaltool_runcache_hits_total", "run-cache hits by tier", "tier", "mem").Value(),
+		mt.Counter("scaltool_runcache_hits_total", "run-cache hits by tier", "tier", "disk").Value(),
+		mt.Counter("scaltool_runcache_misses_total", "run-cache misses (a real simulation ran)").Value(),
+	}
+}
+
+// TestResponseCacheRepeatHits: on both routes, a repeat on the same server
+// is answered from the response cache — byte-identical, with no simulation
+// and no run-cache lookup of any kind.
+func TestResponseCacheRepeatHits(t *testing.T) {
+	_, ts, mt := newTestServer(t, Options{Workers: 2, Cache: runcache.New(runcache.Options{})})
+	const doc = `{"app":"swim","procs":4}`
+	for _, path := range []string{"/v1/analyze", "/v1/diagnose"} {
+		first := post200(t, ts.URL, path, doc)
+		runs, lookups := simRuns(mt), runcacheCounts(mt)
+		again := post200(t, ts.URL, path, doc)
+		if !bytes.Equal(first, again) {
+			t.Fatalf("%s: repeat body differs:\n%s\nvs\n%s", path, first, again)
+		}
+		if got := simRuns(mt); got != runs {
+			t.Fatalf("%s: repeat ran %d simulations, want 0", path, got-runs)
+		}
+		if got := runcacheCounts(mt); got != lookups {
+			t.Fatalf("%s: repeat touched the run cache: hits/misses %v → %v", path, lookups, got)
+		}
+		if hits := mt.ResponseCache(path, "hit").Value(); hits != 1 {
+			t.Fatalf("%s: response-cache hits = %d, want 1", path, hits)
+		}
+		if misses := mt.ResponseCache(path, "miss").Value(); misses != 1 {
+			t.Fatalf("%s: response-cache misses = %d, want 1", path, misses)
+		}
+	}
+}
+
+// TestResponseCacheKeyNormalization: the key is the normalized document, so
+// spelled-out defaults share an entry, while every field that changes the
+// analysis — and the route itself — gets its own.
+func TestResponseCacheKeyNormalization(t *testing.T) {
+	s, ts, mt := newTestServer(t, Options{Workers: 2, Cache: runcache.New(runcache.Options{})})
+
+	short := post200(t, ts.URL, "/v1/analyze", `{"app":"swim"}`)
+	long := post200(t, ts.URL, "/v1/analyze", `{"app":"swim","procs":32,"machine":"scaled"}`)
+	if !bytes.Equal(short, long) {
+		t.Fatal("defaulted and spelled-out documents got different bodies")
+	}
+	if hits := mt.ResponseCache("/v1/analyze", "hit").Value(); hits != 1 {
+		t.Fatalf("spelled-out defaults: response-cache hits = %d, want 1", hits)
+	}
+
+	const base = `{"app":"swim","procs":8}`
+	bodies := map[string]string{base: string(post200(t, ts.URL, "/v1/analyze", base))}
+	for _, doc := range []string{
+		`{"app":"swim","procs":8,"raw_tm":true}`,
+		`{"app":"swim","procs":8,"machine":"origin"}`,
+		`{"app":"swim","procs":8,"s0":1048576}`,
+	} {
+		before := mt.ResponseCache("/v1/analyze", "miss").Value()
+		body := string(post200(t, ts.URL, "/v1/analyze", doc))
+		if got := mt.ResponseCache("/v1/analyze", "miss").Value(); got != before+1 {
+			t.Fatalf("%s: response-cache misses %d → %d, want one more", doc, before, got)
+		}
+		for other, b := range bodies {
+			if b == body {
+				t.Fatalf("%s got the same body as %s", doc, other)
+			}
+		}
+		bodies[doc] = body
+	}
+
+	const both = `{"app":"swim","procs":4}`
+	a := post200(t, ts.URL, "/v1/analyze", both)
+	d := post200(t, ts.URL, "/v1/diagnose", both)
+	if bytes.Equal(a, d) {
+		t.Fatal("the two routes share a body for one document")
+	}
+	if hits := mt.ResponseCache("/v1/diagnose", "hit").Value(); hits != 0 {
+		t.Fatalf("first diagnose of a document analyzed before hit the response cache (%d hits)", hits)
+	}
+	// 1 default-procs entry + 4 procs-8 variants + one per route for swim/4.
+	if n := len(s.responses.items); n != 7 {
+		t.Fatalf("response cache holds %d entries, want 7", n)
+	}
+}
+
+// TestResponseCacheAfterGates: a hit is never a way around a refusal, and a
+// server without a run cache has no response cache either.
+func TestResponseCacheAfterGates(t *testing.T) {
+	t.Run("draining", func(t *testing.T) {
+		s, ts, _ := newTestServer(t, Options{Workers: 1, Cache: runcache.New(runcache.Options{})})
+		const doc = `{"app":"swim","procs":4}`
+		post200(t, ts.URL, "/v1/analyze", doc)
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		resp, body := post(t, ts.URL, "/v1/analyze", doc)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("draining server answered a cached document with %d, want 429: %s", resp.StatusCode, body)
+		}
+	})
+	t.Run("nil cache", func(t *testing.T) {
+		s, ts, mt := newTestServer(t, Options{Workers: 1})
+		if s.responses != nil {
+			t.Fatal("Cache: nil built a response cache")
+		}
+		const doc = `{"app":"swim","procs":4}`
+		for _, path := range []string{"/v1/analyze", "/v1/diagnose"} {
+			var first []byte
+			for i := 0; i < 2; i++ {
+				runs := simRuns(mt)
+				body := post200(t, ts.URL, path, doc)
+				if simRuns(mt) == runs {
+					t.Fatalf("%s: request %d simulated nothing without a cache", path, i)
+				}
+				if i == 0 {
+					first = body
+				} else if !bytes.Equal(first, body) {
+					t.Fatalf("%s: uncached repeat body differs", path)
+				}
+			}
+			for _, outcome := range []string{"hit", "miss"} {
+				if n := mt.ResponseCache(path, outcome).Value(); n != 0 {
+					t.Fatalf("%s: %d response-cache %ss without a cache", path, n, outcome)
+				}
+			}
+		}
+	})
+}
+
+// TestResponseCacheFIFO pins the bounded policy: at capacity the oldest
+// entry goes, and a duplicate put keeps the first body.
+func TestResponseCacheFIFO(t *testing.T) {
+	var c responseCache
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	for i := 0; i < responseCacheCapacity; i++ {
+		c.put(key(i), []byte(key(i)))
+	}
+	c.put(key(0), []byte("second"))
+	if b, ok := c.get(key(0)); !ok || string(b) != key(0) {
+		t.Fatalf("duplicate put: get(k0) = %q, %v; want the first body", b, ok)
+	}
+	c.put(key(responseCacheCapacity), []byte("new"))
+	if _, ok := c.get(key(0)); ok {
+		t.Fatal("the oldest entry survived a put past capacity")
+	}
+	for _, i := range []int{1, responseCacheCapacity - 1, responseCacheCapacity} {
+		if _, ok := c.get(key(i)); !ok {
+			t.Fatalf("entry %d evicted; only the oldest should go", i)
+		}
+	}
+	if len(c.items) != responseCacheCapacity || len(c.order) != responseCacheCapacity {
+		t.Fatalf("cache holds %d items / %d order entries, want %d", len(c.items), len(c.order), responseCacheCapacity)
+	}
+}

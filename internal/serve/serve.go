@@ -7,7 +7,10 @@
 // application (or a user-submitted program spec) through internal/runcache,
 // fits the model, and returns the speedup curve and cycle breakdown as JSON.
 // Identical requests produce byte-identical response bodies whether they
-// were simulated or served from cache.
+// were simulated or served from cache. An analysis is a pure function of its
+// normalized document, so both routes answer a repeat from one bounded
+// response cache before it takes a queue slot; Options.Cache nil disables
+// caching: no run cache and no response cache.
 //
 // The service assumes hostile clients (DESIGN.md §13). Its status-code
 // contract, in the order a request meets each gate:
@@ -85,8 +88,8 @@ type Options struct {
 	// Budget bounds what a request, and the server in aggregate, may cost
 	// (zero fields take the admission defaults).
 	Budget admission.Budget
-	// Cache is the shared run cache; nil disables caching (every request
-	// simulates from scratch).
+	// Cache is the shared run cache. nil disables caching: no run cache and
+	// no response cache (every request simulates from scratch).
 	Cache *runcache.Cache
 	// Obs instruments the service: scaltool_serve_* metrics, request logs,
 	// and the /metrics endpoint. May be nil.
@@ -104,6 +107,7 @@ type Server struct {
 	admitted   chan struct{} // admission slots: Workers + QueueDepth
 	ledger     *admission.Ledger
 	quarantine *health.QuarantineSet
+	responses  *responseCache // encoded 200 bodies of both routes; nil without Options.Cache
 	drain      drainEstimator
 	draining   atomic.Bool
 	inflight   sync.WaitGroup
@@ -136,11 +140,14 @@ func New(opts Options) *Server {
 		ledger:     admission.NewLedger(opts.Budget),
 		quarantine: health.NewQuarantineSet(quarantineCapacity),
 	}
+	if opts.Cache != nil {
+		s.responses = &responseCache{}
+	}
 	s.mux = http.NewServeMux()
 	for _, rt := range []*route{
 		{s: s, path: "/v1/analyze", minProcs: 1, price: admission.Budget.EstimatePlanContext, run: (*Server).analyze},
-		{s: s, path: "/v1/diagnose", qprefix: "diag:", minProcs: 2, price: admission.Budget.EstimateDiagnoseContext,
-			cache: &responseCache{}, run: (*Server).diagnose},
+		{s: s, path: "/v1/diagnose", keyPrefix: "diag:", minProcs: 2, price: admission.Budget.EstimateDiagnoseContext,
+			run: (*Server).diagnose},
 	} {
 		s.mux.Handle(rt.path, rt)
 	}
@@ -266,15 +273,13 @@ const maxBodyBytes = 1 << 20
 type route struct {
 	s    *Server
 	path string
-	// qprefix namespaces the route's quarantine keys, so a shape that
-	// crashed one pipeline is still served by the other.
-	qprefix  string
-	minProcs int
+	// keyPrefix namespaces the route's quarantine and response-cache keys:
+	// a shape that crashed one pipeline is still served by the other, and
+	// the same document gets each route's own body.
+	keyPrefix string
+	minProcs  int
 	// price is the admission estimator of the route's work.
 	price func(admission.Budget, context.Context, machine.Config, apps.App, campaign.Plan, int) (admission.Cost, *admission.Rejection)
-	// cache remembers encoded response bodies by document digest; nil
-	// when the route has none.
-	cache *responseCache
 	// run executes an admitted request and returns the value to encode.
 	run func(*Server, context.Context, *Request, *resolved) (any, error)
 }
@@ -442,9 +447,8 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt *route, rid st
 		s.countRejection(rej.Status)
 		return rej.Status, rej.Code, rej
 	}
-	key := requestKey(&req)
-	qkey := rt.qprefix + key
-	if reason, ok := s.quarantine.Lookup(qkey); ok {
+	key := rt.keyPrefix + requestKey(&req)
+	if reason, ok := s.quarantine.Lookup(key); ok {
 		if mt := s.meter(); mt != nil {
 			mt.ServeQuarantined().Inc()
 		}
@@ -458,16 +462,14 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt *route, rid st
 		return rej.Status, rej.Code, rej
 	}
 
-	if rt.cache != nil {
-		// Only /v1/diagnose has a response cache, so its verdicts are
-		// counted in the diagnose series.
-		body, ok := rt.cache.get(key)
+	if s.responses != nil {
+		body, ok := s.responses.get(key)
 		if mt := s.meter(); mt != nil {
-			verdict := "miss"
+			outcome := "miss"
 			if ok {
-				verdict = "hit"
+				outcome = "hit"
 			}
-			mt.DiagnoseCache(verdict).Inc()
+			mt.ResponseCache(rt.path, outcome).Inc()
 		}
 		if ok {
 			writeBody(w, body)
@@ -481,7 +483,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt *route, rid st
 	}
 	defer release()
 
-	out, err := s.runIsolated(ctx, rt, &req, rv, qkey)
+	out, err := s.runIsolated(ctx, rt, &req, rv, key)
 	if err != nil {
 		return s.triageExecError(ctx, &req, err)
 	}
@@ -493,8 +495,8 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt *route, rid st
 		return http.StatusInternalServerError, "failed", fmt.Errorf("encoding response: %v", err)
 	}
 	body := buf.Bytes()
-	if rt.cache != nil {
-		rt.cache.put(key, body)
+	if s.responses != nil {
+		s.responses.put(key, body)
 	}
 	writeBody(w, body)
 	obs.Log(ctx).Info("request served", "route", rt.path, "app", req.Ident(), "procs", req.Procs, "elapsed", time.Since(start))
@@ -539,10 +541,10 @@ func writeBody(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// panicFault wraps a recovered analysis panic as an error.
+// panicFault wraps a recovered analysis panic as an error; the stack goes
+// to the quarantine log, not here.
 type panicFault struct {
 	value any
-	stack []byte
 }
 
 func (p *panicFault) Error() string { return fmt.Sprintf("analysis panicked: %v", p.value) }
@@ -556,7 +558,7 @@ func (s *Server) runIsolated(ctx context.Context, rt *route, req *Request, rv *r
 	defer func() {
 		if r := recover(); r != nil {
 			s.quarantinePanic(ctx, qkey, r, debug.Stack())
-			out, err = nil, &panicFault{value: r, stack: debug.Stack()}
+			out, err = nil, &panicFault{value: r}
 		}
 	}()
 	// The test hook runs inside the isolation scope: tests use it both to
@@ -572,7 +574,7 @@ func (s *Server) runIsolated(ctx context.Context, rt *route, req *Request, rv *r
 	if errors.As(err, &pe) {
 		v, stack := pe.PanicValue()
 		s.quarantinePanic(ctx, qkey, v, stack)
-		return nil, &panicFault{value: v, stack: stack}
+		return nil, &panicFault{value: v}
 	}
 	return out, err
 }

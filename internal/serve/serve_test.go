@@ -79,11 +79,13 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 }
 
 // TestAnalyzeCacheHitByteIdentical is the acceptance test for the serving
-// path: the second identical request must be served entirely from the run
-// cache — zero scaltool_sim_runs_total increments — with a response body
+// path. A repeat on the same server is a response-cache hit; a fresh server
+// on the same warm run cache answers from the run cache alone. Either way
+// there are zero scaltool_sim_runs_total increments and the body is
 // byte-identical to the uncached one.
 func TestAnalyzeCacheHitByteIdentical(t *testing.T) {
-	_, ts, mt := newTestServer(t, Options{Workers: 2, Cache: runcache.New(runcache.Options{})})
+	cache := runcache.New(runcache.Options{})
+	_, ts, mt := newTestServer(t, Options{Workers: 2, Cache: cache})
 
 	resp1, body1 := postAnalyze(t, ts.URL, analyzeBody("swim", 4))
 	if resp1.StatusCode != http.StatusOK {
@@ -94,17 +96,35 @@ func TestAnalyzeCacheHitByteIdentical(t *testing.T) {
 		t.Fatal("first analysis simulated nothing")
 	}
 
+	// Same server: the response cache answers.
 	resp2, body2 := postAnalyze(t, ts.URL, analyzeBody("swim", 4))
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("second request: %d: %s", resp2.StatusCode, body2)
 	}
 	if got := simRuns(mt); got != cold {
-		t.Fatalf("cache hit ran %d simulations, want 0", got-cold)
+		t.Fatalf("response-cache hit ran %d simulations, want 0", got-cold)
 	}
 	if !bytes.Equal(body1, body2) {
 		t.Fatalf("cached response differs from fresh:\n%s\nvs\n%s", body1, body2)
 	}
-	if hits := mt.Counter("scaltool_runcache_hits_total", "run-cache hits by tier", "tier", "mem").Value(); hits == 0 {
+	if hits := mt.ResponseCache("/v1/analyze", "hit").Value(); hits != 1 {
+		t.Fatalf("response-cache hits = %d, want 1", hits)
+	}
+
+	// A fresh server sharing the warm run cache: no response cache entry,
+	// so the campaign runs, and every run is a memory hit.
+	_, ts2, mt2 := newTestServer(t, Options{Workers: 2, Cache: cache})
+	resp3, body3 := postAnalyze(t, ts2.URL, analyzeBody("swim", 4))
+	if resp3.StatusCode != http.StatusOK {
+		t.Fatalf("run-cache request: %d: %s", resp3.StatusCode, body3)
+	}
+	if got := simRuns(mt2); got != 0 {
+		t.Fatalf("run-cache hit ran %d simulations, want 0", got)
+	}
+	if !bytes.Equal(body1, body3) {
+		t.Fatalf("run-cache response differs from fresh:\n%s\nvs\n%s", body1, body3)
+	}
+	if hits := mt2.Counter("scaltool_runcache_hits_total", "run-cache hits by tier", "tier", "mem").Value(); hits == 0 {
 		t.Fatal("no run-cache memory hits recorded")
 	}
 }
