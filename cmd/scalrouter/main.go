@@ -1,7 +1,6 @@
 // Command scalrouter is the fleet front tier: one address in front of N
 // scaltoold replicas, with consistent-hash routing, health probing,
-// per-replica circuit breakers, automatic failover, and optional hedging
-// (internal/fleet).
+// per-replica circuit breakers, and automatic failover (internal/fleet).
 //
 // Two ways to name the fleet:
 //
@@ -170,6 +169,14 @@ func run(cfg routerConfig, stdout, stderr io.Writer) error {
 		Obs:              o,
 	})
 
+	// Bind before starting the prober or spawning a child, so a bad or taken
+	// address fails startup with nothing to clean up — the same fail-fast
+	// contract as scaltoold. A child spawned first would outlive the router.
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return fmt.Errorf("listen: %w", err)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rt.StartProber(ctx)
@@ -199,10 +206,6 @@ func run(cfg routerConfig, stdout, stderr io.Writer) error {
 		svDone <- nil
 	}
 
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return fmt.Errorf("listen: %w", err)
-	}
 	fmt.Fprintf(stdout, "scalrouter: listening on %s\n", ln.Addr())
 	if testOnReady != nil {
 		testOnReady(ln.Addr().String())

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -72,12 +73,12 @@ func post(t *testing.T, base string, doc string) (*http.Response, []byte) {
 // fleet metrics, and the SIGTERM drain. verify.sh runs this as the router
 // e2e gate.
 func TestScalrouterStaticFleetE2E(t *testing.T) {
-	s1, err := fleet.StartStub(0, 0)
+	s1, err := fleet.StartStub()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s1.Kill()
-	s2, err := fleet.StartStub(0, 0)
+	s2, err := fleet.StartStub()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,5 +225,31 @@ func TestScalrouterFlagValidation(t *testing.T) {
 		if !strings.Contains(stderr.String(), "exactly one way") {
 			t.Fatalf("args %v: missing usage error, got:\n%s", args, stderr.String())
 		}
+	}
+}
+
+// TestScalrouterTakenAddressSpawnsNothing: with -spawn, a listen address
+// that is already taken must fail startup before any child is spawned —
+// a child started first would outlive the router.
+func TestScalrouterTakenAddressSpawnsNothing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var stdout, stderr bytes.Buffer
+	code := realMain([]string{
+		"-addr", ln.Addr().String(),
+		"-spawn", "1",
+		"-scaltoold", filepath.Join(t.TempDir(), "scaltoold"),
+	}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	if strings.Contains(stderr.String(), "spawning replica") {
+		t.Fatalf("a replica was spawned before the bind failed; stderr:\n%s", stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "listen") {
+		t.Fatalf("missing listen error; stderr:\n%s", stderr.String())
 	}
 }

@@ -75,9 +75,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if err := run(*addr, *grace, serveOptions{
 		workers: *workers, queueDepth: *queueDepth, reqTimeout: *reqTimeout,
-		maxProcs: *maxProcs, simWorkers: *simWorkers,
-		cacheMB: *cacheMB, cacheDir: *cacheDir,
+		simWorkers: *simWorkers, cacheMB: *cacheMB, cacheDir: *cacheDir,
 		budget: admission.Budget{
+			MaxProcs:         *maxProcs,
 			MaxS0Bytes:       uint64(*maxS0MB) << 20,
 			MaxRequestCycles: *reqGCycles * 1e9,
 			MaxRequestBytes:  int64(*reqMB) << 20,
@@ -96,8 +96,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 type serveOptions struct {
 	workers, queueDepth            int
 	reqTimeout                     time.Duration
-	maxProcs, simWorkers           int
-	cacheMB                        int
+	simWorkers, cacheMB            int
 	cacheDir                       string
 	budget                         admission.Budget
 	readHeaderTimeout, readTimeout time.Duration
@@ -147,7 +146,6 @@ func run(addr string, grace time.Duration, so serveOptions, stdout, stderr io.Wr
 		Workers:        so.workers,
 		QueueDepth:     so.queueDepth,
 		RequestTimeout: so.reqTimeout,
-		MaxProcs:       so.maxProcs,
 		SimWorkers:     so.simWorkers,
 		Budget:         so.budget,
 		Cache:          cache,

@@ -24,7 +24,6 @@ import (
 	"testing"
 	"time"
 
-	"scaltool/internal/client"
 	"scaltool/internal/runcache"
 	"scaltool/internal/serve"
 )
@@ -54,10 +53,10 @@ func fetchOnce(hc *http.Client, url string, doc []byte) (int, []byte, error) {
 	return resp.StatusCode, body, nil
 }
 
-// fetchRetry applies the client package's retry policy at the raw-bytes
-// level (the typed client decodes responses, and this test must compare
-// exact bytes): transport errors, 429 and 503 retry; everything else is a
-// non-retryable client-visible failure — the thing this gate forbids.
+// fetchRetry is an ordinary client retry policy at the raw-bytes level
+// (this test must compare exact bytes): transport errors, 429 and 503
+// retry; everything else is a non-retryable client-visible failure — the
+// thing this gate forbids.
 func fetchRetry(ctx context.Context, hc *http.Client, url string, doc []byte) ([]byte, error) {
 	var last error
 	for attempt := 0; ctx.Err() == nil; attempt++ {
@@ -217,14 +216,12 @@ func TestFleetChaosKillRestartByteIdentical(t *testing.T) {
 	}
 
 	// The load: four client goroutines, each walking the documents in a
-	// different order. Raw-byte fetchers assert byte-identity; a typed
-	// internal/client caller rides along asserting the package's own
-	// retry/breaker stack also sees zero non-retryable failures.
+	// different order and asserting byte-identity on every answer.
 	const perClient = 8
 	var wg sync.WaitGroup
 	var served atomic.Int64
 	errCh := make(chan error, 8)
-	for g := 0; g < 3; g++ {
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -244,24 +241,6 @@ func TestFleetChaosKillRestartByteIdentical(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tc := client.New(front.URL, client.Options{
-			MaxAttempts:      60,
-			BaseDelay:        5 * time.Millisecond,
-			MaxDelay:         100 * time.Millisecond,
-			FailureThreshold: 1000, // the router already breakers per replica
-		})
-		for i := 0; i < perClient || !stormOver(); i++ {
-			req := serve.Request{App: "swim", Procs: 4}
-			if _, err := tc.Analyze(ctx, &req); err != nil {
-				errCh <- fmt.Errorf("typed client req %d: %w", i, err)
-				return
-			}
-			served.Add(1)
-		}
-	}()
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {

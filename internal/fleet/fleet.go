@@ -1,6 +1,5 @@
 // Package fleet turns N scaltoold replicas into one fault-tolerant analysis
-// service, and measures that tier with the repo's own scalability law
-// (usl.go).
+// service.
 //
 // The pieces, bottom up:
 //
@@ -8,24 +7,22 @@
 //     are placed by rendezvous hashing on the content-addressed runcache
 //     key (serve.RoutingKey), so an identical document always lands on the
 //     replica whose memory tier is warm for it. Each replica carries a
-//     health verdict (prober.go) and a circuit breaker (the client
-//     package's Breaker, one per replica); a refused, unreachable, or
-//     breaker-open replica fails over to the next in hash order, one
-//     attempt at a time. The simulator is deterministic, so every
-//     forwarded request is idempotent and byte-identical across replicas —
-//     failover can never change an answer, only deliver it.
+//     health verdict (prober.go) and a circuit breaker (breaker.go); a
+//     refused, unreachable, or breaker-open replica fails over to the next
+//     in hash order, one attempt at a time. The simulator is deterministic,
+//     so every forwarded request is idempotent and byte-identical across
+//     replicas — failover can never change an answer, only deliver it.
 //
 //   - Supervisor: keeps N replica slots alive. Each slot watches its
 //     instance's exit and probes its health on a heartbeat; a dead or hung
 //     replica is killed and respawned with backoff, and the router learns
 //     the replacement's URL through SetReplicaURL.
 //
-//   - Handles: LocalReplica runs a real serve.Server in-process (the load
-//     harness's and chaos tests' replica; Kill severs in-flight
-//     connections exactly like a SIGKILL), ExecReplica supervises a real
-//     scaltoold child process, and StartStub emulates a replica's service
-//     demand without burning CPU (how the routing tier is measured on a
-//     host that cannot give every replica its own cores).
+//   - Handles: LocalReplica runs a real serve.Server in-process (the chaos
+//     tests' replica; Kill severs in-flight connections exactly like a
+//     SIGKILL), ExecReplica supervises a real scaltoold child process, and
+//     StartStub answers with a digest of the document, so a router test
+//     needs no simulator behind it.
 //
 // The router mirrors internal/serve's shutdown contract: Drain flips
 // /v1/healthz to 503, refuses new work with a retryable 429, and waits for
@@ -38,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scaltool/internal/client"
 	"scaltool/internal/obs"
 )
 
@@ -57,19 +53,15 @@ type Options struct {
 	// Replicas is the initial fleet membership. More can join later via
 	// SetReplicaURL (the supervisor's restart path).
 	Replicas []Replica
-	// HTTP is the transport used for forwards and probes (nil = a client
-	// with sane connection pooling).
-	HTTP *http.Client
-	// ProbeInterval is the health-probe period (0 = 500ms).
+	// ProbeInterval is the health-probe period (0 = 500ms). One probe is
+	// bounded by the interval, capped at 2s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (0 = ProbeInterval, capped at 2s).
-	ProbeTimeout time.Duration
 	// FailureThreshold is how many consecutive hard failures open a
 	// replica's circuit breaker (0 = 3).
 	FailureThreshold int
 	// Cooldown is the open breaker's wait before its half-open probe
-	// (0 = 5s — shorter than the client default: the router sits in front
-	// of a supervisor that restarts replicas in well under 15s).
+	// (0 = 5s: the router sits in front of a supervisor that restarts
+	// replicas in well under that).
 	Cooldown time.Duration
 	// ForwardTimeout bounds one forwarded attempt (0 = 90s: a shade over
 	// the replica's own 60s request deadline, so the replica's 504 wins).
@@ -80,24 +72,8 @@ type Options struct {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.HTTP == nil {
-		// The default transport keeps only 2 idle conns per host — under a
-		// load burst every extra concurrent forward would pay a fresh TCP
-		// handshake to the same replica. Pool generously; replicas are few.
-		out.HTTP = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
 	if out.ProbeInterval <= 0 {
 		out.ProbeInterval = 500 * time.Millisecond
-	}
-	if out.ProbeTimeout <= 0 {
-		out.ProbeTimeout = out.ProbeInterval
-		if out.ProbeTimeout > 2*time.Second {
-			out.ProbeTimeout = 2 * time.Second
-		}
 	}
 	if out.FailureThreshold <= 0 {
 		out.FailureThreshold = 3
@@ -116,7 +92,7 @@ type member struct {
 	name    string
 	url     atomic.Value // string; "" while the slot has no instance
 	up      atomic.Bool  // last health-probe verdict
-	breaker *client.Breaker
+	breaker *breaker
 }
 
 func (m *member) currentURL() string {
@@ -130,6 +106,11 @@ func (m *member) currentURL() string {
 // concurrent use.
 type Router struct {
 	opts Options
+	// hc carries forwards and probes. The default transport keeps only 2
+	// idle conns per host — under a load burst every extra concurrent
+	// forward would pay a fresh TCP handshake to the same replica. Pool
+	// generously; replicas are few.
+	hc *http.Client
 
 	mu      sync.RWMutex
 	members []*member
@@ -143,7 +124,14 @@ type Router struct {
 // begin health probing; without it every replica is assumed healthy and
 // failover still works through the breakers.
 func NewRouter(opts Options) *Router {
-	rt := &Router{opts: opts.withDefaults()}
+	rt := &Router{
+		opts: opts.withDefaults(),
+		hc: &http.Client{Transport: &http.Transport{
+			MaxIdleConns:        256,
+			MaxIdleConnsPerHost: 64,
+			IdleConnTimeout:     90 * time.Second,
+		}},
+	}
 	for _, r := range rt.opts.Replicas {
 		rt.addMember(r.Name, r.URL)
 	}
@@ -159,7 +147,7 @@ func NewRouter(opts Options) *Router {
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
 func (rt *Router) addMember(name, url string) *member {
-	m := &member{name: name, breaker: client.NewBreaker(rt.opts.FailureThreshold, rt.opts.Cooldown)}
+	m := &member{name: name, breaker: &breaker{threshold: rt.opts.FailureThreshold, cooldown: rt.opts.Cooldown}}
 	m.url.Store(url)
 	m.up.Store(true)
 	rt.mu.Lock()

@@ -8,12 +8,11 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"time"
 
 	"scaltool/internal/serve"
 )
 
-// Replica handles for tests and the load harness. A LocalReplica is a real
+// Replica handles for tests. A LocalReplica is a real
 // serve.Server on a real TCP listener — the full scaltoold data path minus
 // the process boundary — with the two process-level fates a supervisor
 // must handle exposed as methods: Kill is the SIGKILL analog (the listener
@@ -75,34 +74,20 @@ func (r *LocalReplica) Shutdown(ctx context.Context) error {
 	return serr
 }
 
-// StubReplica is a replica-shaped stand-in whose only cost is a calibrated
-// sleep: it emulates a replica's SERVICE DEMAND without its CPU demand.
-// This is how the routing tier is load-tested honestly on a host whose
-// core count cannot carry N real simulators — a sleeping stub consumes no
-// CPU, so N stubs scale the way N machines would, and the measured curve
-// isolates the router's own serialization (its α and β, not the host's).
+// StubReplica is a replica-shaped stand-in with no simulator behind it:
+// analyze and diagnose answer at once with a digest of the request body.
 // Responses are deterministic functions of the request body, preserving
 // the byte-identity contract the router relies on.
 type StubReplica struct {
-	url  string
-	srv  *http.Server
-	done chan struct{}
+	url string
+	srv *http.Server
 }
 
-// StartStub starts a stub replica whose analyze/diagnose handlers sleep
-// delay then answer with a small document digest. workers > 0 bounds the
-// number of concurrently "analyzing" requests — the stand-in for a real
-// replica's worker pool, and what makes a stub saturate (and a fleet of
-// them scale) the way real replicas do; excess requests queue. workers <= 0
-// is unlimited.
-func StartStub(delay time.Duration, workers int) (*StubReplica, error) {
+// StartStub starts a stub replica on an ephemeral localhost port.
+func StartStub() (*StubReplica, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
-	}
-	var slots chan struct{}
-	if workers > 0 {
-		slots = make(chan struct{}, workers)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -115,42 +100,19 @@ func StartStub(delay time.Duration, workers int) (*StubReplica, error) {
 			w.WriteHeader(http.StatusBadRequest)
 			return
 		}
-		if slots != nil {
-			select {
-			case slots <- struct{}{}:
-				defer func() { <-slots }()
-			case <-r.Context().Done():
-				return
-			}
-		}
-		select {
-		case <-time.After(delay):
-		case <-r.Context().Done():
-			return
-		}
 		sum := sha256.Sum256(body)
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, "{\"stub\":true,\"digest\":%q}\n", hex.EncodeToString(sum[:8]))
 	}
 	mux.HandleFunc("/v1/analyze", handle)
 	mux.HandleFunc("/v1/diagnose", handle)
-	s := &StubReplica{
-		url:  "http://" + ln.Addr().String(),
-		srv:  &http.Server{Handler: mux},
-		done: make(chan struct{}),
-	}
-	go func() {
-		defer close(s.done)
-		_ = s.srv.Serve(ln)
-	}()
+	s := &StubReplica{url: "http://" + ln.Addr().String(), srv: &http.Server{Handler: mux}}
+	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }
 
 // URL returns the stub's base URL.
 func (s *StubReplica) URL() string { return s.url }
-
-// Done is closed once the stub has stopped serving.
-func (s *StubReplica) Done() <-chan struct{} { return s.done }
 
 // Kill closes the stub immediately.
 func (s *StubReplica) Kill() { _ = s.srv.Close() }

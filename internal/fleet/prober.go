@@ -59,7 +59,7 @@ func (rt *Router) probe(ctx context.Context, m *member) {
 		rt.publishUp(m)
 		return
 	}
-	pctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, min(rt.opts.ProbeInterval, 2*time.Second))
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, url+"/v1/healthz", nil)
 	if err != nil {
@@ -67,7 +67,7 @@ func (rt *Router) probe(ctx context.Context, m *member) {
 		rt.publishUp(m)
 		return
 	}
-	resp, err := rt.opts.HTTP.Do(req)
+	resp, err := rt.hc.Do(req)
 	if err != nil {
 		m.up.Store(false)
 		rt.publishUp(m)

@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"time"
 
-	"scaltool/internal/client"
 	"scaltool/internal/obs"
 	"scaltool/internal/serve"
 )
@@ -68,7 +67,10 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		rt.countRequest(route, http.StatusMethodNotAllowed, start)
 		return
 	}
-	rid := requestID(r)
+	// The replica's X-Request-Id contract, applied once and forwarded on
+	// every attempt: a failover shows up in replica logs as one request
+	// identity hopping replicas — exactly what an incident needs.
+	rid := obs.ResolveRequestID(r.Header.Get("X-Request-Id"))
 	w.Header().Set("X-Request-Id", rid)
 	if rt.draining.Load() {
 		w.Header().Set("Retry-After", "2")
@@ -123,17 +125,6 @@ func routingKeyFor(body []byte) string {
 	return "raw:" + hex.EncodeToString(sum[:8])
 }
 
-// requestID mirrors the replica's X-Request-Id contract: honor a
-// well-formed client ID, otherwise mint one. The same ID is forwarded on
-// every attempt, so a failover shows up in replica logs as one
-// request identity hopping replicas — exactly what an incident needs.
-func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); obs.ValidRequestID(id) {
-		return id
-	}
-	return client.NewRequestID()
-}
-
 // forward tries the key's rendezvous order one replica at a time and
 // returns the response to relay. It never returns a zero attemptResult.
 func (rt *Router) forward(ctx context.Context, route, key, rid string, body []byte) attemptResult {
@@ -143,7 +134,7 @@ func (rt *Router) forward(ctx context.Context, route, key, rid string, body []by
 		// Instanceless slots and open breakers are known-useless without a
 		// network round trip.
 		url := m.currentURL()
-		if url == "" || m.breaker.Allow(time.Now()) != nil {
+		if url == "" || !m.breaker.Allow(time.Now()) {
 			continue
 		}
 		if failed {
@@ -182,7 +173,7 @@ func (rt *Router) attempt(ctx context.Context, m *member, url, route, rid string
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Request-Id", rid)
-	resp, err := rt.opts.HTTP.Do(req)
+	resp, err := rt.hc.Do(req)
 	if err != nil {
 		// A cancellation from the parent (the client hung up, or the
 		// router is shutting down) is not the replica's fault: report

@@ -173,47 +173,73 @@ func newStubBackend(t *testing.T, status int, body string) *stubBackend {
 	return sb
 }
 
-// TestRouterFailoverPreservesRequestID kills the preferred replica and
-// asserts (a) the request succeeds on the backup, (b) the client-supplied
-// X-Request-Id reached the SECOND replica — the trace identity survives
-// failover end to end.
+// TestRouterFailoverPreservesRequestID kills the preferred replica
+// mid-request and asserts (a) the request succeeds on the backup, (b) one
+// X-Request-Id — the client's, or one the router minted when the client
+// sent none — is echoed to the client and reached BOTH replicas unchanged:
+// the trace identity survives failover end to end.
 func TestRouterFailoverPreservesRequestID(t *testing.T) {
-	good := newStubBackend(t, http.StatusOK, `{"ok":true}`)
-	dead := newStubBackend(t, http.StatusOK, `{"ok":true}`)
-	dead.ts.Close() // connection refused from the first byte
+	for _, tc := range []struct{ name, sent string }{
+		{"client-supplied", "trace-fleet-42"},
+		{"router-minted", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			good := newStubBackend(t, http.StatusOK, `{"ok":true}`)
+			// The dead replica reads the request, then resets the
+			// connection: a SIGKILL mid-request.
+			deadRIDs := make(chan string, 1)
+			dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				select {
+				case deadRIDs <- r.Header.Get("X-Request-Id"):
+				default:
+				}
+				if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+					conn.Close()
+				}
+			}))
+			t.Cleanup(dead.Close)
 
-	doc := analyzeDoc("swim", 2)
-	// Name the replicas so the DEAD one is the rendezvous first choice for
-	// this document: try both assignments and keep the one where the dead
-	// backend wins the hash.
-	key := routingKeyFor(doc)
-	names := []string{SlotName(0), SlotName(1)}
-	deadName, goodName := names[0], names[1]
-	if rendezvousScore(names[1], key) > rendezvousScore(names[0], key) {
-		deadName, goodName = names[1], names[0]
-	}
-	rt := NewRouter(Options{
-		Replicas:         []Replica{{Name: deadName, URL: dead.ts.URL}, {Name: goodName, URL: good.ts.URL}},
-		FailureThreshold: 3,
-	})
+			doc := analyzeDoc("swim", 2)
+			// Name the replicas so the DEAD one is the rendezvous first
+			// choice for this document: try both assignments and keep the
+			// one where the dead backend wins the hash.
+			key := routingKeyFor(doc)
+			names := []string{SlotName(0), SlotName(1)}
+			deadName, goodName := names[0], names[1]
+			if rendezvousScore(names[1], key) > rendezvousScore(names[0], key) {
+				deadName, goodName = names[1], names[0]
+			}
+			rt := NewRouter(Options{
+				Replicas:         []Replica{{Name: deadName, URL: dead.URL}, {Name: goodName, URL: good.ts.URL}},
+				FailureThreshold: 3,
+			})
 
-	resp, body := postRouter(t, rt.Handler(), "/v1/analyze", doc, map[string]string{"X-Request-Id": "trace-fleet-42"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("failover request: %d: %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Fleet-Replica"); got != goodName {
-		t.Fatalf("served by %q, want the backup %q", got, goodName)
-	}
-	if got := resp.Header.Get("X-Request-Id"); got != "trace-fleet-42" {
-		t.Fatalf("response X-Request-Id = %q", got)
-	}
-	select {
-	case rid := <-good.rids:
-		if rid != "trace-fleet-42" {
-			t.Fatalf("backup replica saw X-Request-Id %q, want trace-fleet-42", rid)
-		}
-	default:
-		t.Fatal("backup replica never saw the request")
+			hdr := map[string]string{}
+			if tc.sent != "" {
+				hdr["X-Request-Id"] = tc.sent
+			}
+			resp, body := postRouter(t, rt.Handler(), "/v1/analyze", doc, hdr)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("failover request: %d: %s", resp.StatusCode, body)
+			}
+			if got := resp.Header.Get("X-Fleet-Replica"); got != goodName {
+				t.Fatalf("served by %q, want the backup %q", got, goodName)
+			}
+			rid := resp.Header.Get("X-Request-Id")
+			if !obs.ValidRequestID(rid) || (tc.sent != "" && rid != tc.sent) {
+				t.Fatalf("response X-Request-Id = %q, sent %q", rid, tc.sent)
+			}
+			for name, seen := range map[string]chan string{deadName: deadRIDs, goodName: good.rids} {
+				select {
+				case got := <-seen:
+					if got != rid {
+						t.Fatalf("replica %s saw X-Request-Id %q, want %q", name, got, rid)
+					}
+				default:
+					t.Fatalf("replica %s never saw the request", name)
+				}
+			}
+		})
 	}
 }
 
@@ -321,8 +347,8 @@ func TestRouterClientCancelIsNeutral(t *testing.T) {
 
 	for _, m := range rt.snapshot() {
 		if m.name == slowName {
-			if err := m.breaker.Allow(time.Now()); err != nil {
-				t.Fatalf("slow replica's breaker opened after client cancels: %v", err)
+			if !m.breaker.Allow(time.Now()) {
+				t.Fatal("slow replica's breaker opened after client cancels")
 			}
 		}
 	}

@@ -19,8 +19,8 @@ import (
 // dead instance's share of the keyspace — whose spilled cache entries it
 // finds already on disk when the fleet shares a -run-cache-dir.
 
-// Handle is one live replica instance under supervision. LocalReplica,
-// StubReplica, and ExecReplica all implement it.
+// Handle is one live replica instance under supervision. LocalReplica and
+// ExecReplica implement it.
 type Handle interface {
 	// URL is the instance's base URL.
 	URL() string

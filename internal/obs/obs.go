@@ -26,6 +26,8 @@ package obs
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"log/slog"
 	"time"
 )
@@ -108,6 +110,22 @@ func ValidRequestID(id string) bool {
 		}
 	}
 	return true
+}
+
+// ResolveRequestID returns a request's end-to-end trace identity from its
+// X-Request-Id header value: a valid client-supplied id is honored (so a
+// caller can correlate across services), anything else is replaced by a
+// fresh random one. scaltoold and scalrouter both resolve ids this way, so
+// an id minted by the router is one the replica honors.
+func ResolveRequestID(header string) string {
+	if ValidRequestID(header) {
+		return header
+	}
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "r0000000000000000"
+	}
+	return "r" + hex.EncodeToString(b[:])
 }
 
 // RequestIDFrom returns the context's request identity, or "".

@@ -36,7 +36,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -75,10 +74,6 @@ type Options struct {
 	QueueDepth int
 	// RequestTimeout is the per-request deadline (0 = DefaultRequestTimeout).
 	RequestTimeout time.Duration
-	// MaxProcs caps the processor count a request may analyze (0 = the
-	// admission default): the plan's cost grows as 2^n, so an unbounded
-	// request is a DoS. Overrides Budget.MaxProcs when set.
-	MaxProcs int
 	// SimWorkers bounds the concurrent runs inside one analysis that build,
 	// load a spill file or simulate (0 = GOMAXPROCS); runs answered from the
 	// run cache's memory run inline on the request's goroutine (see
@@ -129,9 +124,6 @@ func New(opts Options) *Server {
 	}
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = DefaultRequestTimeout
-	}
-	if opts.MaxProcs > 0 {
-		opts.Budget.MaxProcs = opts.MaxProcs
 	}
 	s := &Server{
 		opts:       opts,
@@ -287,31 +279,16 @@ type route struct {
 // ServeHTTP serves one request on the route.
 func (rt *route) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	rid := requestID(r)
+	// The trace identity travels as a response header, a span attribute and
+	// a log field — never in the body, which must stay byte-identical for
+	// identical documents.
+	rid := obs.ResolveRequestID(r.Header.Get("X-Request-Id"))
 	w.Header().Set("X-Request-Id", rid)
 	code, ecode, err := rt.s.serve(w, r, rt, rid, start)
 	if err != nil {
 		writeError(w, code, ecode, "%s", err)
 	}
 	rt.s.countRequest(rt.path, code, start)
-}
-
-// requestID resolves the request's end-to-end trace identity: a
-// well-formed client-supplied X-Request-Id is honored (so a caller can
-// correlate across services), anything else gets a fresh random one. The
-// ID travels as a response header, an obs span attribute on every span the
-// request produces (serve → campaign → sim → diagnose), and a slog field —
-// never in a response body, which must stay byte-identical for identical
-// documents.
-func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); obs.ValidRequestID(id) {
-		return id
-	}
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "r0000000000000000"
-	}
-	return "r" + hex.EncodeToString(b[:])
 }
 
 // decodeRequest decodes and gates one request document, with the shared

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"scaltool/internal/admission"
 	"scaltool/internal/obs"
 	"scaltool/internal/runcache"
 )
@@ -305,7 +306,7 @@ func TestDrain(t *testing.T) {
 // every refusal is sent to both and must come back the same; so must 405,
 // 422 quarantined after a panic, and 429 draining.
 func TestRequestValidation(t *testing.T) {
-	s, ts, _ := newTestServer(t, Options{Workers: 1, MaxProcs: 8})
+	s, ts, _ := newTestServer(t, Options{Workers: 1, Budget: admission.Budget{MaxProcs: 8}})
 	routes := []string{"/v1/analyze", "/v1/diagnose"}
 	post := func(t *testing.T, route, body string) (*http.Response, []byte) {
 		t.Helper()

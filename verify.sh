@@ -51,14 +51,11 @@ go test -run 'TestDiagnose' -race ./internal/diagnose/... ./internal/serve/...
 echo "==> fleet chaos gate (replicas SIGKILLed under load; zero non-retryable failures, byte-identical answers)"
 go test -run 'TestFleetChaos' -race ./internal/fleet/
 
-echo "==> fleet race gate (router, supervisor, USL fit, breakers under the race detector)"
-go test -race -skip 'TestFleetChaos' ./internal/fleet/ ./internal/client/
+echo "==> fleet race gate (router, supervisor, breakers under the race detector)"
+go test -race -skip 'TestFleetChaos' ./internal/fleet/
 
 echo "==> router e2e (scalrouter: static + supervised-spawn fleets, SIGTERM drain)"
 go test -run 'TestScalrouter' ./cmd/scalrouter/
-
-echo "==> scalload smoke (stub + sim load points, USL fit, report shape)"
-go test -run 'TestScalload' ./cmd/scalload/
 
 echo "==> scalvet self-host (the analyzer and its driver hold themselves to zero findings)"
 go run ./cmd/scalvet ./internal/analysis/... ./cmd/scalvet
