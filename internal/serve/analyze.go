@@ -61,14 +61,13 @@ func invalid(code, format string, args ...any) *admission.Rejection {
 	return admission.Reject(http.StatusUnprocessableEntity, code, format, args...)
 }
 
-// validate resolves a request for route rt before it takes an admission
-// slot: defaults applied, workload resolved, the route's minimum processor
-// count checked, plan built (a plan the fit could not use is refused here,
-// before any run), shape caps checked. Every failure is a typed rejection —
-// 422 for semantic problems, 413 for documents whose dataset is over this
-// server's size budget.
+// validate resolves a defaulted request for route rt before it takes an
+// admission slot: workload resolved, the route's minimum processor count
+// checked, plan built (a plan the fit could not use is refused here, before
+// any run), shape caps checked. Every failure is a typed rejection — 422 for
+// semantic problems, 413 for documents whose dataset is over this server's
+// size budget.
 func (s *Server) validate(req *Request, rt *route) (*resolved, *admission.Rejection) {
-	req.applyDefaults()
 	switch {
 	case req.App == "" && req.Program == nil:
 		return nil, invalid("missing_app", "set \"app\" or \"program\"")

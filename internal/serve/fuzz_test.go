@@ -10,14 +10,18 @@ import (
 	"time"
 
 	"scaltool/internal/admission"
+	"scaltool/internal/runcache"
 )
 
 // fuzzServer is one shared Server for the whole fuzz run, configured so no
 // request can reach a real simulation: the per-request cycle budget is one
 // cycle, so any document that survives parsing and validation is priced and
 // refused with 413. That keeps every exec on the hostile surface under test —
-// decode, validation, admission — at fuzz throughput. (FuzzProgramAdmission
-// in internal/admission fuzzes the program-spec pipeline beyond admission.)
+// decode, document key, quarantine, response-cache miss, validation,
+// admission — at fuzz throughput. It has a run cache, so the response cache,
+// which sits ahead of validation, sees every hostile document too.
+// (FuzzProgramAdmission in internal/admission fuzzes the program-spec
+// pipeline beyond admission.)
 var (
 	fuzzSrv  *Server
 	fuzzOnce sync.Once
@@ -29,6 +33,7 @@ func fuzzHandler() http.Handler {
 			Workers:        2,
 			RequestTimeout: 5 * time.Second,
 			Budget:         admission.Budget{MaxRequestCycles: 1},
+			Cache:          runcache.New(runcache.Options{}),
 		})
 	})
 	return fuzzSrv.Handler()
@@ -44,10 +49,10 @@ func fuzzPost(body []byte) *httptest.ResponseRecorder {
 }
 
 // FuzzAnalyzeRequest fuzzes the full /v1/analyze request surface — transport
-// body through decode, validation, and admission. Invariants: the handler
-// never panics (the fuzzer's own check), answers only documented status
-// codes, always produces a machine-readable error body on refusal, and
-// refuses deterministically.
+// body through decode, the response cache, validation, and admission.
+// Invariants: the handler never panics (the fuzzer's own check), answers only
+// documented status codes, always produces a machine-readable error body on
+// refusal, refuses deterministically, and never caches a refused document.
 func FuzzAnalyzeRequest(f *testing.F) {
 	f.Add([]byte(`{"app":"swim","procs":4}`))
 	f.Add([]byte(`{"app":"hydro2d","procs":8,"s0":1048576,"machine":"origin","raw_tm":true}`))
@@ -89,6 +94,9 @@ func FuzzAnalyzeRequest(f *testing.F) {
 		var e2 apiError
 		if err := json.Unmarshal(w2.Body.Bytes(), &e2); err != nil || e2.Code != e.Code {
 			t.Fatalf("nondeterministic code for %q: %q then %q", body, e.Code, e2.Code)
+		}
+		if keys := responseKeys(fuzzSrv); len(keys) != 0 {
+			t.Fatalf("%q left %d bodies in the response cache", body, len(keys))
 		}
 	})
 }

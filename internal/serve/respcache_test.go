@@ -3,12 +3,19 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 
+	"scaltool/internal/admission"
+	"scaltool/internal/apps"
+	"scaltool/internal/campaign"
+	"scaltool/internal/machine"
 	"scaltool/internal/obs"
 	"scaltool/internal/runcache"
 )
@@ -70,6 +77,135 @@ func TestResponseCacheRepeatHits(t *testing.T) {
 			t.Fatalf("%s: response-cache misses = %d, want 1", path, misses)
 		}
 	}
+}
+
+// TestResponseCacheHitPricesNothing: the response cache is consulted before
+// validation and pricing, so on both routes the first request for a document
+// prices its campaign once and a repeat prices nothing, yet gets the same
+// bytes.
+func TestResponseCacheHitPricesNothing(t *testing.T) {
+	s := New(Options{Workers: 1, Cache: runcache.New(runcache.Options{})})
+	const doc = `{"app":"swim","procs":4}`
+	for _, path := range []string{"/v1/analyze", "/v1/diagnose"} {
+		newReq := func() *http.Request { return httptest.NewRequest(http.MethodPost, path, strings.NewReader(doc)) }
+		rt := routeOf(t, s, path)
+		priced := 0
+		price := rt.price
+		rt.price = func(b admission.Budget, ctx context.Context, cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (admission.Cost, *admission.Rejection) {
+			priced++
+			return price(b, ctx, cfg, app, plan, workers)
+		}
+		var bodies [2][]byte
+		for i, want := range []int{1, 0} {
+			before := priced
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, newReq())
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s request %d: status %d: %s", path, i, w.Code, w.Body)
+			}
+			if got := priced - before; got != want {
+				t.Fatalf("%s request %d priced %d times, want %d", path, i, got, want)
+			}
+			bodies[i] = w.Body.Bytes()
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Fatalf("%s: repeat body differs", path)
+		}
+	}
+}
+
+// routeOf returns the route s serves path with.
+func routeOf(t *testing.T, s *Server, path string) *route {
+	t.Helper()
+	h, _ := s.mux.Handler(httptest.NewRequest(http.MethodPost, path, nil))
+	rt, ok := h.(*route)
+	if !ok {
+		t.Fatalf("%s is served by %T, not a *route", path, h)
+	}
+	return rt
+}
+
+// responseKeys returns the response cache's keys, sorted.
+func responseKeys(s *Server) []string {
+	s.responses.mu.Lock()
+	defer s.responses.mu.Unlock()
+	keys := make([]string, 0, len(s.responses.items))
+	for k := range s.responses.items {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestResponseCacheTransparentToRefusals replays TestRequestValidation's
+// refusals on a server with a response cache, after both routes have cached
+// valid documents for the same apps: the cache is consulted before
+// validation, yet every refusal draws the status and code the uncached
+// server gives, and no refused document is ever cached.
+func TestResponseCacheTransparentToRefusals(t *testing.T) {
+	s, ts, _ := newTestServer(t, Options{Workers: 1, Budget: admission.Budget{MaxProcs: 8}, Cache: runcache.New(runcache.Options{})})
+	routes := []string{"/v1/analyze", "/v1/diagnose"}
+	served := []string{
+		`{"app":"swim","procs":4}`,
+		`{"app":"swim","procs":8}`,
+		`{"program":{"name":"x","arrays":[{"name":"a","elems":24576}],"regions":[{"name":"r","ops":[{"kind":"read","array":"a","instr_per":3},{"kind":"compute","instr":5000}]}]},"procs":4}`,
+	}
+	var want []string
+	for _, doc := range served {
+		for _, route := range routes {
+			post200(t, ts.URL, route, doc)
+			var req Request
+			if err := json.Unmarshal([]byte(doc), &req); err != nil {
+				t.Fatal(err)
+			}
+			req.applyDefaults()
+			want = append(want, routeOf(t, s, route).keyPrefix+requestKey(&req))
+		}
+	}
+	sort.Strings(want)
+	cachedOnly := func(t *testing.T) {
+		t.Helper()
+		if got := responseKeys(s); strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("response cache holds %v, want only the served documents %v", got, want)
+		}
+	}
+	cachedOnly(t)
+
+	for _, tc := range refusalCases {
+		for _, route := range routes {
+			refused(t, ts.URL, route, tc.body, tc.want, tc.code)
+		}
+	}
+	// Diagnosis needs procs ≥ 2; analysis takes procs 1 but swim's plan is
+	// then too small to fit.
+	refused(t, ts.URL, "/v1/analyze", `{"app":"swim","procs":1}`, http.StatusUnprocessableEntity, "bad_plan")
+	refused(t, ts.URL, "/v1/diagnose", `{"app":"swim","procs":1}`, http.StatusUnprocessableEntity, "bad_procs")
+	refuseGET(t, ts.URL, routes)
+	cachedOnly(t)
+
+	// A panic on a document not yet cached quarantines it, and its repeat is
+	// refused with the cache in place.
+	const crash = `{"app":"swim","procs":8,"raw_tm":true}`
+	s.testHookRun = func() { panic("simulated pipeline fault") }
+	for _, route := range routes {
+		refused(t, ts.URL, route, crash, http.StatusInternalServerError, "panic")
+	}
+	s.testHookRun = nil
+	for _, route := range routes {
+		refused(t, ts.URL, route, crash, http.StatusUnprocessableEntity, "quarantined")
+	}
+	cachedOnly(t)
+
+	// Draining refuses even a document whose body is cached.
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range served {
+		for _, route := range routes {
+			refused(t, ts.URL, route, doc, http.StatusTooManyRequests, "draining")
+		}
+	}
+	cachedOnly(t)
 }
 
 // TestResponseCacheKeyNormalization: the key is the normalized document, so

@@ -9,8 +9,9 @@
 // Identical requests produce byte-identical response bodies whether they
 // were simulated or served from cache. An analysis is a pure function of its
 // normalized document, so both routes answer a repeat from one bounded
-// response cache before it takes a queue slot; Options.Cache nil disables
-// caching: no run cache and no response cache.
+// response cache right after the quarantine check, before validation,
+// pricing or a queue slot; Options.Cache nil disables caching: no run cache
+// and no response cache.
 //
 // The service assumes hostile clients (DESIGN.md §13). Its status-code
 // contract, in the order a request meets each gate:
@@ -406,24 +407,21 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost admission.Co
 
 // serve handles one request on rt; it reports the response status and, for
 // non-2xx, the machine-readable code and error to send (nil error when the
-// response was already written). The gate order is decode → validate
-// (minimum procs and plan included) → quarantine → estimate → response cache
-// → admit → isolated run → encode: every refusal that costs nothing comes
-// before the request may occupy a queue slot, and a response-cache hit
-// burns none either.
+// response was already written). The gate order is decode → defaults and
+// document key → quarantine → response cache → validate (minimum procs and
+// plan included) → estimate → admit → isolated run → encode. A body is
+// cached only after this server validated and priced that exact normalized
+// document and answered 200, and validation and pricing are pure functions
+// of the document under a budget fixed at New, so a hit skips no refusal it
+// would otherwise draw and builds no plan; every other refusal still comes
+// before the request may occupy a queue slot.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt *route, rid string, start time.Time) (int, string, error) {
 	var req Request
 	if code, ecode, err := s.decodeRequest(w, r, &req); err != nil {
 		return code, ecode, err
 	}
 
-	// Validation and admission: semantic checks (422), then predicted cost
-	// against the per-request budget (413).
-	rv, rej := s.validate(&req, rt)
-	if rej != nil {
-		s.countRejection(rej.Status)
-		return rej.Status, rej.Code, rej
-	}
+	req.applyDefaults()
 	key := rt.keyPrefix + requestKey(&req)
 	if reason, ok := s.quarantine.Lookup(key); ok {
 		if mt := s.meter(); mt != nil {
@@ -433,12 +431,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt *route, rid st
 		return http.StatusUnprocessableEntity, "quarantined",
 			fmt.Errorf("an identical request previously crashed the %s pipeline (%s); refusing to repeat it", rt.path, reason)
 	}
-	cost, rej := s.estimate(r.Context(), rt, rv)
-	if rej != nil {
-		s.countRejection(rej.Status)
-		return rej.Status, rej.Code, rej
-	}
-
 	if s.responses != nil {
 		body, ok := s.responses.get(key)
 		if mt := s.meter(); mt != nil {
@@ -452,6 +444,19 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt *route, rid st
 			writeBody(w, body)
 			return http.StatusOK, "", nil
 		}
+	}
+
+	// Validation and admission: semantic checks (422), then predicted cost
+	// against the per-request budget (413).
+	rv, rej := s.validate(&req, rt)
+	if rej != nil {
+		s.countRejection(rej.Status)
+		return rej.Status, rej.Code, rej
+	}
+	cost, rej := s.estimate(r.Context(), rt, rv)
+	if rej != nil {
+		s.countRejection(rej.Status)
+		return rej.Status, rej.Code, rej
 	}
 
 	ctx, release, code, ecode, err := s.admit(w, r, cost, rid)

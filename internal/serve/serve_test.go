@@ -299,78 +299,61 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestRequestValidation pins the 4xx contract: 400 for documents that are
-// not the request schema, 413 for documents or datasets over this server's
-// budgets, 422 for well-formed but semantically invalid requests — each with
-// a stable machine-readable code in the body. Both routes share the gates, so
-// every refusal is sent to both and must come back the same; so must 405,
-// 422 quarantined after a panic, and 429 draining.
-func TestRequestValidation(t *testing.T) {
-	s, ts, _ := newTestServer(t, Options{Workers: 1, Budget: admission.Budget{MaxProcs: 8}})
-	routes := []string{"/v1/analyze", "/v1/diagnose"}
-	post := func(t *testing.T, route, body string) (*http.Response, []byte) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, b
+// refusalCases is the shared 4xx table: 400 for documents that are not the
+// request schema, 413 for documents or datasets over a server whose budget
+// caps procs at 8, 422 for well-formed but semantically invalid requests.
+// Both routes share the gates, so each document draws the same status and
+// code on both.
+var refusalCases = []struct {
+	name string
+	body string
+	want int
+	code string
+}{
+	{"garbage body", `{"app":`, http.StatusBadRequest, "malformed"},
+	{"unknown field", `{"app":"swim","frobnicate":1}`, http.StatusBadRequest, "malformed"},
+	{"wrong type", `{"app":"swim","procs":"four"}`, http.StatusBadRequest, "malformed"},
+	{"trailing garbage", `{"app":"swim","procs":8}garbage`, http.StatusBadRequest, "malformed"},
+	{"trailing document", `{"app":"swim","procs":8}{"app":"nope"}`, http.StatusBadRequest, "malformed"},
+	{"body over limit", `{"app":"swim","procs":"` + strings.Repeat("x", maxBodyBytes+1) + `"}`,
+		http.StatusRequestEntityTooLarge, "body_too_large"},
+	{"s0 over budget", `{"app":"swim","procs":4,"s0":18446744073709551615}`, http.StatusRequestEntityTooLarge, "s0_budget"},
+	{"missing app", `{}`, http.StatusUnprocessableEntity, "missing_app"},
+	{"unknown app", `{"app":"nope"}`, http.StatusUnprocessableEntity, "unknown_app"},
+	{"app and program", `{"app":"swim","program":{"name":"x","arrays":[{"name":"a","elems":64}],"regions":[{"name":"r","ops":[{"kind":"read","array":"a"}]}]}}`,
+		http.StatusUnprocessableEntity, "ambiguous_app"},
+	{"bad procs", `{"app":"swim","procs":3}`, http.StatusUnprocessableEntity, "bad_procs"},
+	{"plan too small to fit", `{"app":"swim","procs":2}`, http.StatusUnprocessableEntity, "bad_plan"},
+	{"procs over limit", `{"app":"swim","procs":16}`, http.StatusUnprocessableEntity, "procs_cap"},
+	{"bad machine", `{"app":"swim","machine":"cray"}`, http.StatusUnprocessableEntity, "bad_machine"},
+	{"bad spec", `{"program":{"name":"x","arrays":[],"regions":[]}}`, http.StatusUnprocessableEntity, "spec_arrays"},
+	{"spec bad op", `{"program":{"name":"x","arrays":[{"name":"a","elems":64}],"regions":[{"name":"r","ops":[{"kind":"warp","array":"a"}]}]}}`,
+		http.StatusUnprocessableEntity, "spec_op_kind"},
+}
+
+// refused posts body to route and checks the refusal: status want, the
+// uniform error shape, and machine-readable code.
+func refused(t *testing.T, url, route, body string, want int, code string) *http.Response {
+	t.Helper()
+	resp, b := post(t, url, route, body)
+	if resp.StatusCode != want {
+		t.Fatalf("%s: status %d, want %d: %s", route, resp.StatusCode, want, b)
 	}
-	refused := func(t *testing.T, route, body string, want int, code string) *http.Response {
-		t.Helper()
-		resp, b := post(t, route, body)
-		if resp.StatusCode != want {
-			t.Fatalf("%s: status %d, want %d: %s", route, resp.StatusCode, want, b)
-		}
-		var e map[string]string
-		if err := json.Unmarshal(b, &e); err != nil || e["error"] == "" {
-			t.Fatalf("%s: error body not the uniform shape: %s", route, b)
-		}
-		if e["code"] != code {
-			t.Fatalf("%s: code %q, want %q (%s)", route, e["code"], code, b)
-		}
-		return resp
+	var e map[string]string
+	if err := json.Unmarshal(b, &e); err != nil || e["error"] == "" {
+		t.Fatalf("%s: error body not the uniform shape: %s", route, b)
 	}
-	hugeBody := `{"app":"swim","procs":"` + strings.Repeat("x", maxBodyBytes+1) + `"}`
-	cases := []struct {
-		name string
-		body string
-		want int
-		code string
-	}{
-		{"garbage body", `{"app":`, http.StatusBadRequest, "malformed"},
-		{"unknown field", `{"app":"swim","frobnicate":1}`, http.StatusBadRequest, "malformed"},
-		{"wrong type", `{"app":"swim","procs":"four"}`, http.StatusBadRequest, "malformed"},
-		{"trailing garbage", `{"app":"swim","procs":8}garbage`, http.StatusBadRequest, "malformed"},
-		{"trailing document", `{"app":"swim","procs":8}{"app":"nope"}`, http.StatusBadRequest, "malformed"},
-		{"body over limit", hugeBody, http.StatusRequestEntityTooLarge, "body_too_large"},
-		{"s0 over budget", `{"app":"swim","procs":4,"s0":18446744073709551615}`, http.StatusRequestEntityTooLarge, "s0_budget"},
-		{"missing app", `{}`, http.StatusUnprocessableEntity, "missing_app"},
-		{"unknown app", `{"app":"nope"}`, http.StatusUnprocessableEntity, "unknown_app"},
-		{"app and program", `{"app":"swim","program":{"name":"x","arrays":[{"name":"a","elems":64}],"regions":[{"name":"r","ops":[{"kind":"read","array":"a"}]}]}}`,
-			http.StatusUnprocessableEntity, "ambiguous_app"},
-		{"bad procs", `{"app":"swim","procs":3}`, http.StatusUnprocessableEntity, "bad_procs"},
-		{"plan too small to fit", `{"app":"swim","procs":2}`, http.StatusUnprocessableEntity, "bad_plan"},
-		{"procs over limit", `{"app":"swim","procs":16}`, http.StatusUnprocessableEntity, "procs_cap"},
-		{"bad machine", `{"app":"swim","machine":"cray"}`, http.StatusUnprocessableEntity, "bad_machine"},
-		{"bad spec", `{"program":{"name":"x","arrays":[],"regions":[]}}`, http.StatusUnprocessableEntity, "spec_arrays"},
-		{"spec bad op", `{"program":{"name":"x","arrays":[{"name":"a","elems":64}],"regions":[{"name":"r","ops":[{"kind":"warp","array":"a"}]}]}}`,
-			http.StatusUnprocessableEntity, "spec_op_kind"},
+	if e["code"] != code {
+		t.Fatalf("%s: code %q, want %q (%s)", route, e["code"], code, b)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, route := range routes {
-				refused(t, route, tc.body, tc.want, tc.code)
-			}
-		})
-	}
+	return resp
+}
+
+// refuseGET checks that every route answers GET with 405.
+func refuseGET(t *testing.T, url string, routes []string) {
+	t.Helper()
 	for _, route := range routes {
-		resp, err := http.Get(ts.URL + route)
+		resp, err := http.Get(url + route)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,16 +362,33 @@ func TestRequestValidation(t *testing.T) {
 			t.Fatalf("GET %s = %d, want 405", route, resp.StatusCode)
 		}
 	}
+}
+
+// TestRequestValidation pins the 4xx contract (refusalCases), each refusal
+// with a stable machine-readable code in the body. Every refusal is sent to
+// both routes and must come back the same; so must 405, 422 quarantined
+// after a panic, and 429 draining.
+func TestRequestValidation(t *testing.T) {
+	s, ts, _ := newTestServer(t, Options{Workers: 1, Budget: admission.Budget{MaxProcs: 8}})
+	routes := []string{"/v1/analyze", "/v1/diagnose"}
+	for _, tc := range refusalCases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, route := range routes {
+				refused(t, ts.URL, route, tc.body, tc.want, tc.code)
+			}
+		})
+	}
+	refuseGET(t, ts.URL, routes)
 
 	// A panic quarantines the document's shape on the route it crashed.
 	const doc = `{"app":"swim","procs":4}`
 	s.testHookRun = func() { panic("simulated pipeline fault") }
 	for _, route := range routes {
-		refused(t, route, doc, http.StatusInternalServerError, "panic")
+		refused(t, ts.URL, route, doc, http.StatusInternalServerError, "panic")
 	}
 	s.testHookRun = nil
 	for _, route := range routes {
-		refused(t, route, doc, http.StatusUnprocessableEntity, "quarantined")
+		refused(t, ts.URL, route, doc, http.StatusUnprocessableEntity, "quarantined")
 	}
 
 	// A draining server refuses new work on every route, retryably.
@@ -396,7 +396,7 @@ func TestRequestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, route := range routes {
-		if resp := refused(t, route, doc, http.StatusTooManyRequests, "draining"); resp.Header.Get("Retry-After") == "" {
+		if resp := refused(t, ts.URL, route, doc, http.StatusTooManyRequests, "draining"); resp.Header.Get("Retry-After") == "" {
 			t.Fatalf("%s: draining 429 without Retry-After", route)
 		}
 	}
