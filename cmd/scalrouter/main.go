@@ -67,12 +67,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		spawn      = fs.Int("spawn", 0, "supervise this many scaltoold child processes instead of -replica URLs")
 		scaltoold  = fs.String("scaltoold", "scaltoold", "scaltoold binary for -spawn")
 		probeEvery = fs.Duration("probe-interval", 500*time.Millisecond, "replica health-probe period")
-		failThresh = fs.Int("failure-threshold", 3, "consecutive hard failures that open a replica's circuit breaker")
 		cooldown   = fs.Duration("breaker-cooldown", 5*time.Second, "open-breaker wait before the half-open probe")
 		fwdTimeout = fs.Duration("forward-timeout", 90*time.Second, "per-attempt forward deadline")
-		heartbeat  = fs.Duration("heartbeat-interval", 250*time.Millisecond, "supervised-child liveness probe period")
-		misses     = fs.Int("heartbeat-misses", 4, "consecutive missed heartbeats before a supervised child is killed")
-		backoff    = fs.Duration("restart-backoff", 100*time.Millisecond, "pause before respawning a dead child")
 		grace      = fs.Duration("shutdown-grace", 30*time.Second, "how long a SIGTERM drain may take before the process force-exits")
 		logLevel   = fs.String("log-level", "info", "structured log level: debug | info | warn | error")
 		logJSON    = fs.Bool("log-json", false, "emit the structured log as JSON lines")
@@ -85,8 +81,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if err := run(routerConfig{
 		addr: *addr, replicas: replicas,
 		spawn: *spawn, scaltoold: *scaltoold, spawnArgs: spawnArgs,
-		probeEvery: *probeEvery, failThresh: *failThresh, cooldown: *cooldown,
-		fwdTimeout: *fwdTimeout, heartbeat: *heartbeat, misses: *misses, backoff: *backoff,
+		probeEvery: *probeEvery, cooldown: *cooldown, fwdTimeout: *fwdTimeout,
 		grace: *grace, logLevel: *logLevel, logJSON: *logJSON,
 	}, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "scalrouter:", err)
@@ -103,13 +98,8 @@ type routerConfig struct {
 	spawnArgs []string
 
 	probeEvery time.Duration
-	failThresh int
 	cooldown   time.Duration
 	fwdTimeout time.Duration
-
-	heartbeat time.Duration
-	misses    int
-	backoff   time.Duration
 
 	grace    time.Duration
 	logLevel string
@@ -161,12 +151,11 @@ func run(cfg routerConfig, stdout, stderr io.Writer) error {
 		}
 	}
 	rt := fleet.NewRouter(fleet.Options{
-		Replicas:         members,
-		ProbeInterval:    cfg.probeEvery,
-		FailureThreshold: cfg.failThresh,
-		Cooldown:         cfg.cooldown,
-		ForwardTimeout:   cfg.fwdTimeout,
-		Obs:              o,
+		Replicas:       members,
+		ProbeInterval:  cfg.probeEvery,
+		Cooldown:       cfg.cooldown,
+		ForwardTimeout: cfg.fwdTimeout,
+		Obs:            o,
 	})
 
 	// Bind before starting the prober or spawning a child, so a bad or taken
@@ -196,10 +185,7 @@ func run(cfg routerConfig, stdout, stderr io.Writer) error {
 				o.Logger.Info("replica slot rebound", "slot", slot, "url", url)
 				rt.SetReplicaURL(fleet.SlotName(slot), url)
 			},
-			HeartbeatInterval: cfg.heartbeat,
-			HeartbeatMisses:   cfg.misses,
-			RestartBackoff:    cfg.backoff,
-			Obs:               o,
+			Obs: o,
 		}
 		go func() { svDone <- sv.Run(ctx, slots) }()
 	} else {

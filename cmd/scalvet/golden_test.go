@@ -7,7 +7,7 @@ import (
 
 // Two findings in two files, written in reverse-alphabetical order on
 // disk: the golden output proves -json is sorted by file/line/col/analyzer
-// and byte-stable across runs regardless of load parallelism.
+// and byte-stable across runs.
 const goldenA = `package model
 
 func Close(a, b float64) bool {

@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	baselineMode := fs.String("baseline", "", `baseline mode: "write" records current findings in the baseline file; "check" suppresses baselined findings and fails on new ones`)
 	baselineFile := fs.String("baseline-file", "scalvet.baseline.json", "baseline path, relative to the module root")
-	serial := fs.Bool("serial", false, "load packages on a single goroutine (debugging; output is identical)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, `usage: scalvet [flags] [packages]
 
@@ -97,11 +96,7 @@ Flags:
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	load := analysis.LoadModule
-	if *serial {
-		load = analysis.LoadModuleSerial
-	}
-	ms, err := load(root, patterns)
+	ms, err := analysis.LoadModule(root, patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, "scalvet:", err)
 		return 2
@@ -221,7 +216,7 @@ func relativize(diags []analysis.Diagnostic) {
 // sortRelativized restores the file/line/col/analyzer order after
 // relativize rewrote the file names — the output contract (and the -json
 // golden test) promise deterministic, sorted diagnostics regardless of the
-// working directory or load parallelism.
+// working directory.
 func sortRelativized(diags []analysis.Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

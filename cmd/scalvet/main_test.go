@@ -114,12 +114,17 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("run -list = %d, want 0", code)
 	}
-	for _, name := range []string{
-		"floatcmp", "counterconv", "loopcapture", "sharedmut", "panicmsg", "exhauststate",
-		"hotalloc", "deferloop", "atomicmix", "mutexcopy", "ctxhttp",
-	} {
+	names := []string{
+		"floatcmp", "counterconv", "sharedmut", "panicmsg", "exhauststate",
+		"ctxgo", "spanend", "closecheck",
+		"hotalloc", "deferloop", "atomicmix", "ctxhttp",
+	}
+	for _, name := range names {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s", name)
 		}
+	}
+	if got := strings.Count(out.String(), "\n"); got != len(names) {
+		t.Errorf("-list printed %d analyzers, want %d:\n%s", got, len(names), out.String())
 	}
 }

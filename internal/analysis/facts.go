@@ -13,8 +13,7 @@ package analysis
 //   - hot-path reachability from configurable roots: sim.Run/sim.RunContext,
 //     HTTP-handler-shaped functions, and //scalvet:hot annotations;
 //   - an atomic-access census (which struct fields are touched through
-//     sync/atomic, and where);
-//   - memoized per-function escape lattices (escape.go).
+//     sync/atomic, and where).
 //
 // Soundness limits (DESIGN §12): function values that travel across function
 // boundaries are approximated by treating every *reference* to a declared
@@ -52,8 +51,6 @@ type Facts struct {
 	// accessed through sync/atomic somewhere in the program to the positions
 	// of those atomic accesses.
 	atomicFields map[types.Object][]token.Position
-
-	escapes map[*ast.FuncDecl]*EscapeInfo
 }
 
 type declInfo struct {
@@ -76,7 +73,6 @@ func buildFacts(pkgs []*Package) *Facts {
 		calls:        map[*types.Func]map[*types.Func]bool{},
 		hot:          map[*types.Func]hotMark{},
 		atomicFields: map[types.Object][]token.Position{},
-		escapes:      map[*ast.FuncDecl]*EscapeInfo{},
 	}
 	f.indexDecls(pkgs)
 	f.buildEdges(pkgs)
@@ -404,16 +400,6 @@ func (f *Facts) HotChain(fn *types.Func) string {
 // never is).
 func (f *Facts) AtomicUses(obj types.Object) []token.Position {
 	return f.atomicFields[obj]
-}
-
-// EscapeOf returns the memoized escape lattice of one declaration.
-func (f *Facts) EscapeOf(pkg *Package, decl *ast.FuncDecl) *EscapeInfo {
-	if e, ok := f.escapes[decl]; ok {
-		return e
-	}
-	e := escapeAnalysis(pkg, decl)
-	f.escapes[decl] = e
-	return e
 }
 
 // shortFuncName renders sim.RunContext or serve.(*Server).handleAnalyze.

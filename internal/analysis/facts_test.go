@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/types"
 	"path/filepath"
 	"strings"
@@ -84,49 +83,5 @@ func TestHotChainRendering(t *testing.T) {
 	}
 	if got := facts.HotChain(funcNamed(t, facts, "coldOnly")); got != "" {
 		t.Errorf("HotChain of a cold function must be empty, got %q", got)
-	}
-}
-
-func TestEscapeLattice(t *testing.T) {
-	pkg, facts := loadFacts(t, "escapelat")
-	fn := funcNamed(t, facts, "sample")
-	decl := facts.decls[fn].decl
-	esc := facts.EscapeOf(pkg, decl)
-
-	objs := map[string]types.Object{}
-	ast.Inspect(decl, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj, ok := pkg.Info.Defs[id].(*types.Var); ok {
-				objs[id.Name] = obj
-			}
-		}
-		return true
-	})
-
-	want := map[string]bool{
-		"returned":   true,  // returned to the caller
-		"addressed":  true,  // address taken and returned
-		"sent":       true,  // sent on a channel
-		"stored":     true,  // stored into a package variable
-		"called":     true,  // passed to a call
-		"captured":   true,  // closed over by a goroutine's literal
-		"aliasEsc":   true,  // escapes through alias2 (conditional flow)
-		"alias2":     true,  // stored into a package variable
-		"n":          true,  // parameters are caller-visible
-		"localOnly":  false, // only indexed and copied locally
-		"copied":     false, // alias of a local-only slice
-		"scalarRead": false, // only a scalar element leaves, not the slice
-	}
-	for name, wantEsc := range want {
-		obj, ok := objs[name]
-		if !ok {
-			t.Fatalf("fixture lost variable %q", name)
-		}
-		if got := esc.Escapes(obj); got != wantEsc {
-			t.Errorf("Escapes(%s) = %v, want %v", name, got, wantEsc)
-		}
-	}
-	if !esc.Escapes(nil) {
-		t.Error("unknown objects must conservatively escape")
 	}
 }

@@ -8,17 +8,17 @@ import (
 
 // HotAlloc flags per-iteration and avoidable allocations inside functions
 // reachable from a hot root (sim.Run/RunContext, HTTP handlers,
-// //scalvet:hot). BENCH_serve.json puts the uncached /v1/analyze path at
-// ~880k allocs/op; this analyzer is the mechanical gate that keeps the
-// SoA/pooling rewrite of internal/sim honest — a fresh allocation sneaking
-// onto the hot path fails verify.sh instead of waiting for the next bench
-// run to be eyeballed.
+// //scalvet:hot). It is the mechanical gate that keeps the flat-layout,
+// pooled simulator honest: a fresh allocation sneaking onto the hot path
+// fails verify.sh instead of waiting for the next bench run to be
+// eyeballed.
 //
 // Flagged in hot-reachable functions:
 //
-//   - make(slice/map/chan) and slice/map composite literals inside a loop,
-//     unless the escape lattice proves the value stays local and its size is
-//     constant (the compiler stack-allocates that shape);
+//   - make(slice/map/chan) and slice/map composite literals inside a loop.
+//     Whether the compiler would stack-allocate one is not modelled: a
+//     constant-sized local buffer is flagged too, and hoisting it costs
+//     nothing;
 //   - append inside a loop to a slice declared in the same function without
 //     a capacity hint;
 //   - string ↔ []byte/[]rune conversions inside a loop;
@@ -48,7 +48,6 @@ func runHotAlloc(pass *Pass) {
 				pass:  pass,
 				decl:  decl,
 				chain: pass.Facts.HotChain(fn),
-				esc:   pass.Facts.EscapeOf(pass.Pkg, decl),
 			}
 			h.run()
 		}
@@ -59,7 +58,6 @@ type hotAllocCheck struct {
 	pass  *Pass
 	decl  *ast.FuncDecl
 	chain string
-	esc   *EscapeInfo
 }
 
 func (h *hotAllocCheck) run() {
@@ -85,7 +83,7 @@ func (h *hotAllocCheck) call(call *ast.CallExpr, stack []ast.Node, inLoop bool) 
 			switch b.Name() {
 			case "make":
 				if inLoop {
-					h.makeCall(call, stack)
+					h.makeCall(call)
 				}
 			case "append":
 				if inLoop {
@@ -112,28 +110,13 @@ func (h *hotAllocCheck) call(call *ast.CallExpr, stack []ast.Node, inLoop bool) 
 	}
 }
 
-// makeCall flags make inside a loop, unless the result provably stays local
-// and is constant-sized (the stack-allocatable shape).
-func (h *hotAllocCheck) makeCall(call *ast.CallExpr, stack []ast.Node) {
-	info := h.pass.Pkg.Info
-	t := info.TypeOf(call)
-	constSized := true
-	for _, a := range call.Args[1:] {
-		if tv, ok := info.Types[a]; !ok || tv.Value == nil {
-			constSized = false
-		}
-	}
-	if _, isChan := t.Underlying().(*types.Chan); !isChan {
-		if constSized && h.staysLocal(call, stack) {
-			return
-		}
-	}
+// makeCall flags make inside a loop.
+func (h *hotAllocCheck) makeCall(call *ast.CallExpr) {
 	h.pass.Reportf(call.Pos(), "make(%s) allocates every iteration of a hot loop (hot path: %s); hoist it out or reuse a buffer",
-		types.TypeString(t, types.RelativeTo(h.pass.Pkg.Types)), h.chain)
+		types.TypeString(h.pass.Pkg.Info.TypeOf(call), types.RelativeTo(h.pass.Pkg.Types)), h.chain)
 }
 
-// compositeLit flags slice/map literals in loops (escaping or dynamically
-// shaped ones; a provably local literal is stack-allocatable).
+// compositeLit flags slice/map literals in loops.
 func (h *hotAllocCheck) compositeLit(lit *ast.CompositeLit, stack []ast.Node) {
 	// Only the outermost literal of a nested one.
 	if len(stack) > 0 {
@@ -150,49 +133,8 @@ func (h *hotAllocCheck) compositeLit(lit *ast.CompositeLit, stack []ast.Node) {
 	default:
 		return // struct/array literals are values, not heap allocations per se
 	}
-	if h.staysLocal(lit, stack) {
-		return
-	}
 	h.pass.Reportf(lit.Pos(), "%s literal allocates every iteration of a hot loop (hot path: %s); hoist it out or reuse a buffer",
 		types.TypeString(t, types.RelativeTo(h.pass.Pkg.Types)), h.chain)
-}
-
-// staysLocal reports that the allocation is bound to a variable the escape
-// lattice proves local.
-func (h *hotAllocCheck) staysLocal(alloc ast.Expr, stack []ast.Node) bool {
-	if len(stack) == 0 {
-		return false
-	}
-	info := h.pass.Pkg.Info
-	switch parent := stack[len(stack)-1].(type) {
-	case *ast.AssignStmt:
-		if len(parent.Lhs) != len(parent.Rhs) {
-			return false
-		}
-		for i, rhs := range parent.Rhs {
-			if rhs != alloc {
-				continue
-			}
-			id, ok := parent.Lhs[i].(*ast.Ident)
-			if !ok {
-				return false
-			}
-			obj := info.Defs[id]
-			if obj == nil {
-				obj = info.Uses[id]
-			}
-			return obj != nil && !h.esc.Escapes(obj)
-		}
-	case *ast.ValueSpec:
-		for i, v := range parent.Values {
-			if v != alloc || i >= len(parent.Names) {
-				continue
-			}
-			obj := info.Defs[parent.Names[i]]
-			return obj != nil && !h.esc.Escapes(obj)
-		}
-	}
-	return false
 }
 
 // appendCall flags append-in-loop when the destination slice is declared in

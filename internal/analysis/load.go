@@ -10,11 +10,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 )
 
 // ModuleSet is the result of loading a module: the packages that matched
@@ -32,22 +29,17 @@ type ModuleSet struct {
 // interpreted relative to root). It uses only the standard library:
 // module-local imports resolve from the module tree itself and
 // standard-library imports from GOROOT source via go/importer. Test files
-// are not loaded.
-//
-// Loading is parallel: all files parse concurrently, then packages
-// type-check concurrently in dependency order on a bounded pool (stdlib
-// imports serialize on the shared source importer). The produced
-// diagnostics are byte-identical to LoadModuleSerial's — positions are
-// per-file and the analysis order is fixed by the sorted package list —
-// which TestParallelLoadMatchesSerial locks in.
+// are not loaded. An import cycle is an error.
 func LoadModule(root string, patterns []string) (*ModuleSet, error) {
-	return loadModuleParallel(root, patterns, runtime.GOMAXPROCS(0))
-}
-
-// LoadModuleSerial is the single-goroutine reference implementation of
-// LoadModule.
-func LoadModuleSerial(root string, patterns []string) (*ModuleSet, error) {
-	root, modPath, dirs, err := resolvePatterns(root, patterns)
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
+	modPath, err := modulePath(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	dirs, err := expandPatterns(root, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -89,22 +81,6 @@ func LoadDir(dir string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
 	return p, nil
-}
-
-func resolvePatterns(root string, patterns []string) (absRoot, modPath string, dirs []string, err error) {
-	absRoot, err = filepath.Abs(root)
-	if err != nil {
-		return "", "", nil, err
-	}
-	modPath, err = modulePath(filepath.Join(absRoot, "go.mod"))
-	if err != nil {
-		return "", "", nil, err
-	}
-	dirs, err = expandPatterns(absRoot, patterns)
-	if err != nil {
-		return "", "", nil, err
-	}
-	return absRoot, modPath, dirs, nil
 }
 
 func sortPackages(pkgs []*Package) {
@@ -172,8 +148,7 @@ func expandPatterns(root string, patterns []string) ([]string, error) {
 
 // loader type-checks module packages, memoized by directory. It is the
 // types.Importer for module-local paths and delegates everything else to
-// the standard library's source importer. This is the serial engine; the
-// parallel path below reuses its directory parsing and naming helpers.
+// the standard library's source importer.
 type loader struct {
 	root    string
 	modPath string
@@ -252,17 +227,6 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-func newTypesInfo() *types.Info {
-	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-}
-
 // loadDir parses and type-checks one directory. It returns (nil, nil) when
 // the directory holds no non-test Go files.
 func (ld *loader) loadDir(dir string) (*Package, error) {
@@ -285,7 +249,14 @@ func (ld *loader) loadDir(dir string) (*Package, error) {
 		return nil, nil
 	}
 
-	info := newTypesInfo()
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Implicits:  map[ast.Node]types.Object{},
+		Scopes:     map[ast.Node]*types.Scope{},
+	}
 	conf := types.Config{Importer: ld}
 	importPath := importPathFor(ld.root, ld.modPath, dir)
 	tpkg, err := conf.Check(importPath, ld.fset, files, info)
@@ -302,303 +273,4 @@ func (ld *loader) loadDir(dir string) (*Package, error) {
 	}
 	ld.pkgs[dir] = p
 	return p, nil
-}
-
-// ---- parallel loading ----------------------------------------------------
-
-// parsedDir is the parse-phase output for one directory.
-type parsedDir struct {
-	dir   string
-	files []*ast.File
-	deps  []string // module-local import directories
-}
-
-// loadModuleParallel is the concurrent engine behind LoadModule: a parallel
-// parse phase that transitively closes over module-local imports, then a
-// dependency-ordered type-check phase on a bounded worker pool. Standard-
-// library imports go through one mutex-guarded source importer (it is not
-// concurrency-safe); module-local imports read the already-completed result
-// map, which the dependency order guarantees is populated.
-func loadModuleParallel(root string, patterns []string, workers int) (*ModuleSet, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	root, modPath, dirs, err := resolvePatterns(root, patterns)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-
-	parsed, err := parseClosure(fset, root, modPath, dirs, workers)
-	if err != nil {
-		return nil, err
-	}
-
-	all, byDir, err := checkParallel(fset, root, modPath, parsed, workers)
-	if err != nil {
-		return nil, err
-	}
-
-	var requested []*Package
-	for _, dir := range dirs {
-		if p := byDir[filepath.Clean(dir)]; p != nil {
-			requested = append(requested, p)
-		}
-	}
-	sortPackages(requested)
-	sortPackages(all)
-	return &ModuleSet{Requested: requested, All: all}, nil
-}
-
-// parseClosure parses the requested directories and, transitively, every
-// module-local directory they import. Parsing within a wave is parallel;
-// the fset is internally synchronized.
-func parseClosure(fset *token.FileSet, root, modPath string, dirs []string, workers int) (map[string]*parsedDir, error) {
-	parsed := map[string]*parsedDir{}
-	pending := make([]string, 0, len(dirs))
-	queued := map[string]bool{}
-	enqueue := func(dir string) {
-		dir = filepath.Clean(dir)
-		if !queued[dir] {
-			queued[dir] = true
-			pending = append(pending, dir)
-		}
-	}
-	for _, d := range dirs {
-		enqueue(d)
-	}
-	for len(pending) > 0 {
-		wave := pending
-		pending = nil
-		sort.Strings(wave)
-
-		results := make([]*parsedDir, len(wave))
-		errs := make([]error, len(wave))
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, dir := range wave {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, dir string) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				files, err := parseDir(fset, dir)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				results[i] = &parsedDir{dir: dir, files: files}
-			}(i, dir)
-		}
-		wg.Wait()
-		for i := range wave {
-			if errs[i] != nil {
-				return nil, errs[i] // deterministic: first error in sorted wave order
-			}
-		}
-		for _, pd := range results {
-			parsed[pd.dir] = pd
-			if len(pd.files) == 0 {
-				continue
-			}
-			for _, f := range pd.files {
-				for _, imp := range f.Imports {
-					path, err := strconv.Unquote(imp.Path.Value)
-					if err != nil {
-						continue
-					}
-					if depDir, ok := moduleLocalDir(root, modPath, path); ok {
-						pd.deps = append(pd.deps, filepath.Clean(depDir))
-						enqueue(depDir)
-					}
-				}
-			}
-		}
-	}
-	return parsed, nil
-}
-
-// parImporter is the types.Importer of the parallel phase.
-type parImporter struct {
-	root, modPath string
-
-	mu   sync.RWMutex
-	done map[string]*Package // by dir; nil = no Go files
-
-	stdMu sync.Mutex
-	std   types.Importer
-}
-
-func (pi *parImporter) Import(path string) (*types.Package, error) {
-	if dir, ok := moduleLocalDir(pi.root, pi.modPath, path); ok {
-		pi.mu.RLock()
-		p, found := pi.done[filepath.Clean(dir)]
-		pi.mu.RUnlock()
-		if !found {
-			return nil, fmt.Errorf("analysis: import %q outside the parsed module closure", path)
-		}
-		if p == nil {
-			return nil, fmt.Errorf("analysis: no Go files for import %q", path)
-		}
-		return p.Types, nil
-	}
-	pi.stdMu.Lock()
-	defer pi.stdMu.Unlock()
-	return pi.std.Import(path)
-}
-
-func (pi *parImporter) complete(dir string, p *Package) {
-	pi.mu.Lock()
-	pi.done[dir] = p
-	pi.mu.Unlock()
-}
-
-// checkParallel type-checks the parsed closure in dependency order with a
-// bounded pool. A package is scheduled only when all of its module-local
-// imports completed, so Import never blocks.
-func checkParallel(fset *token.FileSet, root, modPath string, parsed map[string]*parsedDir, workers int) ([]*Package, map[string]*Package, error) {
-	pi := &parImporter{
-		root:    root,
-		modPath: modPath,
-		done:    map[string]*Package{},
-		std:     importer.ForCompiler(fset, "source", nil),
-	}
-
-	indeg := map[string]int{}
-	dependents := map[string][]string{}
-	for dir, pd := range parsed {
-		deps := map[string]bool{}
-		for _, d := range pd.deps {
-			if _, ok := parsed[d]; ok && d != dir && !deps[d] {
-				deps[d] = true
-				indeg[dir]++
-				dependents[d] = append(dependents[d], dir)
-			}
-		}
-		if _, ok := indeg[dir]; !ok {
-			indeg[dir] = 0
-		}
-	}
-	if cycleDir := findCycle(indeg, dependents); cycleDir != "" {
-		return nil, nil, fmt.Errorf("analysis: import cycle through %s", cycleDir)
-	}
-
-	ready := make(chan string, len(parsed))
-	for dir, n := range indeg {
-		if n == 0 {
-			ready <- dir
-		}
-	}
-
-	var (
-		mu        sync.Mutex
-		completed int
-		errsByDir = map[string]error{}
-		wg        sync.WaitGroup
-	)
-	finish := func(dir string, p *Package, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			errsByDir[dir] = err
-		}
-		pi.complete(dir, p)
-		completed++
-		for _, dep := range dependents[dir] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				ready <- dep
-			}
-		}
-		if completed == len(parsed) {
-			close(ready)
-		}
-	}
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for dir := range ready {
-				pd := parsed[dir]
-				if len(pd.files) == 0 {
-					finish(dir, nil, nil)
-					continue
-				}
-				info := newTypesInfo()
-				conf := types.Config{Importer: pi}
-				importPath := importPathFor(root, modPath, dir)
-				tpkg, err := conf.Check(importPath, fset, pd.files, info)
-				if err != nil {
-					finish(dir, nil, fmt.Errorf("analysis: type-checking %s: %w", importPath, err))
-					continue
-				}
-				finish(dir, &Package{
-					Path:  importPath,
-					Dir:   dir,
-					Fset:  fset,
-					Files: pd.files,
-					Types: tpkg,
-					Info:  info,
-				}, nil)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if len(errsByDir) > 0 {
-		dirs := make([]string, 0, len(errsByDir))
-		for d := range errsByDir {
-			dirs = append(dirs, d)
-		}
-		sort.Strings(dirs)
-		return nil, nil, errsByDir[dirs[0]]
-	}
-	var all []*Package
-	byDir := map[string]*Package{}
-	for dir, p := range pi.done {
-		byDir[dir] = p
-		if p != nil {
-			all = append(all, p)
-		}
-	}
-	return all, byDir, nil
-}
-
-// findCycle runs Kahn's algorithm on a copy of the in-degrees; any node it
-// cannot drain sits on an import cycle (invalid Go, but the scheduler must
-// fail instead of deadlocking on it). Returns the lexically first such
-// directory, or "".
-func findCycle(indeg map[string]int, dependents map[string][]string) string {
-	left := make(map[string]int, len(indeg))
-	var queue []string
-	for d, n := range indeg {
-		left[d] = n
-		if n == 0 {
-			queue = append(queue, d)
-		}
-	}
-	drained := 0
-	for len(queue) > 0 {
-		d := queue[0]
-		queue = queue[1:]
-		drained++
-		for _, dep := range dependents[d] {
-			left[dep]--
-			if left[dep] == 0 {
-				queue = append(queue, dep)
-			}
-		}
-	}
-	if drained == len(indeg) {
-		return ""
-	}
-	var stuck []string
-	for d, n := range left {
-		if n > 0 {
-			stuck = append(stuck, d)
-		}
-	}
-	sort.Strings(stuck)
-	return stuck[0]
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,64 +20,8 @@ func writeTestModule(t *testing.T, dir string, files map[string]string) {
 	}
 }
 
-// moduleRoot resolves the repo root from this package's directory.
-func moduleRoot(t *testing.T) string {
-	t.Helper()
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return root
-}
-
-func renderDiags(ds []Diagnostic) string {
-	var b strings.Builder
-	for _, d := range ds {
-		fmt.Fprintf(&b, "%s\n", d)
-	}
-	return b.String()
-}
-
-// TestParallelLoadMatchesSerial is the correctness contract of the parallel
-// loader: over the full module, the concurrent parse/type-check pipeline
-// must produce byte-identical diagnostics to the single-goroutine reference
-// implementation — same files, same positions, same order.
-func TestParallelLoadMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole module twice")
-	}
-	root := moduleRoot(t)
-
-	par, err := LoadModule(root, []string{"./..."})
-	if err != nil {
-		t.Fatalf("parallel load: %v", err)
-	}
-	ser, err := LoadModuleSerial(root, []string{"./..."})
-	if err != nil {
-		t.Fatalf("serial load: %v", err)
-	}
-
-	if lp, ls := len(par.Requested), len(ser.Requested); lp != ls {
-		t.Fatalf("requested package count differs: parallel %d, serial %d", lp, ls)
-	}
-	if lp, ls := len(par.All), len(ser.All); lp != ls {
-		t.Fatalf("loaded package count differs: parallel %d, serial %d", lp, ls)
-	}
-	for i := range par.All {
-		if par.All[i].Path != ser.All[i].Path {
-			t.Fatalf("package order differs at %d: parallel %s, serial %s", i, par.All[i].Path, ser.All[i].Path)
-		}
-	}
-
-	got := renderDiags(Run(par, All()))
-	want := renderDiags(Run(ser, All()))
-	if got != want {
-		t.Errorf("parallel and serial loads disagree on diagnostics:\n--- parallel ---\n%s--- serial ---\n%s", got, want)
-	}
-}
-
-// TestLoadModuleCycleError proves the parallel scheduler rejects import
-// cycles with an error instead of deadlocking its worker pool.
+// TestLoadModuleCycleError proves the loader rejects an import cycle with
+// an error instead of recursing forever.
 func TestLoadModuleCycleError(t *testing.T) {
 	dir := t.TempDir()
 	writeTestModule(t, dir, map[string]string{

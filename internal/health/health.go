@@ -209,62 +209,6 @@ func ShouldQuarantine(fs []Finding) bool {
 	return false
 }
 
-// QuarantineSet is a bounded, concurrency-safe set of quarantined
-// identities. The serving path uses one to remember request shapes that
-// panicked the analysis pipeline: the first occurrence is isolated and
-// recorded here, and identical requests are then refused up front instead of
-// re-triggering the crash. Insertion order is retained so the oldest entry
-// is evicted when the bound is reached — the set can never grow without
-// limit no matter how many distinct hostile shapes arrive.
-type QuarantineSet struct {
-	mu    sync.Mutex
-	cap   int
-	order []string
-	items map[string]string // id → reason
-}
-
-// NewQuarantineSet returns a set bounded to capacity entries (min 1).
-func NewQuarantineSet(capacity int) *QuarantineSet {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &QuarantineSet{cap: capacity, items: map[string]string{}}
-}
-
-// Add records an identity with the reason it was quarantined, evicting the
-// oldest entry past the bound. Re-adding an existing identity refreshes its
-// reason without consuming capacity.
-func (q *QuarantineSet) Add(id, reason string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if _, ok := q.items[id]; ok {
-		q.items[id] = reason
-		return
-	}
-	if len(q.order) >= q.cap {
-		oldest := q.order[0]
-		q.order = q.order[1:]
-		delete(q.items, oldest)
-	}
-	q.order = append(q.order, id)
-	q.items[id] = reason
-}
-
-// Lookup reports whether id is quarantined and why.
-func (q *QuarantineSet) Lookup(id string) (reason string, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	reason, ok = q.items[id]
-	return reason, ok
-}
-
-// Len returns the number of quarantined identities.
-func (q *QuarantineSet) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.order)
-}
-
 // repairBand is how far past an invariant a counter may sit and still be
 // attributed to multiplexing estimation noise (and clamped) rather than a
 // broken measurement (and quarantined).

@@ -16,7 +16,7 @@ import (
 // attribution on the program structure graph, and returns the ranked
 // culprit report (diagnose.Report). Identical requests get byte-identical
 // bodies; a repeat is answered from the server's response cache, which
-// both routes share (respcache.go).
+// both routes share (fifo.go).
 
 // diagnose runs the full pipeline for one resolved request: campaign
 // (through the shared run cache) → attribution family → structure graph →

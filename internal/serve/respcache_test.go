@@ -302,28 +302,38 @@ func TestResponseCacheAfterGates(t *testing.T) {
 	})
 }
 
-// TestResponseCacheFIFO pins the bounded policy: at capacity the oldest
-// entry goes, and a duplicate put keeps the first body.
+// TestResponseCacheFIFO pins the bounded policy of both of a server's FIFO
+// maps, the response cache and the quarantine: at capacity the oldest entry
+// goes, and a duplicate put keeps the first value.
 func TestResponseCacheFIFO(t *testing.T) {
-	var c responseCache
+	s := New(Options{Cache: runcache.New(runcache.Options{})})
+	t.Run("responses", func(t *testing.T) {
+		testFIFOBound(t, s.responses, responseCacheCapacity, func(k string) []byte { return []byte(k) })
+	})
+	t.Run("quarantine", func(t *testing.T) {
+		testFIFOBound(t, s.quarantine, quarantineCapacity, func(k string) string { return k })
+	})
+}
+
+func testFIFOBound[V any](t *testing.T, c *fifo[V], capacity int, val func(string) V) {
 	key := func(i int) string { return fmt.Sprintf("k%d", i) }
-	for i := 0; i < responseCacheCapacity; i++ {
-		c.put(key(i), []byte(key(i)))
+	for i := 0; i < capacity; i++ {
+		c.put(key(i), val(key(i)))
 	}
-	c.put(key(0), []byte("second"))
-	if b, ok := c.get(key(0)); !ok || string(b) != key(0) {
-		t.Fatalf("duplicate put: get(k0) = %q, %v; want the first body", b, ok)
+	c.put(key(0), val("second"))
+	if v, ok := c.get(key(0)); !ok || fmt.Sprint(v) != fmt.Sprint(val(key(0))) {
+		t.Fatalf("duplicate put: get(k0) = %v, %v; want the first value", v, ok)
 	}
-	c.put(key(responseCacheCapacity), []byte("new"))
+	c.put(key(capacity), val("new"))
 	if _, ok := c.get(key(0)); ok {
 		t.Fatal("the oldest entry survived a put past capacity")
 	}
-	for _, i := range []int{1, responseCacheCapacity - 1, responseCacheCapacity} {
+	for _, i := range []int{1, capacity - 1, capacity} {
 		if _, ok := c.get(key(i)); !ok {
 			t.Fatalf("entry %d evicted; only the oldest should go", i)
 		}
 	}
-	if len(c.items) != responseCacheCapacity || len(c.order) != responseCacheCapacity {
-		t.Fatalf("cache holds %d items / %d order entries, want %d", len(c.items), len(c.order), responseCacheCapacity)
+	if len(c.items) != capacity || len(c.order) != capacity {
+		t.Fatalf("map holds %d items / %d order entries, want %d", len(c.items), len(c.order), capacity)
 	}
 }

@@ -55,7 +55,6 @@ import (
 	"scaltool/internal/admission"
 	"scaltool/internal/apps"
 	"scaltool/internal/campaign"
-	"scaltool/internal/health"
 	"scaltool/internal/machine"
 	"scaltool/internal/obs"
 	"scaltool/internal/runcache"
@@ -92,9 +91,6 @@ type Options struct {
 	Obs *obs.Observer
 }
 
-// quarantineCapacity bounds the remembered panicking request shapes.
-const quarantineCapacity = 256
-
 // Server serves the analysis API. Create with New.
 type Server struct {
 	opts Options
@@ -102,8 +98,8 @@ type Server struct {
 	workers    chan struct{} // executing-analysis slots
 	admitted   chan struct{} // admission slots: Workers + QueueDepth
 	ledger     *admission.Ledger
-	quarantine *health.QuarantineSet
-	responses  *responseCache // encoded 200 bodies of both routes; nil without Options.Cache
+	quarantine *fifo[string] // panicking request shapes → the panic
+	responses  *fifo[[]byte] // encoded 200 bodies of both routes; nil without Options.Cache
 	drain      drainEstimator
 	draining   atomic.Bool
 	inflight   sync.WaitGroup
@@ -123,6 +119,11 @@ func New(opts Options) *Server {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 2 * opts.Workers
 	}
+	// Resolved here, not left to campaign.Runner, so admission prices the
+	// concurrency the runner will use.
+	if opts.SimWorkers <= 0 {
+		opts.SimWorkers = runtime.GOMAXPROCS(0)
+	}
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = DefaultRequestTimeout
 	}
@@ -131,10 +132,10 @@ func New(opts Options) *Server {
 		workers:    make(chan struct{}, opts.Workers),
 		admitted:   make(chan struct{}, opts.Workers+opts.QueueDepth),
 		ledger:     admission.NewLedger(opts.Budget),
-		quarantine: health.NewQuarantineSet(quarantineCapacity),
+		quarantine: newFIFO[string](quarantineCapacity),
 	}
 	if opts.Cache != nil {
-		s.responses = &responseCache{}
+		s.responses = newFIFO[[]byte](responseCacheCapacity)
 	}
 	s.mux = http.NewServeMux()
 	for _, rt := range []*route{
@@ -423,7 +424,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt *route, rid st
 
 	req.applyDefaults()
 	key := rt.keyPrefix + requestKey(&req)
-	if reason, ok := s.quarantine.Lookup(key); ok {
+	if reason, ok := s.quarantine.get(key); ok {
 		if mt := s.meter(); mt != nil {
 			mt.ServeQuarantined().Inc()
 		}
@@ -567,7 +568,7 @@ func (s *Server) quarantinePanic(ctx context.Context, qkey string, value any, st
 	if mt := s.meter(); mt != nil {
 		mt.ServePanics().Inc()
 	}
-	s.quarantine.Add(qkey, fmt.Sprintf("panic: %v", value)) //scalvet:ignore runs once per panicking request, off the steady-state path
+	s.quarantine.put(qkey, fmt.Sprintf("panic: %v", value)) //scalvet:ignore runs once per panicking request, off the steady-state path
 	obs.Log(ctx).Error("quarantined panicking request shape", "key", qkey, "panic", value, "stack", string(stack))
 }
 

@@ -8,12 +8,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"scaltool/internal/admission"
+	"scaltool/internal/apps"
+	"scaltool/internal/campaign"
+	"scaltool/internal/machine"
 	"scaltool/internal/obs"
 	"scaltool/internal/runcache"
 )
@@ -398,6 +402,48 @@ func TestRequestValidation(t *testing.T) {
 	for _, route := range routes {
 		if resp := refused(t, ts.URL, route, doc, http.StatusTooManyRequests, "draining"); resp.Header.Get("Retry-After") == "" {
 			t.Fatalf("%s: draining 429 without Retry-After", route)
+		}
+	}
+}
+
+// TestDefaultSimWorkersPricing: SimWorkers 0 means GOMAXPROCS concurrent
+// runs (campaign.Runner's default), so admission must charge transient
+// allocation for that many, not for the single worker the estimator clamps
+// a 0 to.
+func TestDefaultSimWorkersPricing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const workers = 4
+	s := New(Options{Workers: 1})
+	stop := admission.Reject(http.StatusRequestEntityTooLarge, "priced", "test stops after pricing")
+	for _, tc := range []struct {
+		path string
+		ref  func(admission.Budget, machine.Config, apps.App, campaign.Plan, int) (admission.Cost, *admission.Rejection)
+	}{
+		{"/v1/analyze", admission.Budget.EstimatePlan},
+		{"/v1/diagnose", admission.Budget.EstimateDiagnose},
+	} {
+		rt := routeOf(t, s, tc.path)
+		price := rt.price
+		var got, want, one admission.Cost
+		rt.price = func(b admission.Budget, ctx context.Context, cfg machine.Config, app apps.App, plan campaign.Plan, w int) (admission.Cost, *admission.Rejection) {
+			var rej *admission.Rejection
+			if got, rej = price(b, ctx, cfg, app, plan, w); rej != nil {
+				t.Fatalf("%s: priced with a rejection: %v", tc.path, rej)
+			}
+			want, _ = tc.ref(b, cfg, app, plan, workers)
+			one, _ = tc.ref(b, cfg, app, plan, 1)
+			return admission.Cost{}, stop
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(`{"app":"swim","procs":32}`)))
+		if rec.Code != stop.Status {
+			t.Fatalf("%s: status %d, want the stub's %d: %s", tc.path, rec.Code, stop.Status, rec.Body)
+		}
+		if want == one {
+			t.Fatalf("%s: the document costs the same at 1 and %d workers; it cannot tell them apart", tc.path, workers)
+		}
+		if got != want {
+			t.Errorf("%s: SimWorkers 0 priced at %+v, want %+v (%d workers; 1 worker is %+v)", tc.path, got, want, workers, one)
 		}
 	}
 }
