@@ -1,6 +1,6 @@
 // Command scalrouter is the fleet front tier: one address in front of N
-// scaltoold replicas, with consistent-hash routing, health probing,
-// per-replica circuit breakers, and automatic failover (internal/fleet).
+// scaltoold replicas, with consistent-hash routing, health probing, and
+// automatic failover (internal/fleet).
 //
 // Two ways to name the fleet:
 //
@@ -15,9 +15,9 @@
 // port), restarting any that die or hang — pass a shared -cache-dir so a
 // replacement inherits the spilled analyses of the instance it replaces.
 //
-// Requests are placed by rendezvous hashing on the content-addressed cache
-// key of the analysis document, so identical documents always land on the
-// replica whose cache is warm. The simulator is deterministic, which makes
+// Requests are placed by rendezvous hashing on the digest of the normalized
+// analysis document, the key each replica's response cache already uses, so
+// identical documents always land on the replica whose cache is warm. The simulator is deterministic, which makes
 // failover safe: a replayed request cannot change its answer, only get it
 // from somewhere else.
 //
@@ -67,7 +67,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		spawn      = fs.Int("spawn", 0, "supervise this many scaltoold child processes instead of -replica URLs")
 		scaltoold  = fs.String("scaltoold", "scaltoold", "scaltoold binary for -spawn")
 		probeEvery = fs.Duration("probe-interval", 500*time.Millisecond, "replica health-probe period")
-		cooldown   = fs.Duration("breaker-cooldown", 5*time.Second, "open-breaker wait before the half-open probe")
 		fwdTimeout = fs.Duration("forward-timeout", 90*time.Second, "per-attempt forward deadline")
 		grace      = fs.Duration("shutdown-grace", 30*time.Second, "how long a SIGTERM drain may take before the process force-exits")
 		logLevel   = fs.String("log-level", "info", "structured log level: debug | info | warn | error")
@@ -81,7 +80,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if err := run(routerConfig{
 		addr: *addr, replicas: replicas,
 		spawn: *spawn, scaltoold: *scaltoold, spawnArgs: spawnArgs,
-		probeEvery: *probeEvery, cooldown: *cooldown, fwdTimeout: *fwdTimeout,
+		probeEvery: *probeEvery, fwdTimeout: *fwdTimeout,
 		grace: *grace, logLevel: *logLevel, logJSON: *logJSON,
 	}, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "scalrouter:", err)
@@ -98,7 +97,6 @@ type routerConfig struct {
 	spawnArgs []string
 
 	probeEvery time.Duration
-	cooldown   time.Duration
 	fwdTimeout time.Duration
 
 	grace    time.Duration
@@ -153,7 +151,6 @@ func run(cfg routerConfig, stdout, stderr io.Writer) error {
 	rt := fleet.NewRouter(fleet.Options{
 		Replicas:       members,
 		ProbeInterval:  cfg.probeEvery,
-		Cooldown:       cfg.cooldown,
 		ForwardTimeout: cfg.fwdTimeout,
 		Obs:            o,
 	})

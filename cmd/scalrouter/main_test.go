@@ -89,7 +89,6 @@ func TestScalrouterStaticFleetE2E(t *testing.T) {
 		"-replica", s1.URL(),
 		"-replica", s2.URL(),
 		"-probe-interval", "100ms",
-		"-breaker-cooldown", "300ms",
 		"-log-level", "warn",
 	})
 	base := "http://" + addr

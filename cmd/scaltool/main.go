@@ -11,8 +11,7 @@
 // -s0 (base data-set bytes, 0 = the app default), -raw-tm (paper-faithful
 // single-pass tm(n)), -csv (machine-readable tables).
 //
-// Robustness flags (see README's Robustness section): -run-timeout sets the
-// deadline of every run, -fault-spec injects deterministic faults for chaos
+// Robustness flags (see README's Robustness section): -fault-spec injects deterministic faults for chaos
 // drills (journal faults into any campaign, report faults into the files
 // measure writes), -health-json writes the machine-readable health report.
 // -journal-dir makes the campaign crash-safe (every run outcome goes
@@ -25,13 +24,12 @@
 // base runs' simulated per-processor timelines) for chrome://tracing or
 // Perfetto, -metrics-out writes a Prometheus text-format snapshot,
 // -log-level/-log-json control the structured stderr log, and -pprof-addr
-// serves net/http/pprof with /metrics and /debug/vars on the side.
+// serves net/http/pprof with /metrics on the side.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -116,7 +114,6 @@ type common struct {
 	csv        *bool
 	workers    *int
 	faultSpec  *string
-	runTimeout *time.Duration
 	healthJSON *string
 
 	journalDir    *string
@@ -145,7 +142,6 @@ func commonFlags(name string) *common {
 		csv:        fs.Bool("csv", false, "emit CSV instead of aligned tables"),
 		workers:    fs.Int("workers", 0, "concurrent simulated runs (0 = GOMAXPROCS)"),
 		faultSpec:  fs.String("fault-spec", "", "fault-injection spec for chaos drills: journal keys (crashappend, tornappend, fsyncfail) on any campaign; report keys (e.g. seed=42,noise=0.02,poisonrun=<run id>) on measure only"),
-		runTimeout: fs.Duration("run-timeout", 0, "per-run deadline; a run that blows it fails (0 = none)"),
 		healthJSON: fs.String("health-json", "", "write the machine-readable health report to this file"),
 
 		journalDir:    fs.String("journal-dir", "", "write-ahead journal directory: makes the campaign crash-safe and resumable"),
@@ -158,7 +154,7 @@ func commonFlags(name string) *common {
 		metricsOut: fs.String("metrics-out", "", "write a Prometheus text-format metrics snapshot to this file"),
 		logLevel:   fs.String("log-level", "warn", "structured log level: debug | info | warn | error"),
 		logJSON:    fs.Bool("log-json", false, "emit the structured log as JSON lines"),
-		pprofAddr:  fs.String("pprof-addr", "", "serve net/http/pprof, /metrics, and /debug/vars on this address"),
+		pprofAddr:  fs.String("pprof-addr", "", "serve net/http/pprof and /metrics on this address"),
 	}
 }
 
@@ -186,7 +182,6 @@ func (c *common) observe() (context.Context, func() error, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("pprof server: %w", err)
 		}
-		o.Metrics.PublishExpvar("scaltool") // /debug/vars
 		pprofSrv = &http.Server{Handler: pprofMux(o.Metrics)}
 		go func() {
 			if err := pprofSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -228,8 +223,8 @@ func (c *common) observe() (context.Context, func() error, error) {
 	return obs.NewContext(context.Background(), o), flush, nil
 }
 
-// pprofMux builds the debug server's handler on a dedicated mux — pprof,
-// /metrics, and /debug/vars — so nothing registers on the process-global
+// pprofMux builds the debug server's handler on a dedicated mux — pprof
+// and /metrics — so nothing registers on the process-global
 // DefaultServeMux (which panics on re-registration if a command constructs
 // two observers in one process, as tests do).
 func pprofMux(mt *obs.Metrics) *http.ServeMux {
@@ -239,7 +234,6 @@ func pprofMux(mt *obs.Metrics) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := mt.WritePrometheus(w); err != nil {
@@ -323,10 +317,7 @@ func (c *common) execute(ctx context.Context, rn *campaign.Runner, app apps.App,
 // files, which only measure writes, so any other command refuses them
 // rather than silently running a clean campaign.
 func (c *common) runner(cfg machine.Config) (*campaign.Runner, error) {
-	rn := &campaign.Runner{
-		Cfg: cfg, Workers: *c.workers,
-		RunTimeout: *c.runTimeout,
-	}
+	rn := &campaign.Runner{Cfg: cfg, Workers: *c.workers}
 	if *c.cacheMB > 0 {
 		rn.Cache = runcache.New(runcache.Options{
 			MaxBytes: int64(*c.cacheMB) << 20,

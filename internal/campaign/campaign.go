@@ -297,11 +297,6 @@ type Runner struct {
 	// runs on the dispatching goroutine, outside the pool.
 	Workers int
 
-	// RunTimeout is the per-run deadline (0 = none). The simulator is
-	// deterministic, so a run that blows it would blow it again: expiry is
-	// a permanent failure, which aborts the campaign for a critical run and
-	// degrades the fit for any other.
-	RunTimeout time.Duration
 	// Inject, when non-nil, injects its spec's journal faults (crashappend,
 	// tornappend, fsyncfail) — the kill-resume chaos hook. Its report
 	// faults apply only where report files are written (SaveReports).
@@ -356,8 +351,8 @@ func (rn *Runner) Run(app apps.App, plan Plan) (*Result, error) {
 // attempt-latency histogram, and structured log lines for every health
 // finding and permanent failure.
 //
-// Execute is the fault-tolerant path: each run gets one attempt under
-// RunTimeout, and every report must pass health.Sanitize untouched (a
+// Execute is the fault-tolerant path: each run gets one attempt, bounded
+// only by ctx, and every report must pass health.Sanitize untouched (a
 // report that needs sanitizing is a simulator bug and aborts the campaign
 // with a *PanicError). A run that fails is dropped and recorded in
 // Result.Health rather than killing the campaign — unless the model cannot
@@ -619,13 +614,7 @@ func (ex *executor) run(ctx context.Context, j job, pj prepared) {
 	if !ex.journal(ctx, runEvent(evAttempt, j)) {
 		return
 	}
-	rctx := ctx
-	if ex.rn.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		rctx, cancel = context.WithTimeout(ctx, ex.rn.RunTimeout)
-		defer cancel()
-	}
-	out, err := ex.attempt(rctx, j, key, pj.rcp, prog, pj.out)
+	out, err := ex.attempt(ctx, j, key, pj.rcp, prog, pj.out)
 	if err != nil {
 		ex.fail(ctx, j, err)
 		return

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -257,40 +256,41 @@ func TestChaosCancellation(t *testing.T) {
 }
 
 // TestChaosRunTimeoutAbortsCampaign checks the one bound on a run's
-// duration: a deadline no run can meet fails every run on its single
-// attempt — no retry, no backoff — and the first critical run to fail
-// aborts the campaign with an error that wraps context.DeadlineExceeded.
+// duration, the campaign context: a deadline that expires mid-campaign
+// stops the runs in flight on their single attempt — no retry, no backoff —
+// and the campaign fails promptly with an error that wraps
+// context.DeadlineExceeded.
 func TestChaosRunTimeoutAbortsCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign")
 	}
 	c := cfg()
 	app, _ := apps.ByName("swim")
-	plan, err := NewPlan(app, c, 4, 0)
+	// One worker runs the 18-run p32 campaign serially in over 100 ms on a
+	// 2-CPU VM, so a 5 ms deadline lands inside its first runs.
+	plan, err := NewPlan(app, c, 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mt := obs.NewMetrics()
 	ctx := obs.NewContext(context.Background(), &obs.Observer{Metrics: mt})
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	res, err := (&Runner{Cfg: c, RunTimeout: time.Nanosecond}).Execute(ctx, app, plan)
+	res, err := (&Runner{Cfg: c, Workers: 1}).Execute(ctx, app, plan)
 	elapsed := time.Since(start)
 	if err == nil || res != nil {
-		t.Fatalf("campaign with an unmeetable deadline: res=%v err=%v", res, err)
+		t.Fatalf("campaign past its deadline: res=%v err=%v", res, err)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error %v does not wrap context.DeadlineExceeded", err)
 	}
-	if !strings.Contains(err.Error(), "critical run "+RunID("base", 1, plan.S0)) &&
-		!strings.Contains(err.Error(), "critical run kspin_") {
-		t.Errorf("error %q names neither critical run", err)
-	}
 	started := mt.Counter("scaltool_campaign_runs_started_total", "").Value()
 	attempts := mt.Histogram("scaltool_campaign_attempt_seconds", "", obs.LatencyBuckets).Count()
-	if attempts == 0 || attempts > started {
+	if attempts > started {
 		t.Errorf("%d attempts for %d started runs; want at most one each", attempts, started)
 	}
 	if elapsed > 5*time.Second {
-		t.Errorf("campaign took %v to fail every run on its deadline", elapsed)
+		t.Errorf("campaign took %v to stop on its deadline", elapsed)
 	}
 }

@@ -116,10 +116,8 @@ func TestFleetChaosKillRestartByteIdentical(t *testing.T) {
 		Replicas: []Replica{
 			{Name: SlotName(0)}, {Name: SlotName(1)}, {Name: SlotName(2)},
 		},
-		ProbeInterval:    100 * time.Millisecond,
-		FailureThreshold: 2,
-		Cooldown:         150 * time.Millisecond,
-		ForwardTimeout:   120 * time.Second,
+		ProbeInterval:  100 * time.Millisecond,
+		ForwardTimeout: 120 * time.Second,
 	})
 	sv := &Supervisor{
 		Spawn: func(slot int) (Handle, error) {

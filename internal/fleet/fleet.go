@@ -4,12 +4,14 @@
 // The pieces, bottom up:
 //
 //   - Router: an HTTP front tier for /v1/analyze and /v1/diagnose. Requests
-//     are placed by rendezvous hashing on the content-addressed runcache
-//     key (serve.RoutingKey), so an identical document always lands on the
-//     replica whose memory tier is warm for it. Each replica carries a
-//     health verdict (prober.go) and a circuit breaker (breaker.go); a
-//     refused, unreachable, or breaker-open replica fails over to the next
-//     in hash order, one attempt at a time. The simulator is deterministic,
+//     are placed by rendezvous hashing on the digest of the normalized
+//     document (serve.RoutingKey), the key each replica's response cache
+//     already uses, so an identical document always lands on the replica
+//     that answered it before. Each replica carries one
+//     liveness state, an up bit: the prober (prober.go) keeps it current,
+//     and a failed attempt clears it at once. Down replicas rank after up
+//     ones; a refused or unreachable replica fails over to the next in
+//     hash order, one attempt at a time. The simulator is deterministic,
 //     so every forwarded request is idempotent and byte-identical across
 //     replicas — failover can never change an answer, only deliver it.
 //
@@ -56,13 +58,6 @@ type Options struct {
 	// ProbeInterval is the health-probe period (0 = 500ms). One probe is
 	// bounded by the interval, capped at 2s.
 	ProbeInterval time.Duration
-	// FailureThreshold is how many consecutive hard failures open a
-	// replica's circuit breaker (0 = 3).
-	FailureThreshold int
-	// Cooldown is the open breaker's wait before its half-open probe
-	// (0 = 5s: the router sits in front of a supervisor that restarts
-	// replicas in well under that).
-	Cooldown time.Duration
 	// ForwardTimeout bounds one forwarded attempt (0 = 90s: a shade over
 	// the replica's own 60s request deadline, so the replica's 504 wins).
 	ForwardTimeout time.Duration
@@ -75,12 +70,6 @@ func (o *Options) withDefaults() Options {
 	if out.ProbeInterval <= 0 {
 		out.ProbeInterval = 500 * time.Millisecond
 	}
-	if out.FailureThreshold <= 0 {
-		out.FailureThreshold = 3
-	}
-	if out.Cooldown <= 0 {
-		out.Cooldown = 5 * time.Second
-	}
 	if out.ForwardTimeout <= 0 {
 		out.ForwardTimeout = 90 * time.Second
 	}
@@ -89,10 +78,9 @@ func (o *Options) withDefaults() Options {
 
 // member is one replica's live state inside the router.
 type member struct {
-	name    string
-	url     atomic.Value // string; "" while the slot has no instance
-	up      atomic.Bool  // last health-probe verdict
-	breaker *breaker
+	name string
+	url  atomic.Value // string; "" while the slot has no instance
+	up   atomic.Bool  // last probe verdict, cleared by a failed attempt
 }
 
 func (m *member) currentURL() string {
@@ -121,8 +109,9 @@ type Router struct {
 }
 
 // NewRouter builds a Router over the given replicas. Call StartProber to
-// begin health probing; without it every replica is assumed healthy and
-// failover still works through the breakers.
+// begin health probing; without it a replica that fails an attempt ranks
+// last until SetReplicaURL rebinds it, and is still tried after every up
+// replica.
 func NewRouter(opts Options) *Router {
 	rt := &Router{
 		opts: opts.withDefaults(),
@@ -147,7 +136,7 @@ func NewRouter(opts Options) *Router {
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
 func (rt *Router) addMember(name, url string) *member {
-	m := &member{name: name, breaker: &breaker{threshold: rt.opts.FailureThreshold, cooldown: rt.opts.Cooldown}}
+	m := &member{name: name}
 	m.url.Store(url)
 	m.up.Store(true)
 	rt.mu.Lock()
@@ -159,8 +148,8 @@ func (rt *Router) addMember(name, url string) *member {
 // SetReplicaURL rebinds a replica name to a new instance URL — the
 // supervisor calls this after every restart. An empty URL marks the slot
 // instanceless (requests skip it until the replacement arrives). A fresh
-// URL resets the breaker and health verdict: the new instance has not
-// earned the old one's failures.
+// URL marks the slot up: the new instance has not earned the old one's
+// failures.
 func (rt *Router) SetReplicaURL(name, url string) {
 	rt.mu.RLock()
 	var m *member
@@ -184,7 +173,6 @@ func (rt *Router) SetReplicaURL(name, url string) {
 		return
 	}
 	m.up.Store(true)
-	m.breaker.OnSuccess()
 	if mt := rt.meter(); mt != nil {
 		mt.Gauge("scaltool_fleet_replica_up", "1 while the replica answers health probes", "replica", name).Set(1)
 	}

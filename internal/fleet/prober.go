@@ -6,14 +6,12 @@ import (
 	"time"
 )
 
-// Health probing. The breakers learn about a dead replica reactively — a
-// request has to fail first. The prober learns proactively: a background
-// GET /v1/healthz per replica per ProbeInterval keeps each member's up bit
-// current, so rank() can demote a draining or dead replica BEFORE any
-// client request pays the discovery cost. The two mechanisms deliberately
-// overlap: probes bound how stale the health view can get, breakers bound
-// how many requests a freshly-dead replica can eat inside one probe
-// interval.
+// Health probing keeps each member's up bit, the router's only liveness
+// state about a replica. A failed attempt clears the bit at once
+// (attemptFailed); a background GET /v1/healthz per replica per
+// ProbeInterval sets it again once the replica answers, and clears it for
+// a draining or dead replica before any client request pays the discovery
+// cost. rank() places every down replica after every up one.
 
 // StartProber begins background health probing; it returns immediately and
 // stops when ctx is canceled. All members are probed concurrently — one

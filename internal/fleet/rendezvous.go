@@ -41,7 +41,7 @@ func rendezvousScore(name, key string) uint64 {
 // score, then unhealthy ones in the same score order. Down replicas stay in
 // the list — when the whole fleet looks down (a probe blackout, or the
 // supervisor mid-restart-storm) the router still tries them rather than
-// refusing outright; the breakers bound the cost of guessing wrong.
+// refusing outright, each at most once per request.
 func rank(members []*member, key string) []*member {
 	type scored struct {
 		m     *member

@@ -31,16 +31,17 @@ import (
 //	           over, but keep the refusal as the answer of last resort so
 //	           the client sees a retryable status, not a synthetic error.
 //	failure  — the replica is unreachable, hung past ForwardTimeout, or
-//	           reset the connection (a SIGKILL mid-request). Feed the
-//	           breaker, mark it down, fail over.
+//	           reset the connection (a SIGKILL mid-request). Clear its up
+//	           bit, fail over.
 //
-// Only failures count against a replica's breaker. A refusal is the
-// replica protecting itself while healthy — punishing it would open
-// breakers during load spikes, exactly when capacity matters most. And an
+// Only failures clear a replica's up bit; the prober sets it again within
+// one ProbeInterval once the replica answers /v1/healthz. A refusal is the
+// replica protecting itself while healthy — demoting it would shrink the
+// fleet during load spikes, exactly when capacity matters most. And an
 // attempt canceled because the client hung up is neutral: the replica did
 // nothing wrong, so it must not inherit the cancellation as a failure
-// (that would let clients with short deadlines open a slow-but-healthy
-// replica's breaker).
+// (that would let clients with short deadlines demote a slow-but-healthy
+// replica).
 
 // maxResponseBytes bounds a replica response body. Analysis responses are
 // tens of kilobytes; even a full 32-proc diagnose report is far under a
@@ -112,10 +113,10 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 
 // routingKeyFor computes a request's placement key. The document is decoded
 // leniently (unknown fields and schema violations are the REPLICA's call to
-// refuse — the router only needs a stable identity), and resolvable
-// documents map to the runcache content address via serve.RoutingKey. A
-// document that does not even parse hashes as raw bytes: still
-// deterministic, and the replica's 400 comes back cached-hot on repeats.
+// refuse — the router only needs a stable identity) and keyed by the digest
+// of its normalized form, serve.RoutingKey. A document that does not even
+// parse hashes as raw bytes: still deterministic, so its repeats still
+// land on one replica.
 func routingKeyFor(body []byte) string {
 	var req serve.Request
 	if err := json.Unmarshal(body, &req); err == nil {
@@ -131,10 +132,9 @@ func (rt *Router) forward(ctx context.Context, route, key, rid string, body []by
 	var lastRefusal *attemptResult
 	failed := false // the previous attempt was a hard failure
 	for _, m := range rank(rt.snapshot(), key) {
-		// Instanceless slots and open breakers are known-useless without a
-		// network round trip.
+		// An instanceless slot is known-useless without a network round trip.
 		url := m.currentURL()
-		if url == "" || !m.breaker.Allow(time.Now()) {
+		if url == "" {
 			continue
 		}
 		if failed {
@@ -176,12 +176,11 @@ func (rt *Router) attempt(ctx context.Context, m *member, url, route, rid string
 	resp, err := rt.hc.Do(req)
 	if err != nil {
 		// A cancellation from the parent (the client hung up, or the
-		// router is shutting down) is not the replica's fault: report
-		// neutral so the breaker's half-open probe flag is not stranded and
-		// no failure is charged. A blown ForwardTimeout — actx expired while ctx is
-		// still live — IS the replica's fault (hung or wedged).
+		// router is shutting down) is not the replica's fault: it leaves
+		// the up bit alone and charges no failure. A blown ForwardTimeout —
+		// actx expired while ctx is still live — IS the replica's fault
+		// (hung or wedged).
 		if ctx.Err() != nil {
-			m.breaker.OnSuccess()
 			return attemptResult{replica: m.name, err: err}
 		}
 		return rt.attemptFailed(m, err)
@@ -190,7 +189,6 @@ func (rt *Router) attempt(ctx context.Context, m *member, url, route, rid string
 	rbody, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
 		if ctx.Err() != nil {
-			m.breaker.OnSuccess()
 			return attemptResult{replica: m.name, err: err}
 		}
 		return rt.attemptFailed(m, err)
@@ -200,23 +198,20 @@ func (rt *Router) attempt(ctx context.Context, m *member, url, route, rid string
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
 		// The replica is healthy but refusing work — retryable elsewhere.
-		m.breaker.OnSuccess()
 		res.refusal = true
 		rt.countAttempt(m.name, "refused")
 	default:
 		// Everything else — 200, 4xx, 500, 504 — is a deterministic
 		// verdict; retrying on a peer would reproduce it.
-		m.breaker.OnSuccess()
 		res.final = true
 		rt.countAttempt(m.name, "ok")
 	}
 	return res
 }
 
-// attemptFailed records a hard replica failure: breaker fed, health verdict
-// dropped (the prober or a restart will restore it).
+// attemptFailed records a hard replica failure: its up bit drops (the
+// prober or a restart will restore it).
 func (rt *Router) attemptFailed(m *member, err error) attemptResult {
-	m.breaker.OnFailure(time.Now())
 	m.up.Store(false)
 	rt.countAttempt(m.name, "failed")
 	return attemptResult{replica: m.name, err: err}

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"scaltool/internal/obs"
 	"scaltool/internal/serve"
@@ -210,8 +209,7 @@ func TestRouterFailoverPreservesRequestID(t *testing.T) {
 				deadName, goodName = names[1], names[0]
 			}
 			rt := NewRouter(Options{
-				Replicas:         []Replica{{Name: deadName, URL: dead.URL}, {Name: goodName, URL: good.ts.URL}},
-				FailureThreshold: 3,
+				Replicas: []Replica{{Name: deadName, URL: dead.URL}, {Name: goodName, URL: good.ts.URL}},
 			})
 
 			hdr := map[string]string{}
@@ -240,6 +238,62 @@ func TestRouterFailoverPreservesRequestID(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRouterDemotesFailedOwner: one reset connection from a key's owner
+// clears its up bit, so the next request for the key goes to the backup
+// first without touching the owner; one probe round restores the owner.
+func TestRouterDemotesFailedOwner(t *testing.T) {
+	var resets atomic.Int64
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "healthz") {
+			fmt.Fprintln(w, `{"status":"ok"}`)
+			return
+		}
+		if resets.Add(1) == 1 {
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close()
+			}
+			return
+		}
+		fmt.Fprintln(w, `{"owner":true}`)
+	}))
+	t.Cleanup(owner.Close)
+	backup := newStubBackend(t, http.StatusOK, `{"backup":true}`)
+
+	doc := analyzeDoc("swim", 2)
+	key := routingKeyFor(doc)
+	ownerName, backupName := SlotName(0), SlotName(1)
+	if rendezvousScore(backupName, key) > rendezvousScore(ownerName, key) {
+		ownerName, backupName = backupName, ownerName
+	}
+	rt := NewRouter(Options{Replicas: []Replica{
+		{Name: ownerName, URL: owner.URL},
+		{Name: backupName, URL: backup.ts.URL},
+	}})
+	servedBy := func(step string) string {
+		t.Helper()
+		resp, body := postRouter(t, rt.Handler(), "/v1/analyze", doc, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d: %s", step, resp.StatusCode, body)
+		}
+		return resp.Header.Get("X-Fleet-Replica")
+	}
+
+	if got := servedBy("reset"); got != backupName {
+		t.Fatalf("reset request served by %q, want the backup %q", got, backupName)
+	}
+	if got := servedBy("after reset"); got != backupName {
+		t.Fatalf("request after the reset served by %q, want the backup %q first", got, backupName)
+	}
+	if n := resets.Load(); n != 1 {
+		t.Fatalf("demoted owner got %d attempts, want only the one that reset", n)
+	}
+
+	rt.probeAll(context.Background())
+	if got := servedBy("after probe"); got != ownerName {
+		t.Fatalf("request after a probe round served by %q, want the owner %q", got, ownerName)
 	}
 }
 
@@ -281,9 +335,9 @@ func TestRouterRefusalFallsOverThenSurfaces(t *testing.T) {
 
 // TestRouterClientCancelIsNeutral: a client that hangs up mid-forward
 // cancels the attempt, and that cancellation is not the replica's fault.
-// More cancels than FailureThreshold against a slow replica must leave its
-// breaker closed, charge no failed attempt, fail over nowhere, and leave
-// the replica serving the next request.
+// Repeated cancels against a slow replica must leave its up bit set, charge
+// no failed attempt, fail over nowhere, and leave the replica serving the
+// next request.
 func TestRouterClientCancelIsNeutral(t *testing.T) {
 	var slowMode atomic.Bool
 	slowMode.Store(true)
@@ -312,19 +366,16 @@ func TestRouterClientCancelIsNeutral(t *testing.T) {
 	if rendezvousScore(backupName, key) > rendezvousScore(slowName, key) {
 		slowName, backupName = backupName, slowName
 	}
-	const threshold = 2
 	o := &obs.Observer{Metrics: obs.NewMetrics()}
 	rt := NewRouter(Options{
 		Replicas: []Replica{
 			{Name: slowName, URL: slow.URL},
 			{Name: backupName, URL: backup.ts.URL},
 		},
-		FailureThreshold: threshold,
-		Cooldown:         time.Hour,
-		Obs:              o,
+		Obs: o,
 	})
 
-	for i := 0; i < threshold+1; i++ {
+	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(doc)).WithContext(ctx)
 		rec := httptest.NewRecorder()
@@ -346,10 +397,8 @@ func TestRouterClientCancelIsNeutral(t *testing.T) {
 	}
 
 	for _, m := range rt.snapshot() {
-		if m.name == slowName {
-			if !m.breaker.Allow(time.Now()) {
-				t.Fatal("slow replica's breaker opened after client cancels")
-			}
+		if m.name == slowName && !m.up.Load() {
+			t.Fatal("client cancels cleared the slow replica's up bit")
 		}
 	}
 	if n := o.Metrics.Counter("scaltool_fleet_attempts_total", "", "replica", slowName, "outcome", "failed").Value(); n != 0 {

@@ -54,7 +54,7 @@ type Supervisor struct {
 	HeartbeatMisses int
 	// RestartBackoff is the pause before respawning a dead instance
 	// (0 = 100ms) — enough to keep a crash loop from burning a core,
-	// short enough that the breaker cooldown outlives it.
+	// short enough that a key's owner is back well inside a second.
 	RestartBackoff time.Duration
 	// HTTP issues heartbeat probes (nil = http.DefaultClient).
 	HTTP *http.Client

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -334,40 +333,3 @@ func mergeLabels(labels, k, v string) string {
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// ExpvarFunc adapts the registry for expvar.Publish: the returned func
-// renders every series into a JSON-friendly map (histograms as
-// {count, sum}).
-func (m *Metrics) ExpvarFunc() expvar.Func {
-	return func() any {
-		out := map[string]any{}
-		if m == nil {
-			return out
-		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		for name, f := range m.families {
-			for labels, s := range f.series {
-				key := name + labels
-				switch s := s.(type) {
-				case *Counter:
-					out[key] = s.Value()
-				case *Gauge:
-					out[key] = s.Value()
-				case *Histogram:
-					out[key] = map[string]any{"count": s.Count(), "sum": s.Sum()}
-				}
-			}
-		}
-		return out
-	}
-}
-
-// PublishExpvar publishes the registry under an expvar name, once; repeat
-// calls (or a name already taken) are no-ops.
-func (m *Metrics) PublishExpvar(name string) {
-	if m == nil || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, m.ExpvarFunc())
-}

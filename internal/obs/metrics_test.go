@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"regexp"
@@ -136,31 +135,6 @@ func TestPrometheusFormat(t *testing.T) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
 	}
-}
-
-func TestExpvarFunc(t *testing.T) {
-	m := NewMetrics()
-	m.Counter("scaltool_runs_total", "runs").Add(2)
-	m.Histogram("scaltool_run_cycles", "cycles", CycleBuckets).Observe(5e6)
-	f := m.ExpvarFunc()
-	data, err := json.Marshal(f())
-	if err != nil {
-		t.Fatalf("expvar snapshot not marshalable: %v", err)
-	}
-	var got map[string]any
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got["scaltool_runs_total"] != float64(2) {
-		t.Fatalf("snapshot = %v", got)
-	}
-	hist, ok := got["scaltool_run_cycles"].(map[string]any)
-	if !ok || hist["count"] != float64(1) {
-		t.Fatalf("histogram snapshot = %v", got["scaltool_run_cycles"])
-	}
-	// Publishing twice under one name must not panic.
-	m.PublishExpvar("scaltool_test_metrics")
-	m.PublishExpvar("scaltool_test_metrics")
 }
 
 func TestMetricsConcurrent(t *testing.T) {

@@ -11,7 +11,7 @@
 //     nested spans; internal/sim additionally exports per-processor
 //     busy/sync/imb region timelines into the same file.
 //   - Metrics — a registry of counters, gauges, and fixed-bucket histograms,
-//     serializable as Prometheus text format and publishable via expvar.
+//     serializable as Prometheus text format.
 //   - Logger — a log/slog logger; run identity is threaded via context so a
 //     retry or quarantine is attributable while the campaign is still
 //     running.

@@ -147,8 +147,8 @@ func (r Recipe) derive(ctx context.Context) (Entry, *sim.Program) {
 // documents warm in well under a megabyte.
 const Capacity = 1024
 
-// Default is the process's table: admission, the campaign and routing all
-// read it, so a recipe is built once per process however many of them ask.
+// Default is the process's table: admission and the campaign both read it,
+// so a recipe is built once per process however many of them ask.
 var Default = newTable(Capacity)
 
 // Table is a fixed-capacity LRU map from recipe to entry. Concurrent

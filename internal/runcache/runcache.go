@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 
-	"scaltool/internal/faultinject"
 	"scaltool/internal/machine"
 	"scaltool/internal/obs"
 	"scaltool/internal/sim"
@@ -34,10 +33,6 @@ type Options struct {
 	// check on load are quarantined under SpillDir/quarantine and treated as
 	// misses.
 	SpillDir string
-	// Inject, when non-nil, mangles spill frames on their way to disk
-	// (truncation, byte corruption) — the deterministic torn-write chaos
-	// hook. Production caches leave it nil.
-	Inject *faultinject.Injector
 }
 
 // DefaultMaxBytes is the in-memory budget when Options.MaxBytes is unset.
@@ -49,7 +44,6 @@ const DefaultMaxBytes = 256 << 20
 type Cache struct {
 	maxBytes int64
 	spillDir string
-	inject   *faultinject.Injector
 
 	mu       sync.Mutex
 	ll       *list.List // front = most recent
@@ -83,7 +77,6 @@ func New(opts Options) *Cache {
 	return &Cache{
 		maxBytes: opts.MaxBytes,
 		spillDir: opts.SpillDir,
-		inject:   opts.Inject,
 		ll:       list.New(),
 		items:    map[Key]*list.Element{},
 		inflight: map[Key]*flight{},

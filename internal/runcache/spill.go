@@ -122,17 +122,13 @@ func (c *Cache) quarantineSpill(path string) {
 // only lose the spill copy.
 // The write goes through a temp file + rename so a torn write never leaves a
 // half-entry under the final name, and the frame's CRC catches everything
-// rename cannot. The injector hook (Options.Inject) mangles the framed bytes
-// before they reach disk — the chaos tests' torn-write and bit-rot point.
+// rename cannot.
 func (c *Cache) writeSpill(key Key, res *sim.Result) bool {
 	path := c.spillPath(key)
 	if path == "" {
 		return false
 	}
 	framed := encodeSpillFrame(res)
-	if c.inject != nil {
-		framed, _ = c.inject.MangleFile(filepath.Base(path), framed)
-	}
 	if err := os.MkdirAll(c.spillDir, 0o755); err != nil {
 		return false
 	}

@@ -163,10 +163,10 @@ func TestSpillLoadQuarantines(t *testing.T) {
 	}
 }
 
-// TestSpillFaultInjection closes the loop with the chaos hook: an injector
-// that mangles every spill write (torn or bit-rotted frames) must never
-// produce a wrong answer — reloads detect the damage, quarantine the file,
-// and re-simulate to a byte-identical result.
+// TestSpillFaultInjection closes the loop with the chaos injector: a spill
+// file damaged on disk (a torn or bit-rotted frame) must never produce a
+// wrong answer — reloads detect the damage, quarantine the file, and
+// re-simulate to a byte-identical result.
 func TestSpillFaultInjection(t *testing.T) {
 	cfg := machine.TinyTest()
 	for _, tc := range []struct {
@@ -185,10 +185,19 @@ func TestSpillFaultInjection(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := encode(t, res)
-			c := New(Options{MaxBytes: 1 << 20, SpillDir: dir, Inject: faultinject.New(tc.spec)})
+			c := New(Options{MaxBytes: 1 << 20, SpillDir: dir})
 			key := KeyFor(cfg, prog)
 			if !c.writeSpill(key, res) {
 				t.Fatal("writeSpill failed")
+			}
+			path := c.spillPath(key)
+			clean, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damaged, _ := faultinject.New(tc.spec).MangleFile(filepath.Base(path), clean)
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
 			}
 
 			mt := obs.NewMetrics()
@@ -202,6 +211,9 @@ func TestSpillFaultInjection(t *testing.T) {
 			}
 			if total != 1 || mt.RuncacheCorrupt(tc.class).Value() != 1 {
 				t.Fatalf("damage not classified %q exactly once (total %d)", tc.class, total)
+			}
+			if _, err := os.Stat(filepath.Join(dir, quarantineDirName, filepath.Base(path))); err != nil {
+				t.Fatalf("damaged file not quarantined: %v", err)
 			}
 
 			// The full miss path re-simulates and the answer is unchanged.

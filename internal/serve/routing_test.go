@@ -1,17 +1,20 @@
 package serve
 
 import (
+	"encoding/json"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
 	"scaltool/internal/admission"
+	"scaltool/internal/runcache"
 )
 
 // TestRoutingKey pins the placement contract: documents that normalize to
-// the same analysis share a key (cache affinity survives omitted defaults),
-// different analyses get different keys, and program specs / unresolvable
-// documents fall back to a stable document digest without ever building the
-// program.
+// the same document share a key (omitted defaults do not move a document),
+// different documents get different keys, the key is stable for documents
+// a replica will refuse, and computing it builds nothing.
 func TestRoutingKey(t *testing.T) {
 	base := RoutingKey(&Request{App: "swim", Procs: 4})
 
@@ -30,18 +33,13 @@ func TestRoutingKey(t *testing.T) {
 			t.Fatalf("%s change did not change the routing key", name)
 		}
 	}
-	// The builtin-app key is the raw runcache content address (64 hex), not
-	// the document-digest fallback.
-	if strings.HasPrefix(base, "doc:") || len(base) != 64 {
-		t.Fatalf("builtin app routed by document digest, want content address: %q", base)
-	}
 
 	// Omitted procs defaults to 32 — the same key as an explicit 32.
 	if RoutingKey(&Request{App: "swim"}) != RoutingKey(&Request{App: "swim", Procs: 32}) {
 		t.Fatal("omitted procs and explicit 32 routed differently")
 	}
 
-	// Unknown apps and bad shapes fall back to the document digest, totally.
+	// Unknown apps and bad shapes still get a key, totally and stably.
 	for _, req := range []*Request{
 		{App: "not-an-app", Procs: 4},
 		{App: "swim", Procs: 3},
@@ -49,21 +47,14 @@ func TestRoutingKey(t *testing.T) {
 		{},
 	} {
 		got := RoutingKey(req)
-		if !strings.HasPrefix(got, "doc:") {
-			t.Fatalf("unresolvable doc %+v got a content key: %q", req, got)
-		}
 		if again := RoutingKey(req); again != got {
-			t.Fatalf("fallback key unstable: %q vs %q", got, again)
+			t.Fatalf("key of %+v unstable: %q vs %q", req, got, again)
 		}
 	}
 
-	// A user program spec routes by digest — the router must not build it.
+	// Different program-spec procs → different key.
 	spec := &admission.ProgramSpec{Name: "user-prog"}
-	k1 := RoutingKey(&Request{Program: spec, Procs: 4})
-	if !strings.HasPrefix(k1, "doc:") {
-		t.Fatalf("program spec got a content key: %q", k1)
-	}
-	if k2 := RoutingKey(&Request{Program: spec, Procs: 8}); k2 == k1 {
+	if RoutingKey(&Request{Program: spec, Procs: 4}) == RoutingKey(&Request{Program: spec, Procs: 8}) {
 		t.Fatal("different program-spec procs shared a routing key")
 	}
 
@@ -72,5 +63,42 @@ func TestRoutingKey(t *testing.T) {
 	_ = RoutingKey(req)
 	if req.Procs != 0 || req.Machine != "" {
 		t.Fatalf("RoutingKey mutated its argument: %+v", req)
+	}
+
+	// The router computes the key before any replica's admission caps apply,
+	// so it must build nothing: neither a plan nor a program sized by the
+	// document. Each of these documents is refused by every replica's caps.
+	for name, req := range map[string]*Request{
+		"spmv s0 64MiB": {App: "spmv", Procs: 32, S0: 64 << 20},
+		"swim p65536":   {App: "swim", Procs: 65536},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_ = RoutingKey(req)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: RoutingKey allocated %d bytes, want under 1 MiB", name, d)
+		}
+	}
+}
+
+// TestRoutingKeyIsResponseCacheKey pins one document identity across the
+// tiers: once a cached server has answered a document on both routes, its
+// response cache holds exactly the document's routing key and that key
+// under the diagnose route's prefix.
+func TestRoutingKeyIsResponseCacheKey(t *testing.T) {
+	s, ts, _ := newTestServer(t, Options{Workers: 1, Cache: runcache.New(runcache.Options{})})
+	const doc = `{"app":"swim","procs":4}`
+	post200(t, ts.URL, "/v1/analyze", doc)
+	post200(t, ts.URL, "/v1/diagnose", doc)
+	var req Request
+	if err := json.Unmarshal([]byte(doc), &req); err != nil {
+		t.Fatal(err)
+	}
+	key := RoutingKey(&req)
+	want := []string{key, "diag:" + key}
+	sort.Strings(want)
+	if got := responseKeys(s); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("response cache holds %v, want %v", got, want)
 	}
 }

@@ -28,7 +28,6 @@ package scaltool
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"scaltool/internal/apps"
 	"scaltool/internal/campaign"
@@ -147,9 +146,6 @@ type Options struct {
 	S0 uint64
 	// Workers bounds concurrent simulated runs (0 = GOMAXPROCS).
 	Workers int
-	// RunTimeout is the per-run deadline (0 = none). Each run gets one
-	// attempt; a run that blows the deadline fails permanently.
-	RunTimeout time.Duration
 	// Model overrides the model options (zero value = defaults for the
 	// machine's L2).
 	Model ModelOptions
@@ -176,10 +172,7 @@ func AnalyzeContext(ctx context.Context, cfg MachineConfig, app App, maxProcs in
 	if err != nil {
 		return nil, err
 	}
-	rn := &campaign.Runner{
-		Cfg: cfg, Workers: opts.Workers,
-		RunTimeout: opts.RunTimeout,
-	}
+	rn := &campaign.Runner{Cfg: cfg, Workers: opts.Workers}
 	res, err := rn.Execute(ctx, app, plan)
 	if err != nil {
 		return nil, fmt.Errorf("scaltool: campaign for %s: %w", app.Name(), err)

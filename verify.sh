@@ -51,7 +51,7 @@ go test -run 'TestDiagnose' -race ./internal/diagnose/... ./internal/serve/...
 echo "==> fleet chaos gate (replicas SIGKILLed under load; zero non-retryable failures, byte-identical answers)"
 go test -run 'TestFleetChaos' -race ./internal/fleet/
 
-echo "==> fleet race gate (router, supervisor, breakers under the race detector)"
+echo "==> fleet race gate (router, supervisor, prober under the race detector)"
 go test -race -skip 'TestFleetChaos' ./internal/fleet/
 
 echo "==> router e2e (scalrouter: static + supervised-spawn fleets, SIGTERM drain)"
