@@ -487,25 +487,13 @@ func fitFor(c *common, post func(context.Context, *campaign.Result) error) (*cam
 // campaign (internal/diagnose) and writes the self-verified ranked culprit
 // report as JSON.
 func writeDiagnosis(ctx context.Context, res *campaign.Result, path string) error {
-	fam, err := diagnose.FromCampaign(res)
-	if err != nil {
-		return fmt.Errorf("diagnose: %w", err)
-	}
 	app, err := apps.ByName(res.Plan.App)
 	if err != nil {
 		return fmt.Errorf("diagnose: %w", err)
 	}
-	nmax := res.Plan.ProcCounts[len(res.Plan.ProcCounts)-1]
-	prog, err := app.Build(res.Machine, nmax, res.Plan.S0)
-	if err != nil {
-		return fmt.Errorf("diagnose: building structure graph: %w", err)
-	}
-	rep, err := diagnose.Run(ctx, diagnose.BuildGraph(prog), fam, diagnose.Options{})
+	rep, err := diagnose.Campaign(ctx, app, res)
 	if err != nil {
 		return err
-	}
-	if err := rep.Verify(); err != nil {
-		return fmt.Errorf("diagnose: report failed self-verification: %w", err)
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -71,16 +71,6 @@ type Cost struct {
 	Runs int
 }
 
-// Plus returns the sum of two costs.
-func (c Cost) Plus(o Cost) Cost {
-	return Cost{
-		Cycles:        c.Cycles + o.Cycles,
-		AllocBytes:    c.AllocBytes + o.AllocBytes,
-		TimelineBytes: c.TimelineBytes + o.TimelineBytes,
-		Runs:          c.Runs + o.Runs,
-	}
-}
-
 // Budget bounds what one request may cost and what the server will hold in
 // flight. Zero fields select the defaults.
 type Budget struct {

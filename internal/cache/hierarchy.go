@@ -278,14 +278,6 @@ func (h *Hierarchy) setMemoL2(l2Line uint64, st State) {
 	h.memoL2OK = true
 }
 
-// fillL1 installs the accessed L1 sub-line; L1 evictions are silent (the L2
-// retains the data; dirty L1 lines write back into L2, which is already
-// tracked as Modified).
-func (h *Hierarchy) fillL1(l1Line uint64, st State, out *Outcome) {
-	h.l1.Insert(l1Line, st)
-	_ = out
-}
-
 // evictL2 handles inclusion and writeback accounting for a displaced L2
 // line.
 func (h *Hierarchy) evictL2(ev Eviction, out *Outcome) {

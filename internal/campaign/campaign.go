@@ -15,7 +15,6 @@ package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -72,7 +71,7 @@ func NewPlan(app apps.App, cfg machine.Config, maxProcs int, s0 uint64) (Plan, e
 	// size a run achieves, not the one it requests: a grid application
 	// quantizes a size just over the threshold to one below it.
 	overflow := 0
-	threshold := uint64(1.5 * float64(cfg.L2.SizeBytes))
+	threshold := model.OverflowThreshold(cfg.L2.SizeBytes)
 	var distinct []uint64 // distinct non-zero achieved sizes of s0 and UniSizes
 	add := func(s uint64) {
 		a := achievedBytes(app, cfg, s)
@@ -358,7 +357,15 @@ func (rn *Runner) Run(app apps.App, plan Plan) (*Result, error) {
 // Result.Health rather than killing the campaign — unless the model cannot
 // fit without it (the uniprocessor base run, the spin kernel), in which
 // case the remaining workers are canceled promptly and Execute returns the
-// critical failure. Canceling ctx stops the campaign the same way.
+// critical failure.
+//
+// The campaign stops one way: its context. A critical failure, a journal
+// append failure or a panic cancels it with that error as the cause; so
+// does ctx's own cancel or deadline. The first cause decides what Execute
+// returns: a critical error as-is, ctx's stop as "campaign: canceled"
+// wrapping context.Canceled or context.DeadlineExceeded. A run that fails
+// while the context is done was stopped, not failed: it is not journaled,
+// counted, logged as a failure or escalated, so Resume re-runs it.
 func (rn *Runner) Execute(ctx context.Context, app apps.App, plan Plan) (*Result, error) {
 	return rn.execute(ctx, app, plan, nil)
 }
@@ -367,13 +374,12 @@ func (rn *Runner) Execute(ctx context.Context, app apps.App, plan Plan) (*Result
 // non-nil durable it journals every campaign decision before applying it and
 // replays the journal's terminal events instead of re-executing those runs.
 // On error the journal is closed; on success it is handed to the Result.
-func (rn *Runner) execute(ctx context.Context, app apps.App, plan Plan, d *durable) (*Result, error) {
+func (rn *Runner) execute(ctx context.Context, app apps.App, plan Plan, d *durable) (_ *Result, err error) {
+	defer d.closeOnError(&err)
 	if err := rn.Cfg.Validate(); err != nil {
-		_ = d.close()
 		return nil, err
 	}
 	if len(plan.ProcCounts) == 0 {
-		_ = d.close()
 		return nil, fmt.Errorf("campaign: plan has no processor counts")
 	}
 	res := &Result{
@@ -401,9 +407,9 @@ func (rn *Runner) execute(ctx context.Context, app apps.App, plan Plan, d *durab
 	obs.Log(ctx).Info("campaign starting", "app", plan.App, "s0", plan.S0, "jobs", len(jobs))
 	logFindings(ctx, structural)
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ex := &executor{rn: rn, app: app, res: res, cancel: cancel, d: d}
+	ctx, abort := context.WithCancelCause(ctx)
+	defer abort(nil)
+	ex := &executor{rn: rn, app: app, res: res, d: d, abort: abort}
 
 	// Resume path: restore journaled terminal outcomes without re-executing
 	// their runs. A replayed campaign-killing outcome aborts here, exactly as
@@ -419,7 +425,6 @@ func (rn *Runner) execute(ctx context.Context, app apps.App, plan Plan, d *durab
 			}
 			if err := ex.replay(ctx, j, ev); err != nil {
 				obs.Log(ctx).Error("campaign aborted during journal replay", "app", plan.App, "err", err) //scalvet:ignore abort path, runs at most once per campaign
-				_ = d.close()
 				return nil, err
 			}
 			res.Resumed++
@@ -465,21 +470,15 @@ dispatch:
 	wg.Wait()
 	res.Health.Finalize()
 
-	ex.mu.Lock()
-	criticalErr := ex.criticalErr
-	ex.mu.Unlock()
-	if criticalErr != nil {
-		obs.Log(ctx).Error("campaign aborted", "app", plan.App, "err", criticalErr)
-		_ = d.close()
-		return nil, criticalErr
-	}
-	if err := ctx.Err(); err != nil {
-		_ = d.close()
-		return nil, fmt.Errorf("campaign: canceled: %w", err)
+	if cause := context.Cause(ctx); cause != nil {
+		if cause == ctx.Err() { // the caller's cancel or deadline
+			return nil, fmt.Errorf("campaign: canceled: %w", cause)
+		}
+		obs.Log(ctx).Error("campaign aborted", "app", plan.App, "err", cause)
+		return nil, cause
 	}
 	sort.Slice(res.Skipped, func(i, k int) bool { return res.Skipped[i] < res.Skipped[k] })
 	if len(res.UniRuns) < 3 {
-		_ = d.close()
 		return nil, fmt.Errorf("campaign: only %d usable uniprocessor runs (app grid too coarse for the plan)", len(res.UniRuns))
 	}
 	obs.Log(ctx).Info("campaign finished", "app", plan.App, "health", res.Health.Summary())
@@ -493,10 +492,11 @@ type executor struct {
 	app apps.App
 	res *Result
 	d   *durable // campaign journal; nil on a non-durable Execute
+	// abort cancels the campaign context with a campaign-killing error as
+	// its cause. The first cause stands.
+	abort context.CancelCauseFunc
 
-	mu          sync.Mutex
-	criticalErr error
-	cancel      context.CancelFunc
+	mu sync.Mutex // guards res's maps and Skipped
 }
 
 // journal appends a campaign event to the WAL. On failure — an injected
@@ -508,7 +508,7 @@ func (ex *executor) journal(ctx context.Context, ev event) bool {
 		return true
 	}
 	if err := ex.d.record(ctx, ev); err != nil {
-		ex.critical(err)
+		ex.abort(err)
 		return false
 	}
 	return true
@@ -571,7 +571,7 @@ func (ex *executor) runIsolated(ctx context.Context, j job, pj prepared) {
 // recoverRun is runIsolated's deferred recovery.
 func (ex *executor) recoverRun(j job) {
 	if r := recover(); r != nil {
-		ex.critical(&PanicError{Run: j.id, Value: r, Stack: debug.Stack()})
+		ex.abort(&PanicError{Run: j.id, Value: r, Stack: debug.Stack()})
 	}
 }
 
@@ -733,16 +733,17 @@ func (ex *executor) record(j job, out *sim.Result) {
 
 // fail records a permanent failure and escalates if the run was critical.
 func (ex *executor) fail(ctx context.Context, j job, err error) {
-	// A run killed by campaign cancellation (graceful shutdown, or another
-	// worker's critical failure) is not permanently failed — it never got to
-	// finish. No terminal event is journaled, so Resume re-runs it instead of
-	// replaying a spurious failure.
-	if !errors.Is(err, context.Canceled) {
-		ev := runEvent(evFail, j)
-		ev.Reason = err.Error()
-		if !ex.journal(ctx, ev) {
-			return
-		}
+	// A run that fails while the campaign context is done was stopped — by a
+	// caller cancel, a deadline, or another run's abort — and never got to
+	// finish. It leaves no trace: Resume re-runs it instead of replaying a
+	// spurious failure, and the campaign error is the context's first cause.
+	if ctx.Err() != nil {
+		return
+	}
+	ev := runEvent(evFail, j)
+	ev.Reason = err.Error()
+	if !ex.journal(ctx, ev) {
+		return
 	}
 	ex.res.Health.AddFailure(j.id, err)
 	if mt := obs.Meter(ctx); mt != nil {
@@ -750,7 +751,7 @@ func (ex *executor) fail(ctx context.Context, j job, err error) {
 	}
 	obs.Log(ctx).Error("run failed permanently", "critical", criticalJob(j), "err", err)
 	if criticalJob(j) {
-		ex.critical(fmt.Errorf("campaign: critical run %s failed permanently: %w", j.id, err))
+		ex.abort(fmt.Errorf("campaign: critical run %s failed permanently: %w", j.id, err))
 	}
 }
 
@@ -776,17 +777,6 @@ func logFindings(ctx context.Context, findings []health.Finding) {
 			obs.Log(ctx).Debug("health finding", "check", f.Check, "detail", f.Detail) //scalvet:ignore health findings are rare, and logging them is the point
 		}
 	}
-}
-
-// critical records the first campaign-killing error and cancels the pool so
-// in-flight workers stop promptly.
-func (ex *executor) critical(err error) {
-	ex.mu.Lock()
-	if ex.criticalErr == nil {
-		ex.criticalErr = err
-	}
-	ex.mu.Unlock()
-	ex.cancel()
 }
 
 // MinCPI is the floor health.Sanitize holds a machine's reports to: half

@@ -77,7 +77,7 @@ func TestPlanAddsOverflowSizesWhenNeeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	threshold := uint64(1.5 * float64(cfg().L2.SizeBytes))
+	threshold := model.OverflowThreshold(cfg().L2.SizeBytes)
 	overflow := 0
 	for _, s := range append([]uint64{plan.S0}, plan.UniSizes...) {
 		if s >= threshold {

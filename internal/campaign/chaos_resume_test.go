@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"scaltool/internal/apps"
 	"scaltool/internal/faultinject"
@@ -24,15 +25,16 @@ func resumeOpts(dir string) DurableOptions {
 	return DurableOptions{Dir: dir}
 }
 
-// resumePlan is the sweep's campaign: small enough that a full crash-point
-// sweep stays fast, big enough to have critical runs, kernels, and skips.
-func resumePlan(t *testing.T) (apps.App, Plan) {
+// resumePlan is a swim campaign up to maxProcs processors. At 4 it is the
+// sweep's campaign: small enough that a full crash-point sweep stays fast,
+// big enough to have critical runs, kernels, and skips.
+func resumePlan(t *testing.T, maxProcs int) (apps.App, Plan) {
 	t.Helper()
 	app, err := apps.ByName("swim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewPlan(app, cfg(), 4, 0)
+	plan, err := NewPlan(app, cfg(), maxProcs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func sweepResume(t *testing.T, kind faultinject.Kind) {
 	if testing.Short() {
 		t.Skip("a campaign per journal operation")
 	}
-	app, plan := resumePlan(t)
+	app, plan := resumePlan(t, 4)
 	ref := referenceBreakdown(t, app, plan)
 
 	crashed := 0
@@ -201,38 +203,76 @@ func TestChaosTornWriteResumeInvariant(t *testing.T) { sweepResume(t, faultinjec
 // either way the resume must reproduce the reference breakdown.
 func TestChaosFsyncFailResumeInvariant(t *testing.T) { sweepResume(t, faultinject.KindFsync) }
 
-// TestChaosResumeAfterCancel interrupts a campaign with context
-// cancellation — the graceful-shutdown path — and checks the canceled
-// in-flight runs were NOT journaled as permanent failures: the resume
-// re-runs them and still reproduces the reference breakdown.
+// TestChaosResumeAfterCancel stops a durable campaign through its context
+// — a cancel before dispatch (the graceful-shutdown path) and a deadline
+// that fires inside a run — and checks the stopped runs were NOT journaled
+// as permanent failures: the resume re-runs them and still reproduces the
+// reference breakdown.
 func TestChaosResumeAfterCancel(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two campaigns")
+		t.Skip("three campaigns per case")
 	}
-	app, plan := resumePlan(t)
-	ref := referenceBreakdown(t, app, plan)
+	t.Run("cancel", func(t *testing.T) {
+		app, plan := resumePlan(t, 4)
+		ref := referenceBreakdown(t, app, plan)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // canceled before dispatch: every run is either unstarted or reaped
+		dir := t.TempDir()
+		stopDurable(t, ctx, app, plan, 2, dir)
+		resumeMatches(t, dir, ref)
+	})
+	t.Run("deadline", func(t *testing.T) {
+		// One worker runs the swim p32 campaign serially in over 100 ms, so
+		// a 5 ms deadline fires inside one of its first runs: the critical
+		// uniprocessor base run, or a run soon after it. A host that spends
+		// the deadline before the first run starts (opening the journal
+		// under -race) retries with the deadline doubled.
+		app, plan := resumePlan(t, 32)
+		ref := referenceBreakdown(t, app, plan)
+		for timeout := 5 * time.Millisecond; ; timeout *= 2 {
+			if timeout > 80*time.Millisecond {
+				t.Fatal("no deadline up to 80 ms fired after a run started")
+			}
+			mt := obs.NewMetrics()
+			ctx, cancel := context.WithTimeout(obs.NewContext(context.Background(), &obs.Observer{Metrics: mt}), timeout)
+			dir := t.TempDir()
+			stopDurable(t, ctx, app, plan, 1, dir)
+			cancel()
+			if mt.Counter("scaltool_campaign_runs_started_total", "").Value() > 0 {
+				resumeMatches(t, dir, ref)
+				return
+			}
+		}
+	})
+}
 
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // canceled before dispatch: every run is either unstarted or reaped
+// stopDurable runs a durable campaign into dir under a context that stops
+// it, and requires that it did not succeed.
+func stopDurable(t *testing.T, ctx context.Context, app apps.App, plan Plan, workers int, dir string) {
+	t.Helper()
 	rn := resumeRunner(baseResumeSpec())
-	rn.Workers = 2
+	rn.Workers = workers
 	if _, err := rn.ExecuteDurable(ctx, app, plan, resumeOpts(dir)); err == nil {
-		t.Fatal("canceled campaign reported success")
+		t.Fatal("stopped campaign reported success")
 	}
+}
 
+// resumeMatches resumes the stopped campaign in dir and requires no
+// permanent failure and the reference breakdown.
+func resumeMatches(t *testing.T, dir string, ref []model.BreakdownPoint) {
+	t.Helper()
 	resumed, err := resumeRunner(baseResumeSpec()).Resume(context.Background(), resumeOpts(dir))
 	if err != nil {
-		t.Fatalf("resume after cancel: %v", err)
+		t.Fatalf("resume after the stop: %v", err)
 	}
 	if len(resumed.Health.Failed) != 0 {
-		t.Fatalf("cancellation leaked permanent failures into the journal: %+v", resumed.Health.Failed)
+		t.Fatalf("the stop leaked permanent failures into the journal: %+v", resumed.Health.Failed)
 	}
 	got := fitBreakdown(t, resumed)
 	if err := resumed.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ref, got) {
-		t.Fatal("resume after cancellation differs from the uninterrupted campaign")
+		t.Fatal("resume after the stop differs from the uninterrupted campaign")
 	}
 }

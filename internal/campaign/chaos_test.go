@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -258,8 +259,10 @@ func TestChaosCancellation(t *testing.T) {
 // TestChaosRunTimeoutAbortsCampaign checks the one bound on a run's
 // duration, the campaign context: a deadline that expires mid-campaign
 // stops the runs in flight on their single attempt — no retry, no backoff —
-// and the campaign fails promptly with an error that wraps
-// context.DeadlineExceeded.
+// and the campaign fails promptly with a stop, not a failure: an error that
+// wraps context.DeadlineExceeded as "campaign: canceled", never a critical
+// run's, and no run counted as failed. The class must not depend on where
+// the deadline lands, so the test holds plain and under -race alike.
 func TestChaosRunTimeoutAbortsCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign")
@@ -284,6 +287,12 @@ func TestChaosRunTimeoutAbortsCampaign(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error %v does not wrap context.DeadlineExceeded", err)
+	}
+	if !strings.HasPrefix(err.Error(), "campaign: canceled") || strings.Contains(err.Error(), "critical run") {
+		t.Errorf("error %q is not a campaign stop", err)
+	}
+	if failed := mt.Counter("scaltool_campaign_runs_failed_total", "").Value(); failed != 0 {
+		t.Errorf("%d runs counted as failed by a deadline stop", failed)
 	}
 	started := mt.Counter("scaltool_campaign_runs_started_total", "").Value()
 	attempts := mt.Histogram("scaltool_campaign_attempt_seconds", "", obs.LatencyBuckets).Count()

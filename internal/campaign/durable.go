@@ -182,6 +182,15 @@ func (d *durable) record(ctx context.Context, ev event) error {
 	return nil
 }
 
+// closeOnError closes the journal when the function that owns it returns an
+// error, through *err; on success the journal stays open for the Result.
+// Every owner defers it, so no error path can leak the file.
+func (d *durable) closeOnError(err *error) {
+	if *err != nil {
+		_ = d.close()
+	}
+}
+
 // close flushes and closes the journal. Idempotent.
 func (d *durable) close() error {
 	if d == nil {
@@ -207,13 +216,13 @@ func (d *durable) close() error {
 //
 // On success the journal is left open so Result.RecordFit can append the fit
 // event; call Result.CloseJournal when done. On error the journal is closed.
-func (rn *Runner) ExecuteDurable(ctx context.Context, app apps.App, plan Plan, opts DurableOptions) (*Result, error) {
+func (rn *Runner) ExecuteDurable(ctx context.Context, app apps.App, plan Plan, opts DurableOptions) (_ *Result, err error) {
 	d, err := rn.openDurable(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
+	defer d.closeOnError(&err)
 	if d.start != nil {
-		_ = d.close()
 		return nil, fmt.Errorf("campaign: journal %s already holds campaign %q; use Resume (or a fresh directory)", opts.Dir, d.start.App)
 	}
 	var spec string
@@ -221,7 +230,6 @@ func (rn *Runner) ExecuteDurable(ctx context.Context, app apps.App, plan Plan, o
 		spec = rn.Inject.Spec().String()
 	}
 	if err := d.record(ctx, event{Type: evStart, App: plan.App, Machine: rn.Cfg.Name, Plan: &plan, Spec: spec}); err != nil {
-		_ = d.close()
 		return nil, err
 	}
 	return rn.execute(ctx, app, plan, d)
@@ -232,27 +240,24 @@ func (rn *Runner) ExecuteDurable(ctx context.Context, app apps.App, plan Plan, o
 // re-execution (Result.Resumed counts them), and in-flight runs and
 // everything not yet started run normally. The runner's machine must match
 // the journaled campaign's.
-func (rn *Runner) Resume(ctx context.Context, opts DurableOptions) (*Result, error) {
+func (rn *Runner) Resume(ctx context.Context, opts DurableOptions) (_ *Result, err error) {
 	d, err := rn.openDurable(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
+	defer d.closeOnError(&err)
 	if d.start == nil {
-		_ = d.close()
 		return nil, fmt.Errorf("campaign: journal %s records no campaign start; nothing to resume", opts.Dir)
 	}
 	st := *d.start
 	if st.Plan == nil {
-		_ = d.close()
 		return nil, fmt.Errorf("campaign: journal %s start event carries no plan", opts.Dir)
 	}
 	app, err := apps.ByName(st.App)
 	if err != nil {
-		_ = d.close()
 		return nil, fmt.Errorf("campaign: resuming journal %s: %w", opts.Dir, err)
 	}
 	if st.Machine != "" && st.Machine != rn.Cfg.Name {
-		_ = d.close()
 		return nil, fmt.Errorf("campaign: journal %s was recorded on machine %q, runner is configured for %q",
 			opts.Dir, st.Machine, rn.Cfg.Name)
 	}

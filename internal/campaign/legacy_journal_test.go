@@ -29,7 +29,7 @@ func TestResumeLegacyRetryJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two campaigns")
 	}
-	app, plan := resumePlan(t)
+	app, plan := resumePlan(t, 4)
 
 	// The uninterrupted campaign under the spec's surviving keys; every
 	// event it journals is a record to copy.
@@ -184,7 +184,7 @@ func TestDurableJournalIsOneFile(t *testing.T) {
 // that names the offending file, with every file in the directory left
 // byte-unchanged.
 func TestLegacyLayoutRefused(t *testing.T) {
-	app, plan := resumePlan(t)
+	app, plan := resumePlan(t, 4)
 	layouts := map[string]map[string]string{
 		"snapshot": {
 			"snap-0000000000000009.snap": "compacted state",
@@ -239,7 +239,7 @@ func TestResumeLegacyQuarantineJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a campaign")
 	}
-	app, plan := resumePlan(t)
+	app, plan := resumePlan(t, 4)
 	refDir := t.TempDir()
 	res, err := (&Runner{Cfg: cfg()}).ExecuteDurable(context.Background(), app, plan, DurableOptions{Dir: refDir})
 	if err != nil {

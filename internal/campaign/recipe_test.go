@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"scaltool/internal/apps"
+	"scaltool/internal/model"
 	"scaltool/internal/obs"
 	"scaltool/internal/recipe"
 	"scaltool/internal/runcache"
@@ -93,7 +94,7 @@ func TestNewPlanCountsAchievedOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cfg()
-	threshold := uint64(1.5 * float64(c.L2.SizeBytes))
+	threshold := model.OverflowThreshold(c.L2.SizeBytes)
 	plan, err := NewPlan(app, c, 32, 201523)
 	if err != nil {
 		t.Fatal(err)

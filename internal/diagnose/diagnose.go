@@ -6,8 +6,10 @@ import (
 	"math"
 	"sort"
 
+	"scaltool/internal/apps"
 	"scaltool/internal/campaign"
 	"scaltool/internal/obs"
+	"scaltool/internal/recipe"
 	"scaltool/internal/sim"
 )
 
@@ -67,6 +69,29 @@ func FromCampaign(res *campaign.Result) (Family, error) {
 		f.Machine = br.MachineName
 	}
 	return f, nil
+}
+
+// Campaign diagnoses a finished campaign of app: its attribution family,
+// overlaid on the structure graph of app's program at the plan's largest
+// processor count (a recipe.CauseGraph build), ranked and self-verified.
+func Campaign(ctx context.Context, app apps.App, res *campaign.Result) (*Report, error) {
+	fam, err := FromCampaign(res)
+	if err != nil {
+		return nil, err
+	}
+	nmax := res.Plan.ProcCounts[len(res.Plan.ProcCounts)-1]
+	prog, err := recipe.ForApp(app, res.Machine, nmax, res.Plan.S0).Build(ctx, recipe.CauseGraph)
+	if err != nil {
+		return nil, fmt.Errorf("diagnose: building structure graph: %w", err)
+	}
+	rep, err := Run(ctx, BuildGraph(prog), fam, Options{})
+	if err != nil {
+		return nil, err
+	}
+	if err := rep.Verify(); err != nil {
+		return nil, fmt.Errorf("diagnose: report failed self-verification: %w", err)
+	}
+	return rep, nil
 }
 
 // Options tunes a diagnosis.

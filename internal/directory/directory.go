@@ -545,9 +545,6 @@ func (d *Directory) InvalidationsSent() uint64 { return d.invalidationsSent }
 // SharingLineEvents returns the cumulative region-sharing events observed.
 func (d *Directory) SharingLineEvents() uint64 { return d.sharingLines }
 
-// TrackedLines returns the number of lines with directory state.
-func (d *Directory) TrackedLines() int { return len(d.lines) }
-
 // ensure returns the dense entry index of line, creating the entry if new.
 func (d *Directory) ensure(line uint64) int {
 	if g := d.lastEntry + 1; line == d.lastLine+1 && int(g) < len(d.lines) && d.lines[g] == line {

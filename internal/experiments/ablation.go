@@ -48,9 +48,7 @@ func (s *Suite) AblationRawTm() string {
 	var b strings.Builder
 	for _, name := range PaperApps() {
 		a := s.mustAnalysis(name)
-		raw, err := a.campaign.Fit(model.Options{
-			L2Bytes: s.Cfg.L2.SizeBytes, OverflowFactor: 1.5, RawTmN: true,
-		})
+		raw, err := a.campaign.Fit(model.Options{L2Bytes: s.Cfg.L2.SizeBytes, RawTmN: true})
 		if err != nil {
 			panic(err)
 		}

@@ -94,13 +94,3 @@ func (m *Model) InfiniteHitRates() []InfHitRatePoint {
 	}
 	return out
 }
-
-// CPIInfInfCurve returns the Figure 4 series: cpi∞,∞(s0, n) versus the
-// processor count. It typically rises with n because tm(n) rises.
-func (m *Model) CPIInfInfCurve() []SpeedupPoint {
-	out := make([]SpeedupPoint, 0, len(m.Points))
-	for _, pe := range m.Points {
-		out = append(out, SpeedupPoint{Procs: pe.Procs, Wall: pe.CPIInfInf})
-	}
-	return out
-}

@@ -74,9 +74,6 @@ type Model struct {
 // fitModel is the uninstrumented fit, following §2.2–2.4. Fit and FitContext
 // (fit.go) wrap it with the public API and observability.
 func fitModel(in Inputs, opt Options) (*Model, error) {
-	if opt.OverflowFactor <= 0 {
-		opt.OverflowFactor = 1.5
-	}
 	if err := in.validate(opt); err != nil {
 		return nil, err
 	}
@@ -147,7 +144,7 @@ func fitModel(in Inputs, opt Options) (*Model, error) {
 	// (where hm ≈ 0 and h2 dominates) and then tm from the overflowing
 	// sizes given t2, iterating to a joint fixed point. When no L2-fitting
 	// sizes exist the paper's joint fit is used directly.
-	overflowAt := uint64(opt.OverflowFactor * float64(opt.L2Bytes))
+	overflowAt := OverflowThreshold(opt.L2Bytes)
 	midAt := uint64(0.75 * float64(opt.L2Bytes))
 	fit := func(cpi0 float64) (t2, tm, rmse float64, err error) {
 		m.FitSizes = 0
@@ -440,9 +437,3 @@ func (m *Model) HitRateScan() []stats.Point { return m.hitCurve.Points() }
 // (used by the what-if L2-scaling estimate, Eq. 11's uniprocessor
 // component).
 func (m *Model) HitRateAt(dataBytes float64) float64 { return m.hitCurve.At(dataBytes) }
-
-// L1HitRateAt and MemFracAt evaluate the other uniprocessor curves.
-func (m *Model) L1HitRateAt(dataBytes float64) float64 { return m.l1Curve.At(dataBytes) }
-
-// MemFracAt evaluates the uniprocessor memory-instruction-fraction curve.
-func (m *Model) MemFracAt(dataBytes float64) float64 { return m.mCurve.At(dataBytes) }

@@ -123,9 +123,6 @@ type Options struct {
 	// data sets overflow it contribute to the t2/tm least squares ("we use
 	// only data set sizes that overflow the L2 cache", §2.3).
 	L2Bytes int
-	// OverflowFactor scales the overflow threshold (default 1.5: safely
-	// past the capacity knee).
-	OverflowFactor float64
 	// Refit, when true, re-estimates t2/tm once with the adjusted cpi0.
 	// The paper performs a single pass; Refit is an extension that removes
 	// the residual bias the initial (biased) cpi0 leaves in t2/tm.
@@ -140,8 +137,13 @@ type Options struct {
 
 // DefaultOptions returns the paper-faithful settings for a machine.
 func DefaultOptions(l2Bytes int) Options {
-	return Options{L2Bytes: l2Bytes, OverflowFactor: 1.5}
+	return Options{L2Bytes: l2Bytes}
 }
+
+// OverflowThreshold is the smallest data-set size that counts as overflowing
+// an L2 of l2Bytes: 1.5× the capacity, safely past the knee. The campaign
+// plans its t2/tm sizes against it and the fit selects them by it.
+func OverflowThreshold(l2Bytes int) uint64 { return uint64(1.5 * float64(l2Bytes)) }
 
 // sortedByProcs returns a copy sorted ascending by processor count.
 func sortedByProcs(ms []Measurement) []Measurement {

@@ -366,18 +366,12 @@ func TestInfiniteHitRates(t *testing.T) {
 
 func TestCPIInfInfCurveAndHitRateAt(t *testing.T) {
 	m := fitSynth(t, DefaultOptions(l2Bytes))
-	if len(m.CPIInfInfCurve()) != len(m.Points) {
-		t.Fatal("curve length mismatch")
-	}
 	if len(m.HitRateScan()) != 7 {
 		t.Fatalf("scan points = %d, want 7", len(m.HitRateScan()))
 	}
 	// Evaluated curves behave as interpolants of the inputs.
 	if got := m.HitRateAt(4 << 10); math.Abs(got-(1-0.0001/0.0011)) > 1e-9 {
 		t.Errorf("HitRateAt(small) = %g", got)
-	}
-	if m.L1HitRateAt(4<<10) <= 0 || m.MemFracAt(4<<10) != memFrac {
-		t.Error("L1/m curves wrong")
 	}
 	if _, ok := m.Point(3); ok {
 		t.Error("Point(3) should not exist")
@@ -440,21 +434,5 @@ func TestFitQualityDiagnostics(t *testing.T) {
 	}
 	if m.FitRMSE > 0.05 {
 		t.Errorf("RMSE = %.4f, want small", m.FitRMSE)
-	}
-}
-
-func TestCustomOverflowFactor(t *testing.T) {
-	// A huge overflow factor leaves < 2 qualifying sizes → error; a small
-	// one admits more sizes and still fits.
-	in := synthInputs()
-	if _, err := Fit(in, Options{L2Bytes: l2Bytes, OverflowFactor: 100}); err == nil {
-		t.Error("overflow factor excluding all sizes accepted")
-	}
-	m, err := Fit(in, Options{L2Bytes: l2Bytes, OverflowFactor: 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.FitSizes < 3 {
-		t.Errorf("FitSizes = %d with a permissive threshold", m.FitSizes)
 	}
 }

@@ -2,11 +2,9 @@ package serve
 
 import (
 	"context"
-	"fmt"
 
 	"scaltool/internal/campaign"
 	"scaltool/internal/diagnose"
-	"scaltool/internal/recipe"
 )
 
 // POST /v1/diagnose: the root-cause endpoint. It takes the same request
@@ -36,16 +34,7 @@ func (s *Server) diagnose(ctx context.Context, req *Request, rv *resolved) (any,
 	if err != nil {
 		return nil, err
 	}
-	fam, err := diagnose.FromCampaign(res)
-	if err != nil {
-		return nil, err
-	}
-	nmax := rv.plan.ProcCounts[len(rv.plan.ProcCounts)-1]
-	prog, err := recipe.ForApp(rv.app, rv.cfg, nmax, rv.plan.S0).Build(ctx, recipe.CauseGraph)
-	if err != nil {
-		return nil, fmt.Errorf("building structure graph: %w", err)
-	}
-	rep, err := diagnose.Run(ctx, diagnose.BuildGraph(prog), fam, diagnose.Options{})
+	rep, err := diagnose.Campaign(ctx, rv.app, res)
 	if err != nil {
 		return nil, err
 	}
@@ -53,8 +42,5 @@ func (s *Server) diagnose(ctx context.Context, req *Request, rv *resolved) (any,
 	// as "user:<name>", matching /v1/analyze responses).
 	rep.App = req.Ident()
 	rep.Machine = req.Machine
-	if err := rep.Verify(); err != nil {
-		return nil, fmt.Errorf("report failed self-verification: %w", err)
-	}
 	return rep, nil
 }

@@ -446,7 +446,7 @@ func TestRegionTraceAndSummary(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "index,region,busy_cycles") {
 		t.Fatalf("header = %q", lines[0])
 	}
-	sum := res.RegionSummary()
+	sum := res.AggregateRegions()
 	if len(sum) != 1 || sum[0].Name != "sweep" {
 		t.Fatalf("summary = %+v", sum)
 	}

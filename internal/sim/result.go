@@ -19,7 +19,7 @@ type RegionAttribution struct {
 	// processor). For every processor Busy+Sync+Imb spans the region's
 	// elapsed cycles exactly, so the slices concatenate into a gap-free
 	// per-processor timeline (AppendTimeline exports it as trace_event).
-	// Aggregated views (RegionSummary) leave it empty.
+	// AggregateRegions sums it element-wise across a name's instances.
 	PerProc []ProcPhases
 }
 
@@ -119,9 +119,9 @@ func (r *Result) SegmentReport(substr string) (*counters.RunReport, error) {
 // AggregateRegions merges the run's region attribution by name, in
 // first-appearance order, keeping the per-processor split (summed
 // element-wise across a name's instances). This is the attribution export
-// internal/diagnose overlays across a campaign's processor sweep: unlike
-// RegionSummary it preserves PerProc, so a straggler processor stays
-// identifiable after aggregation. For every name the merged Busy+Sync+Imb
+// internal/diagnose overlays across a campaign's processor sweep: it
+// preserves PerProc, so a straggler processor stays identifiable after
+// aggregation. For every name the merged Busy+Sync+Imb
 // still tiles the sum of its instances' elapsed cycles.
 func (r *Result) AggregateRegions() []RegionAttribution {
 	idx := make(map[string]int, len(r.Ground.Regions))

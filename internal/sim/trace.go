@@ -41,23 +41,3 @@ func (r *Result) WriteRegionTrace(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// RegionSummary aggregates the trace by region name — the per-routine view
-// speedshop gives, with the sync/imbalance attribution the paper's tools
-// cannot separate.
-func (r *Result) RegionSummary() []RegionAttribution {
-	idx := map[string]int{}
-	var out []RegionAttribution
-	for _, reg := range r.Ground.Regions {
-		i, ok := idx[reg.Name]
-		if !ok {
-			i = len(out)
-			idx[reg.Name] = i
-			out = append(out, RegionAttribution{Name: reg.Name})
-		}
-		out[i].Busy += reg.Busy
-		out[i].Sync += reg.Sync
-		out[i].Imb += reg.Imb
-	}
-	return out
-}

@@ -21,7 +21,7 @@ type Table struct {
 
 // New creates a table with a title and column headers. Columns render
 // right-aligned when their header starts with '#' (stripped) or when every
-// cell parses as a number; call AlignRight to force.
+// cell parses as a number.
 func New(title string, header ...string) *Table {
 	t := &Table{Title: title, Header: header, aligned: make([]bool, len(header))}
 	for i, h := range header {
@@ -30,12 +30,6 @@ func New(title string, header ...string) *Table {
 			t.aligned[i] = true
 		}
 	}
-	return t
-}
-
-// AlignRight marks a column as numeric (right-aligned).
-func (t *Table) AlignRight(col int) *Table {
-	t.aligned[col] = true
 	return t
 }
 

@@ -146,7 +146,7 @@ type Options struct {
 	S0 uint64
 	// Workers bounds concurrent simulated runs (0 = GOMAXPROCS).
 	Workers int
-	// Model overrides the model options (zero value = defaults for the
+	// Model overrides the model options (a zero L2Bytes selects the
 	// machine's L2).
 	Model ModelOptions
 }
@@ -179,9 +179,7 @@ func AnalyzeContext(ctx context.Context, cfg MachineConfig, app App, maxProcs in
 	}
 	mopts := opts.Model
 	if mopts.L2Bytes == 0 {
-		mopts = model.DefaultOptions(cfg.L2.SizeBytes)
-		mopts.Refit = opts.Model.Refit
-		mopts.RawTmN = opts.Model.RawTmN
+		mopts.L2Bytes = cfg.L2.SizeBytes
 	}
 	m, err := res.FitContext(ctx, mopts)
 	if err != nil {

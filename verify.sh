@@ -4,6 +4,8 @@
 # repository root; exits non-zero on the first failure.
 set -eu
 
+echo "==> non-test Go lines, repo minus perfbench/ and testdata/ (informational, gates nothing): $(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path '*/testdata/*' -exec cat {} + | wc -l | tr -d ' ')"
+
 echo "==> go build ./..."
 go build ./...
 
