@@ -20,7 +20,7 @@
 // SIGINT/SIGTERM graceful stop may take before the process force-exits.
 //
 // Observability flags (see README's Observability section): -trace-out
-// writes a Chrome trace_event file (campaign/run/attempt/fit spans plus the
+// writes a Chrome trace_event file (campaign/run/fit spans plus the
 // base runs' simulated per-processor timelines) for chrome://tracing or
 // Perfetto, -metrics-out writes a Prometheus text-format snapshot,
 // -log-level/-log-json control the structured stderr log, and -pprof-addr

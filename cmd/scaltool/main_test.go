@@ -55,8 +55,9 @@ func TestCmdWhatif(t *testing.T) {
 
 // TestObsEndToEnd runs a tiny campaign with -trace-out and -metrics-out and
 // validates both artifacts round-trip: the trace is chrome://tracing JSON
-// with campaign→run→attempt nesting plus per-processor sim timelines, and
-// the metrics snapshot is Prometheus text format with ≥ 10 distinct series.
+// with one run span per job inside the campaign span, each carrying its
+// run-cache outcome, plus per-processor sim timelines, and the metrics
+// snapshot is Prometheus text format with ≥ 10 distinct series.
 func TestObsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a campaign")
@@ -82,7 +83,6 @@ func TestObsEndToEnd(t *testing.T) {
 			TS   float64        `json:"ts"`
 			Dur  float64        `json:"dur"`
 			PID  int64          `json:"pid"`
-			TID  int64          `json:"tid"`
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
@@ -91,21 +91,22 @@ func TestObsEndToEnd(t *testing.T) {
 	}
 	type span struct {
 		ts, end float64
-		tid     int64
 	}
-	var campaigns, runs, attempts []span
+	var campaigns, runs []span
 	names := map[string]int{}
 	simProcs := 0
 	for _, e := range trace.TraceEvents {
 		names[e.Name]++
-		s := span{ts: e.TS, end: e.TS + e.Dur, tid: e.TID}
+		s := span{ts: e.TS, end: e.TS + e.Dur}
 		switch e.Name {
 		case "campaign":
 			campaigns = append(campaigns, s)
 		case "run":
 			runs = append(runs, s)
-		case "attempt":
-			attempts = append(attempts, s)
+			// A run skipped below the app's grid never reaches the cache.
+			if _, ok := e.Args["cache_hit"]; !ok && e.Args["skipped"] != true {
+				t.Errorf("run span %v carries no cache_hit", e.Args["id"])
+			}
 		}
 		if e.Ph == "M" && e.Name == "thread_name" {
 			if n, _ := e.Args["name"].(string); strings.HasPrefix(n, "cpu ") {
@@ -120,8 +121,8 @@ func TestObsEndToEnd(t *testing.T) {
 	if len(runs) < 8 {
 		t.Fatalf("run spans = %d, want ≥ 8", len(runs))
 	}
-	if len(attempts) < len(runs) {
-		t.Fatalf("attempt spans = %d for %d runs", len(attempts), len(runs))
+	if names["attempt"] != 0 {
+		t.Fatalf("attempt spans = %d, want none: a run is one span", names["attempt"])
 	}
 	if names["sim.run"] < len(runs) {
 		t.Errorf("sim.run spans = %d for %d runs", names["sim.run"], len(runs))
@@ -129,25 +130,12 @@ func TestObsEndToEnd(t *testing.T) {
 	if names["model.fit"] != 1 {
 		t.Errorf("model.fit spans = %d, want 1", names["model.fit"])
 	}
-	// Nesting: every run sits inside the campaign span; every attempt sits
-	// inside a run span on the same lane.
+	// Nesting: every run sits inside the campaign span.
 	const slack = 1e3 // µs; span timestamps are captured a hair apart
 	c := campaigns[0]
 	for _, r := range runs {
 		if r.ts < c.ts-slack || r.end > c.end+slack {
 			t.Errorf("run [%g,%g] outside campaign [%g,%g]", r.ts, r.end, c.ts, c.end)
-		}
-	}
-	for _, a := range attempts {
-		ok := false
-		for _, r := range runs {
-			if a.tid == r.tid && a.ts >= r.ts-slack && a.end <= r.end+slack {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			t.Errorf("attempt [%g,%g] tid %d not nested in any run span", a.ts, a.end, a.tid)
 		}
 	}
 	// The base runs' simulated per-processor timelines: the 1-, 2-, and

@@ -26,6 +26,7 @@ import (
 
 	"scaltool/internal/apps"
 	"scaltool/internal/assert"
+	"scaltool/internal/counters"
 	"scaltool/internal/faultinject"
 	"scaltool/internal/health"
 	"scaltool/internal/machine"
@@ -218,12 +219,35 @@ type Result struct {
 
 // Inputs assembles the model's input set from the campaign measurements.
 func (r *Result) Inputs() (model.Inputs, error) {
+	return r.inputs(func(res *sim.Result) (*counters.RunReport, error) { return &res.Report, nil })
+}
+
+// SegmentInputs assembles the model's inputs restricted to the regions
+// whose names contain substr — per-segment analysis, the paper's "plots can
+// be obtained for the overall application or for a segment of the
+// application that is considered particularly important" (§2.1). The
+// estimation kernels are shared with the whole-application analysis.
+func (r *Result) SegmentInputs(substr string) (model.Inputs, error) {
+	return r.inputs(func(res *sim.Result) (*counters.RunReport, error) { return res.SegmentReport(substr) })
+}
+
+// inputs assembles the model's inputs, taking each base and uniprocessor
+// run's report through report; the kernels always count whole runs.
+func (r *Result) inputs(report func(*sim.Result) (*counters.RunReport, error)) (model.Inputs, error) {
 	in := model.Inputs{SyncKernel: map[int]model.Measurement{}}
 	for _, res := range r.BaseRuns {
-		in.Base = append(in.Base, model.FromReport(&res.Report))
+		rep, err := report(res)
+		if err != nil {
+			return in, err
+		}
+		in.Base = append(in.Base, model.FromReport(rep))
 	}
 	for _, res := range r.UniRuns {
-		in.Uniproc = append(in.Uniproc, model.FromReport(&res.Report))
+		rep, err := report(res)
+		if err != nil {
+			return in, err
+		}
+		in.Uniproc = append(in.Uniproc, model.FromReport(rep))
 	}
 	for n, res := range r.SyncKernels {
 		in.SyncKernel[n] = model.FromReport(&res.Report)
@@ -345,13 +369,13 @@ func (rn *Runner) Run(app apps.App, plan Plan) (*Result, error) {
 // count, including under fault injection.
 //
 // An observer carried in ctx (internal/obs) sees the campaign: a "campaign"
-// span with one detached "run" lane per job and an "attempt" span per try,
-// counters for runs started/failed plus per-severity health findings, an
-// attempt-latency histogram, and structured log lines for every health
-// finding and permanent failure.
+// span with one detached "run" span per job, counters for runs
+// started/failed plus per-severity health findings, a run-latency
+// histogram, and structured log lines for every health finding and
+// permanent failure.
 //
-// Execute is the fault-tolerant path: each run gets one attempt, bounded
-// only by ctx, and every report must pass health.Sanitize untouched (a
+// Execute is the fault-tolerant path: each run executes once, bounded only
+// by ctx, and every report must pass health.Sanitize untouched (a
 // report that needs sanitizing is a simulator bug and aborts the campaign
 // with a *PanicError). A run that fails is dropped and recorded in
 // Result.Health rather than killing the campaign — unless the model cannot
@@ -575,10 +599,13 @@ func (ex *executor) recoverRun(j job) {
 	}
 }
 
-// run executes one job: resolve, attempt, check, record. What dispatch
-// already found (pj) is not looked up again. Each job runs on its own
-// detached trace lane (workers interleave) with the run identity threaded
-// into the context's logger.
+// run executes one job: resolve, look up or simulate, check, record. What
+// dispatch already found (pj) is not looked up again. Each job runs on its
+// own detached trace lane (workers interleave) with the run identity
+// threaded into the context's logger.
+//
+// On a miss in both run-cache tiers the lookup's singleflight leader builds
+// the program, unless the recipe table already has, and simulates it.
 func (ex *executor) run(ctx context.Context, j job, pj prepared) {
 	ctx, span := obs.StartSpan(obs.Detach(ctx), "run",
 		obs.A("id", j.id), obs.A("kind", j.Kind.String()),
@@ -587,6 +614,10 @@ func (ex *executor) run(ctx context.Context, j job, pj prepared) {
 	ctx = obs.WithLogger(ctx, obs.Log(ctx).With("run", j.id))
 	if mt := obs.Meter(ctx); mt != nil {
 		mt.Counter("scaltool_campaign_runs_started_total", "campaign runs dispatched").Inc()
+		defer func(start time.Time) {
+			mt.Histogram("scaltool_campaign_run_seconds", "wall-clock latency of one campaign run",
+				obs.LatencyBuckets).Observe(time.Since(start).Seconds())
+		}(time.Now())
 	}
 	key, prog, err := pj.e.Key, (*sim.Program)(nil), pj.e.Err
 	if !pj.tabled {
@@ -608,17 +639,26 @@ func (ex *executor) run(ctx context.Context, j job, pj prepared) {
 			ex.mu.Unlock()
 			return
 		}
-		ex.fail(ctx, j, fmt.Errorf("campaign: building %s: %w", j.id, err))
+		ex.fail(ctx, span, j, fmt.Errorf("campaign: building %s: %w", j.id, err))
 		return
 	}
-	if !ex.journal(ctx, runEvent(evAttempt, j)) {
-		return
+	out, hit := pj.out, pj.out != nil
+	if !hit {
+		out, hit, err = ex.rn.Cache.GetOrRunKey(ctx, key, func(rctx context.Context) (*sim.Result, error) {
+			if prog == nil {
+				var err error
+				if prog, err = pj.rcp.Build(rctx, recipe.CauseMiss); err != nil {
+					return nil, fmt.Errorf("building: %w", err)
+				}
+			}
+			return sim.RunContext(rctx, ex.rn.Cfg, prog)
+		})
+		if err != nil {
+			ex.fail(ctx, span, j, fmt.Errorf("campaign: %s: %w", j.id, err))
+			return
+		}
 	}
-	out, err := ex.attempt(ctx, j, key, pj.rcp, prog, pj.out)
-	if err != nil {
-		ex.fail(ctx, j, err)
-		return
-	}
+	span.SetAttr("cache_hit", hit)
 	ex.accept(ctx, j, out)
 }
 
@@ -645,45 +685,6 @@ func (ex *executor) program(ctx context.Context, rcp recipe.Recipe) (runcache.Ke
 	}
 	e, prog := recipe.Default.Resolve(ctx, rcp)
 	return e.Key, prog, e.Err
-}
-
-// attempt looks one run up in the run cache, unless dispatch already took
-// its result (out) from the memory tier. On a miss in both tiers the
-// lookup's singleflight leader builds the program, unless program already
-// has, and simulates it.
-func (ex *executor) attempt(ctx context.Context, j job, key runcache.Key, rcp recipe.Recipe, prog *sim.Program, out *sim.Result) (_ *sim.Result, err error) {
-	rn := ex.rn
-	start := time.Now()
-	ctx, span := obs.StartSpan(ctx, "attempt")
-	defer span.End()
-	defer func() { // runs before span.End (LIFO), so the span sees the error
-		if err != nil {
-			span.SetAttr("error", err.Error())
-		}
-		if mt := obs.Meter(ctx); mt != nil {
-			mt.Histogram("scaltool_campaign_attempt_seconds", "wall-clock latency of one run attempt",
-				obs.LatencyBuckets).Observe(time.Since(start).Seconds())
-		}
-	}()
-	hit := out != nil
-	if !hit {
-		out, hit, err = rn.Cache.GetOrRunKey(ctx, key, func(rctx context.Context) (*sim.Result, error) {
-			if prog == nil {
-				var err error
-				if prog, err = rcp.Build(rctx, recipe.CauseMiss); err != nil {
-					return nil, fmt.Errorf("building: %w", err)
-				}
-			}
-			return sim.RunContext(rctx, rn.Cfg, prog)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", j.id, err)
-		}
-	}
-	if hit {
-		span.SetAttr("cache_hit", true)
-	}
-	return out, nil
 }
 
 // accept checks and records a successful run. The simulator's reports are
@@ -731,8 +732,10 @@ func (ex *executor) record(j job, out *sim.Result) {
 	}
 }
 
-// fail records a permanent failure and escalates if the run was critical.
-func (ex *executor) fail(ctx context.Context, j job, err error) {
+// fail marks the run's span with err, records a permanent failure and
+// escalates if the run was critical.
+func (ex *executor) fail(ctx context.Context, span *obs.Span, j job, err error) {
+	span.SetAttr("error", err.Error())
 	// A run that fails while the campaign context is done was stopped — by a
 	// caller cancel, a deadline, or another run's abort — and never got to
 	// finish. It leaves no trace: Resume re-runs it instead of replaying a
@@ -807,42 +810,6 @@ func (e *PanicError) Error() string {
 // package's type — callers (the serving layer's panic isolation) match on
 // the method set.
 func (e *PanicError) PanicValue() (any, []byte) { return e.Value, e.Stack }
-
-// SegmentInputs assembles the model's inputs restricted to the regions
-// whose names contain substr — per-segment analysis, the paper's "plots can
-// be obtained for the overall application or for a segment of the
-// application that is considered particularly important" (§2.1). The
-// estimation kernels are shared with the whole-application analysis.
-func (r *Result) SegmentInputs(substr string) (model.Inputs, error) {
-	in := model.Inputs{SyncKernel: map[int]model.Measurement{}}
-	for _, res := range r.BaseRuns {
-		rep, err := res.SegmentReport(substr)
-		if err != nil {
-			return in, err
-		}
-		in.Base = append(in.Base, model.FromReport(rep))
-	}
-	for _, res := range r.UniRuns {
-		rep, err := res.SegmentReport(substr)
-		if err != nil {
-			return in, err
-		}
-		in.Uniproc = append(in.Uniproc, model.FromReport(rep))
-	}
-	for n, res := range r.SyncKernels {
-		in.SyncKernel[n] = model.FromReport(&res.Report)
-	}
-	if r.SpinKernel == nil {
-		return in, fmt.Errorf("campaign: missing spin kernel run")
-	}
-	spin, err := model.SpinnerCPI(&r.SpinKernel.Report)
-	if err != nil {
-		return in, err
-	}
-	in.SpinCPI = spin
-	r.addExpectations(&in)
-	return in, nil
-}
 
 // FitSegment fits the scalability model for one application segment.
 func (r *Result) FitSegment(substr string, opts model.Options) (*model.Model, error) {

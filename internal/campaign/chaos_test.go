@@ -258,10 +258,10 @@ func TestChaosCancellation(t *testing.T) {
 
 // TestChaosRunTimeoutAbortsCampaign checks the one bound on a run's
 // duration, the campaign context: a deadline that expires mid-campaign
-// stops the runs in flight on their single attempt — no retry, no backoff —
-// and the campaign fails promptly with a stop, not a failure: an error that
-// wraps context.DeadlineExceeded as "campaign: canceled", never a critical
-// run's, and no run counted as failed. The class must not depend on where
+// stops the runs in flight — no retry, no backoff — and the campaign fails
+// promptly with a stop, not a failure: an error that wraps
+// context.DeadlineExceeded as "campaign: canceled", never a critical run's,
+// no run counted as failed, and exactly one latency per started run. The class must not depend on where
 // the deadline lands, so the test holds plain and under -race alike.
 func TestChaosRunTimeoutAbortsCampaign(t *testing.T) {
 	if testing.Short() {
@@ -295,9 +295,9 @@ func TestChaosRunTimeoutAbortsCampaign(t *testing.T) {
 		t.Errorf("%d runs counted as failed by a deadline stop", failed)
 	}
 	started := mt.Counter("scaltool_campaign_runs_started_total", "").Value()
-	attempts := mt.Histogram("scaltool_campaign_attempt_seconds", "", obs.LatencyBuckets).Count()
-	if attempts > started {
-		t.Errorf("%d attempts for %d started runs; want at most one each", attempts, started)
+	timed := mt.Histogram("scaltool_campaign_run_seconds", "", obs.LatencyBuckets).Count()
+	if timed != started {
+		t.Errorf("%d run latencies for %d started runs; want exactly one each", timed, started)
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("campaign took %v to stop on its deadline", elapsed)

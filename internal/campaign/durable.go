@@ -28,21 +28,19 @@ import (
 // the journal BEFORE the run is recorded in the Result. If the append fails
 // the run is not recorded and the campaign aborts; on resume the run simply
 // executes again, and because the simulator is deterministic, re-execution
-// reproduces the identical report. Attempt events are journaled for
-// forensics; in-flight runs (an attempt event but no terminal event) simply
-// run again on resume.
+// reproduces the identical report. A run journals nothing before its
+// terminal event, so a run in flight at the crash simply runs again.
 //
 // Replay ignores event types it does not know, so journals written by
-// earlier versions resume: their "retry" events are skipped, their
-// "quarantine" events (written when the campaign still sanitized simulator
-// reports) restore the same health report and dropped runs, and the start
-// event's fault spec — which may name fault keys that no longer parse — is
-// stored, never re-parsed.
+// earlier versions resume: their "attempt" and "retry" events are skipped,
+// their "quarantine" events (written when the campaign still sanitized
+// simulator reports) restore the same health report and dropped runs, and
+// the start event's fault spec — which may name fault keys that no longer
+// parse — is stored, never re-parsed.
 
 // Event types, in the order a run can emit them.
 const (
 	evStart      = "start"      // campaign identity: app, machine, plan, fault spec
-	evAttempt    = "attempt"    // one run began
 	evDone       = "done"       // run accepted; Report is its counter report
 	evSkip       = "skip"       // uniprocessor size below the app's grid
 	evQuarantine = "quarantine" // report failed sanitization (older binaries; replayed, never written)
@@ -207,8 +205,8 @@ func (d *durable) close() error {
 }
 
 // ExecuteDurable is Execute with a write-ahead journal under opts.Dir: the
-// campaign start, every attempt and terminal run outcome is journaled before
-// it takes effect. A campaign killed at any point — even mid-append — is
+// campaign start and every run's outcome are journaled before they take
+// effect. A campaign killed at any point — even mid-append — is
 // resumable with Resume, to a byte-identical model breakdown. The directory
 // must be empty or hold only journal bookkeeping from a previous Open;
 // resuming an interrupted campaign through ExecuteDurable is refused, so a

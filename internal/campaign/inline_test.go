@@ -43,10 +43,11 @@ func cacheCounts(mt *obs.Metrics) [4]uint64 {
 
 // spanEvent is one complete trace event.
 type spanEvent struct {
-	Name string  `json:"name"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`
-	Dur  float64 `json:"dur"`
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"`
+	Dur  float64        `json:"dur"`
+	Args map[string]any `json:"args"`
 }
 
 // spans returns the tracer's complete events named name.
@@ -150,7 +151,8 @@ func hydroPlan(t testing.TB, procs int) (apps.App, Plan) {
 // TestWarmInlineMatchesCold runs one campaign cold (every job misses the
 // fresh run cache and goes to the pool) and again warm (every job is a
 // memory hit and runs inline). Every run encodes to the same bytes, and each
-// warm job counts exactly one memory hit and one run span.
+// warm job counts exactly one memory hit and one run span, which marks the
+// hit; no span sits between a run and its lookup.
 func TestWarmInlineMatchesCold(t *testing.T) {
 	app, plan := hydroPlan(t, 8)
 	rn := &Runner{Cfg: cfg(), Workers: 2, Cache: runcache.New(runcache.Options{})}
@@ -176,11 +178,21 @@ func TestWarmInlineMatchesCold(t *testing.T) {
 	if got := cacheCounts(wo.Metrics); got != [4]uint64{uint64(ran), 0, 0, 0} {
 		t.Fatalf("warm campaign counted mem/disk/shared/miss %v, want exactly %d memory hits", got, ran)
 	}
-	if n := len(spans(t, wo.Trace, "run")); n != jobs {
-		t.Fatalf("warm campaign traced %d run spans, want one per job (%d)", n, jobs)
+	runs := spans(t, wo.Trace, "run")
+	if len(runs) != jobs {
+		t.Fatalf("warm campaign traced %d run spans, want one per job (%d)", len(runs), jobs)
 	}
-	if n := len(spans(t, wo.Trace, "attempt")); n != ran {
-		t.Fatalf("warm campaign traced %d attempt spans, want %d", n, ran)
+	hits := 0
+	for _, r := range runs {
+		if r.Args["cache_hit"] == true {
+			hits++
+		}
+	}
+	if hits != ran {
+		t.Fatalf("warm campaign marked %d run spans cache_hit, want %d", hits, ran)
+	}
+	if n := len(spans(t, wo.Trace, "attempt")); n != 0 {
+		t.Fatalf("warm campaign traced %d attempt spans, want none", n)
 	}
 	if n := len(spans(t, wo.Trace, "sim.run")); n != 0 {
 		t.Fatalf("warm campaign simulated %d runs", n)

@@ -124,7 +124,9 @@ func TestResumeLegacyRetryJournal(t *testing.T) {
 
 // TestDurableJournalIsOneFile runs the largest campaign any caller runs
 // (procs 32) durably and requires its journal directory to hold exactly one
-// file, which Resume replays into every run without simulating any.
+// file, which Resume replays into every run without simulating any. The
+// file holds one record per decision: the start, one terminal record per
+// planned job, and the fit.
 func TestDurableJournalIsOneFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a procs-32 campaign")
@@ -142,7 +144,14 @@ func TestDurableJournalIsOneFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := fitBreakdown(t, res)
+	m, err := res.Fit(model.DefaultOptions(cfg().L2.SizeBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := m.Breakdown()
+	if err := res.RecordFit(context.Background(), m); err != nil {
+		t.Fatal(err)
+	}
 	if err := res.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +167,37 @@ func TestDurableJournalIsOneFile(t *testing.T) {
 		t.Fatalf("journal directory holds %v, want exactly one file", names)
 	}
 
+	jl, open, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ended := map[string]bool{}
+	for i, rec := range open.Tail {
+		var ev event
+		if err := json.Unmarshal(rec.Data, &ev); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case i == 0 && ev.Type == evStart, i == len(open.Tail)-1 && ev.Type == evFit:
+		case (ev.Type == evDone || ev.Type == evSkip) && !ended[ev.Run]:
+			ended[ev.Run] = true
+		default:
+			t.Errorf("journal record %d is a %q record for run %q", i, ev.Type, ev.Run)
+		}
+	}
+	jobs := plan.Jobs()
+	for _, j := range jobs {
+		if id := RunID(j.Kind.String(), j.Procs, j.Size); !ended[id] {
+			t.Errorf("journal holds no terminal record for %s", id)
+		}
+	}
+	if want := len(jobs) + 2; len(open.Tail) != want {
+		t.Errorf("journal holds %d records, want %d: the start, one per job and the fit", len(open.Tail), want)
+	}
+
 	mt := obs.NewMetrics()
 	ctx := obs.NewContext(context.Background(), &obs.Observer{Metrics: mt})
 	resumed, err := (&Runner{Cfg: cfg()}).Resume(ctx, DurableOptions{Dir: dir})
@@ -168,8 +208,8 @@ func TestDurableJournalIsOneFile(t *testing.T) {
 	if err := resumed.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Resumed != len(plan.Jobs()) {
-		t.Errorf("resume restored %d runs, the plan has %d", resumed.Resumed, len(plan.Jobs()))
+	if resumed.Resumed != len(jobs) {
+		t.Errorf("resume restored %d runs, the plan has %d", resumed.Resumed, len(jobs))
 	}
 	if n := mt.Counter("scaltool_sim_runs_total", "").Value(); n != 0 {
 		t.Errorf("resume of a finished campaign simulated %d runs", n)

@@ -15,7 +15,7 @@
 //
 // Run failures are not injected: runs come from a deterministic simulator,
 // so the transient crashes and hangs of a real machine cannot happen, and a
-// campaign gives each run a single attempt.
+// campaign executes each run once.
 //
 // Every decision the injector makes is a pure function of (Spec.Seed, run
 // identity, processor, event): the same seed and spec produce byte-identical

@@ -10,10 +10,9 @@ import (
 	"scaltool/internal/obs"
 )
 
-// The supervisor keeps N replica slots populated — the same watchdog shape
-// as the campaign's worker supervisor, lifted to processes: watch for
-// death, probe for hangs, kill what is wedged, respawn with backoff, and
-// tell the router where the replacement lives. A slot's NAME is stable
+// The supervisor keeps N replica slots populated, a watchdog over
+// processes: watch for death, probe for hangs, kill what is wedged, respawn
+// with backoff, and tell the router where the replacement lives. A slot's NAME is stable
 // across restarts (slot 0 is always "replica-0"), so the rendezvous hash
 // keeps routing a key to the same slot and the replacement inherits the
 // dead instance's share of the keyspace — whose spilled cache entries it

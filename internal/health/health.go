@@ -55,8 +55,8 @@ func (f Finding) String() string {
 	return fmt.Sprintf("[%s] %s: %s: %s", f.Severity, f.Run, f.Check, f.Detail)
 }
 
-// FailureEvent records a run that failed permanently: its one attempt
-// returned an error, its deadline passed, or its program could not be built.
+// FailureEvent records a run that failed permanently: its simulation
+// returned an error or its program could not be built.
 type FailureEvent struct {
 	Run    string `json:"run"`
 	Reason string `json:"reason"`

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the model's degraded-input contract. A fault-tolerant
-// campaign can lose runs — quarantined reports, permanently failed
-// attempts, sizes the application's grid cannot realize — and the fit must
+// campaign can lose runs — quarantined reports, permanently failed runs,
+// sizes the application's grid cannot realize — and the fit must
 // either proceed on what remains (recording exactly how far it ran from the
 // full Table 3 input set) or refuse with an error callers can test for.
 

@@ -333,21 +333,24 @@ func fitModel(in Inputs, opt Options) (*Model, error) {
 			}
 		}
 
-		// finish computes the tm-dependent quantities for a candidate
-		// (tm, fi) pair. cpi∞ is the CPI with the conflict misses' cycles
-		// removed — algebraically identical to Eq. 8 when tm is the raw
-		// Eq. 1 solution, and exact under a decontaminated tm.
-		hmInfOf := func() float64 {
-			return (1 - b.L1HitRate) * b.MemFrac * (1 - pe.L2HitInf)
+		// cpisAt is Eq. 9's two CPIs at a candidate tm. cpi∞ is the CPI
+		// with the conflict misses' cycles removed — algebraically
+		// identical to Eq. 8 when tm is the raw Eq. 1 solution, and exact
+		// under a decontaminated tm. Removing a conflict miss converts it
+		// into an L2 hit, so each removed miss saves (tm − t2) cycles, not
+		// tm. The conflict-miss rate does not depend on tm.
+		hmInf := (1 - b.L1HitRate) * b.MemFrac * (1 - pe.L2HitInf)
+		conflict := math.Max(b.Hm-hmInf, 0)
+		cpisAt := func(tm float64) (cpiInf, cpiInfInf float64) {
+			return b.CPI - conflict*math.Max(tm-m.T2, 0),
+				eq8(m.CPI0, pe.L1HitInfInf, pe.MemFracInfInf, m.T2, tm, l2InfInf)
 		}
-		// Removing a conflict miss converts it into an L2 hit, so each
-		// removed miss saves (tm − t2) cycles, not tm — this subtraction is
-		// algebraically identical to Eq. 8 at the raw Eq. 1 tm(n).
+		// finish records the tm-dependent quantities of the chosen
+		// (tm, fi) pair.
 		finish := func(tm, fi float64) {
 			pe.TmN = tm
 			pe.FracImb = fi
-			pe.CPIInf = b.CPI - math.Max(b.Hm-hmInfOf(), 0)*math.Max(tm-m.T2, 0)
-			pe.CPIInfInf = eq8(m.CPI0, pe.L1HitInfInf, pe.MemFracInfInf, m.T2, tm, l2InfInf)
+			pe.CPIInf, pe.CPIInfInf = cpisAt(tm)
 		}
 
 		if opt.RawTmN || b.Procs == 1 || b.Hm <= 1e-12 {
@@ -394,11 +397,7 @@ func fitModel(in Inputs, opt Options) (*Model, error) {
 		const steps = 400
 		for k := 0; k <= steps; k++ {
 			fi := maxFi * float64(k) / steps
-			tm := tmOf(fi)
-			l2Inf := stats.Clamp(1-m.Compulsory-pe.Coh, 0, 1)
-			hmInf := (1 - b.L1HitRate) * b.MemFrac * (1 - l2Inf)
-			cpiB := b.CPI - math.Max(b.Hm-hmInf, 0)*math.Max(tm-m.T2, 0)
-			cpiII := eq8(m.CPI0, pe.L1HitInfInf, pe.MemFracInfInf, m.T2, tm, l2InfInf)
+			cpiB, cpiII := cpisAt(tmOf(fi))
 			res := cpiB - (cpiII*(1-pe.FracSync-fi) + pe.CpiSync*pe.FracSync + m.CpiImb*fi)
 			if math.Abs(res) < bestRes {
 				bestRes, bestFi = math.Abs(res), fi

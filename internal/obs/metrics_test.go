@@ -101,7 +101,7 @@ func TestPrometheusFormat(t *testing.T) {
 	m := NewMetrics()
 	m.Counter("scaltool_runs_total", "runs").Add(3)
 	m.Gauge("scaltool_fit_rmse", "rmse").Set(0.031)
-	h := m.Histogram("scaltool_attempt_seconds", "latency", []float64{0.01, 0.1, 1})
+	h := m.Histogram("scaltool_run_seconds", "latency", []float64{0.01, 0.1, 1})
 	h.Observe(0.05)
 	h.Observe(5)
 	var buf bytes.Buffer
@@ -125,11 +125,11 @@ func TestPrometheusFormat(t *testing.T) {
 	// Histogram buckets are cumulative and ordered.
 	out := buf.String()
 	for _, want := range []string{
-		`scaltool_attempt_seconds_bucket{le="0.01"} 0`,
-		`scaltool_attempt_seconds_bucket{le="0.1"} 1`,
-		`scaltool_attempt_seconds_bucket{le="1"} 1`,
-		`scaltool_attempt_seconds_bucket{le="+Inf"} 2`,
-		`scaltool_attempt_seconds_count 2`,
+		`scaltool_run_seconds_bucket{le="0.01"} 0`,
+		`scaltool_run_seconds_bucket{le="0.1"} 1`,
+		`scaltool_run_seconds_bucket{le="1"} 1`,
+		`scaltool_run_seconds_bucket{le="+Inf"} 2`,
+		`scaltool_run_seconds_count 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)

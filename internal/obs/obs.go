@@ -7,14 +7,13 @@
 // facilities, any of which may be nil:
 //
 //   - Trace — a span tracer exporting Chrome trace_event JSON, loadable in
-//     chrome://tracing and Perfetto. Campaign → run → attempt → fit form
-//     nested spans; internal/sim additionally exports per-processor
-//     busy/sync/imb region timelines into the same file.
+//     chrome://tracing and Perfetto. Campaign → run form nested spans,
+//     beside sim.run and model.fit; internal/sim additionally exports
+//     per-processor busy/sync/imb region timelines into the same file.
 //   - Metrics — a registry of counters, gauges, and fixed-bucket histograms,
 //     serializable as Prometheus text format.
 //   - Logger — a log/slog logger; run identity is threaded via context so a
-//     retry or quarantine is attributable while the campaign is still
-//     running.
+//     failed run is attributable while the campaign is still running.
 //
 // The Observer travels in a context.Context (NewContext/FromContext) and
 // every entry point is nil-safe: code instrumented with StartSpan, Meter,

@@ -11,7 +11,7 @@ import (
 )
 
 // TracePID is the trace_event process id of the real-time span timeline
-// (campaign → run → attempt → fit). Simulated-time timelines (per-processor
+// (campaign → run, sim.run, model.fit). Simulated-time timelines (per-processor
 // sim region attribution) get their own process ids via NewProcess, so wall
 // clocks and cycle clocks never share an axis.
 const TracePID = 1

@@ -12,10 +12,10 @@ import (
 )
 
 // Clone returns a copy of the Result that is safe to hand to a caller that
-// mutates the counter Report (the campaign's sanitize/perturb pipeline
-// replaces it wholesale and may rewrite per-processor sets). The Report and
-// its PerProc sets are deep-copied; the ground truth and segment counters —
-// read-only once a run completes — are shared with the receiver.
+// may mutate the counter Report: the run cache gives every caller its own,
+// so no caller can change the cached entry another request reads. The
+// Report and its PerProc sets are deep-copied; the ground truth and segment
+// counters — read-only once a run completes — are shared with the receiver.
 func (r *Result) Clone() *Result {
 	if r == nil {
 		return nil

@@ -165,7 +165,7 @@ func AnalyzeOpts(cfg MachineConfig, app App, maxProcs int, opts Options) (*Analy
 
 // AnalyzeContext is AnalyzeOpts under a context: cancellation stops the
 // campaign at the next run boundary, and an observer installed in ctx
-// (internal/obs) sees the whole workflow — campaign/run/attempt/fit spans,
+// (internal/obs) sees the whole workflow — campaign/run/fit spans,
 // run and fit metrics, and structured logs carrying each run's identity.
 func AnalyzeContext(ctx context.Context, cfg MachineConfig, app App, maxProcs int, opts Options) (*Analysis, error) {
 	plan, err := campaign.NewPlan(app, cfg, maxProcs, opts.S0)

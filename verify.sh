@@ -18,8 +18,8 @@ go vet ./...
 echo "==> benchmark harness against this tree (perfbench is its own module, so go build ./... never compiles it)"
 (cd perfbench && go vet ./... && go test ./...)
 
-echo "==> go test -race (sim, campaign, obs, journal; resume sweeps run in their own gate below)"
-go test -race -skip 'Chaos.*Resume' ./internal/sim/... ./internal/campaign/... ./internal/obs/... ./internal/journal/...
+echo "==> go test -race (sim, campaign, obs, journal; the campaign's chaos tests run in their own gates below)"
+go test -race -skip 'TestChaos' ./internal/sim/... ./internal/campaign/... ./internal/obs/... ./internal/journal/...
 
 echo "==> byte-identity gate (golden SHA-256 of Result.Encode, app-set x proc-count matrix, under the race detector; goldens are never regenerated)"
 go test -run 'TestSimByteIdentity|TestSimRepeatDeterminism' -race .
@@ -33,8 +33,8 @@ go test -run 'Chaos.*Resume' -race ./internal/campaign/...
 echo "==> observability e2e (tiny campaign; trace + metrics must parse)"
 go test -run TestObsEndToEnd ./cmd/scaltool/
 
-echo "==> run-cache race gate (singleflight + LRU eviction under the race detector)"
-go test -race ./internal/runcache/... ./internal/serve/...
+echo "==> run-cache race gate (singleflight + LRU eviction under the race detector; the serve chaos and diagnosis tests run in their own gates below)"
+go test -race -skip 'TestChaos|TestPanicIsolation|TestCorruptSpill|TestDiagnose' ./internal/runcache/... ./internal/serve/...
 
 echo "==> HTTP chaos gate (hostile transport + documents under the race detector)"
 go test -run 'TestChaos|TestPanicIsolation|TestCorruptSpill' -race ./internal/serve/...
