@@ -33,7 +33,7 @@ var (
 )
 
 func getSuite() *experiments.Suite {
-	suiteOnce.Do(func() { suite = experiments.DefaultSuite() })
+	suiteOnce.Do(func() { suite = experiments.NewSuite(machine.ScaledOrigin(), 32) })
 	return suite
 }
 

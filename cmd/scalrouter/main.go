@@ -189,6 +189,11 @@ func run(cfg routerConfig, stdout, stderr io.Writer) error {
 		svDone <- nil
 	}
 
+	// Own SIGTERM before announcing readiness: a signal sent on the
+	// "listening" line must drain the server, not kill the process.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
 	fmt.Fprintf(stdout, "scalrouter: listening on %s\n", ln.Addr())
 	if testOnReady != nil {
 		testOnReady(ln.Addr().String())
@@ -206,10 +211,6 @@ func run(cfg routerConfig, stdout, stderr io.Writer) error {
 		}
 		errCh <- nil
 	}()
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
 
 	select {
 	case err := <-errCh:

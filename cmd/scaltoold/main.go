@@ -158,6 +158,11 @@ func run(addr string, grace time.Duration, so serveOptions, stdout, stderr io.Wr
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
+	// Own SIGTERM before announcing readiness: a signal sent on the
+	// "listening" line must drain the server, not kill the process.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
 	fmt.Fprintf(stdout, "scaltoold: listening on %s\n", ln.Addr())
 	if testOnReady != nil {
 		testOnReady(ln.Addr().String())
@@ -179,10 +184,6 @@ func run(addr string, grace time.Duration, so serveOptions, stdout, stderr io.Wr
 		}
 		errCh <- nil
 	}()
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
 
 	select {
 	case err := <-errCh:

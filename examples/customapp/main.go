@@ -99,7 +99,7 @@ func main() {
 	}
 	fmt.Println("\nThe lock is the story: every pass serializes the merge, so its cost")
 	fmt.Println("grows with the processor count. Scal-Tool's ntsync method is tuned to")
-	fmt.Println("barriers, so most of the lock-queue waiting surfaces in the Imb bar —")
-	fmt.Println("the paper's §2.4.2 footnote prescribes a separate lock-kernel cpi_sync")
-	fmt.Println("for lock-heavy codes (see apps.BuildLockKernel).")
+	fmt.Println("barriers, so most of the lock-queue waiting surfaces in the Imb bar.")
+	fmt.Println("The paper's §2.4.2 footnote prescribes a separate lock-kernel cpi_sync")
+	fmt.Println("for lock-heavy codes; that kernel is not implemented here.")
 }

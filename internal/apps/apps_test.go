@@ -307,18 +307,6 @@ func TestKernels(t *testing.T) {
 	if res.Ground.ImbCycles == 0 {
 		t.Error("spin kernel produced no imbalance")
 	}
-
-	lockK, err := BuildLockKernel(c, 4, 10, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = sim.Run(c, lockK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Locks != 40 {
-		t.Fatalf("lock kernel locks = %d, want 40", res.Report.Locks)
-	}
 }
 
 func TestKernelValidation(t *testing.T) {
@@ -331,9 +319,6 @@ func TestKernelValidation(t *testing.T) {
 	}
 	if _, err := BuildSpinKernel(c, 2, 0, 10); err == nil {
 		t.Error("spin kernel with 0 phases accepted")
-	}
-	if _, err := BuildLockKernel(c, 2, 0, 10); err == nil {
-		t.Error("lock kernel with 0 rounds accepted")
 	}
 }
 

@@ -58,25 +58,3 @@ func BuildSpinKernel(cfg machine.Config, procs int, phases int, workInstr uint64
 	}
 	return prog, nil
 }
-
-// BuildLockKernel returns the lock kernel of the paper's footnote: every
-// processor repeatedly enters a critical section ("If the application has
-// locks, we need to separately compute the cpi_sync of a kernel of locks").
-func BuildLockKernel(cfg machine.Config, procs, rounds int, csInstr uint64) (*sim.Program, error) {
-	if rounds <= 0 {
-		return nil, fmt.Errorf("apps: lock kernel needs rounds > 0, got %d", rounds)
-	}
-	prog, err := sim.NewProgram("kernel_lock", procs, uint64(cfg.PageBytes), cfg.PageBytes)
-	if err != nil {
-		return nil, err
-	}
-	for rd := 0; rd < rounds; rd++ {
-		reg := prog.AddRegion("lock_loop")
-		for p := 0; p < procs; p++ {
-			st := reg.Proc(p)
-			st.Compute(8)
-			st.Critical(csInstr)
-		}
-	}
-	return prog, nil
-}

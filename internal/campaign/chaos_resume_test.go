@@ -82,11 +82,21 @@ func referenceBreakdown(t *testing.T, app apps.App, plan Plan) []model.Breakdown
 	return ref
 }
 
+// journalFault names the journal operation a sweep fails: an append
+// before it writes, an append halfway through its frame, or an fsync.
+type journalFault string
+
+const (
+	faultCrash journalFault = "crash"
+	faultTorn  journalFault = "torn"
+	faultFsync journalFault = "fsync"
+)
+
 // sweepResume kills a campaign at journal operation n = 1, 2, 3, … with the
 // given fault kind, resumes each corpse, and requires the resumed breakdown
 // to equal the uninterrupted one exactly. The sweep ends at the first n the
 // campaign outruns.
-func sweepResume(t *testing.T, kind faultinject.Kind) {
+func sweepResume(t *testing.T, kind journalFault) {
 	if testing.Short() {
 		t.Skip("a campaign per journal operation")
 	}
@@ -100,11 +110,11 @@ func sweepResume(t *testing.T, kind faultinject.Kind) {
 		}
 		spec := baseResumeSpec()
 		switch kind {
-		case faultinject.KindCrash:
+		case faultCrash:
 			spec.CrashAppend = n
-		case faultinject.KindTorn:
+		case faultTorn:
 			spec.TornAppend = n
-		case faultinject.KindFsync:
+		case faultFsync:
 			spec.FsyncFail = n
 		default:
 			t.Fatalf("unknown sweep kind %q", kind)
@@ -181,7 +191,7 @@ func sweepResume(t *testing.T, kind faultinject.Kind) {
 			t.Fatalf("%s point %d: resumed breakdown differs from the uninterrupted campaign's\nref: %+v\ngot: %+v",
 				kind, n, ref, got)
 		}
-		if kind == faultinject.KindTorn {
+		if kind == faultTorn {
 			if v := mt.Counter("scaltool_journal_torn_tail_truncations_total", "").Value(); v == 0 {
 				t.Fatalf("torn point %d: resume truncated no torn tail", n)
 			}
@@ -191,17 +201,17 @@ func sweepResume(t *testing.T, kind faultinject.Kind) {
 
 // TestChaosCrashResumeInvariant kills the campaign cleanly before every
 // journal append in turn and requires byte-identical resume.
-func TestChaosCrashResumeInvariant(t *testing.T) { sweepResume(t, faultinject.KindCrash) }
+func TestChaosCrashResumeInvariant(t *testing.T) { sweepResume(t, faultCrash) }
 
 // TestChaosTornWriteResumeInvariant tears every journal append in turn —
 // half the record's frame reaches the file — and requires the journal to
 // truncate the torn tail and resume byte-identically.
-func TestChaosTornWriteResumeInvariant(t *testing.T) { sweepResume(t, faultinject.KindTorn) }
+func TestChaosTornWriteResumeInvariant(t *testing.T) { sweepResume(t, faultTorn) }
 
 // TestChaosFsyncFailResumeInvariant fails every journal fsync in turn. The
 // record may or may not be durable — both are legal crash states — and
 // either way the resume must reproduce the reference breakdown.
-func TestChaosFsyncFailResumeInvariant(t *testing.T) { sweepResume(t, faultinject.KindFsync) }
+func TestChaosFsyncFailResumeInvariant(t *testing.T) { sweepResume(t, faultFsync) }
 
 // TestChaosResumeAfterCancel stops a durable campaign through its context
 // — a cancel before dispatch (the graceful-shutdown path) and a deadline

@@ -9,7 +9,6 @@ import (
 
 	"scaltool/internal/apps"
 	"scaltool/internal/counters"
-	"scaltool/internal/faultinject"
 	"scaltool/internal/health"
 	"scaltool/internal/journal"
 	"scaltool/internal/model"
@@ -100,39 +99,13 @@ type durable struct {
 	closed bool
 }
 
-// journalHook maps the injector's journal-fault decisions onto journal.Hook
-// errors: a crash point fails the append outright, a torn point makes the
-// journal write half the frame first, an fsync point fails the sync.
-func (rn *Runner) journalHook() journal.Hook {
-	in := rn.Inject
-	if in == nil || !in.Spec().JournalTargets() {
-		return nil
-	}
-	return func(op journal.Op, n uint64) error {
-		switch op {
-		case journal.OpAppend:
-			switch in.JournalAppend(n) {
-			case faultinject.JournalCrash:
-				return fmt.Errorf("campaign: injected crash before journal append %d", n)
-			case faultinject.JournalTorn:
-				return fmt.Errorf("campaign: injected crash during journal append %d: %w", n, journal.ErrTornWrite)
-			}
-		case journal.OpSync:
-			if in.JournalSync(n) == faultinject.JournalSyncFail {
-				return fmt.Errorf("campaign: injected fsync failure at journal sync %d", n)
-			}
-		}
-		return nil
-	}
-}
-
 // openDurable opens (or creates) the journal and replays its records into
 // the campaign start and each run's terminal event.
 func (rn *Runner) openDurable(ctx context.Context, opts DurableOptions) (*durable, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("campaign: durable execution needs a journal directory")
 	}
-	j, open, err := journal.Open(opts.Dir, journal.Options{Hook: rn.journalHook()})
+	j, open, err := journal.Open(opts.Dir, journal.Options{Hook: rn.Inject.Spec().JournalHook()})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: opening journal: %w", err)
 	}
@@ -223,11 +196,7 @@ func (rn *Runner) ExecuteDurable(ctx context.Context, app apps.App, plan Plan, o
 	if d.start != nil {
 		return nil, fmt.Errorf("campaign: journal %s already holds campaign %q; use Resume (or a fresh directory)", opts.Dir, d.start.App)
 	}
-	var spec string
-	if rn.Inject != nil {
-		spec = rn.Inject.Spec().String()
-	}
-	if err := d.record(ctx, event{Type: evStart, App: plan.App, Machine: rn.Cfg.Name, Plan: &plan, Spec: spec}); err != nil {
+	if err := d.record(ctx, event{Type: evStart, App: plan.App, Machine: rn.Cfg.Name, Plan: &plan, Spec: rn.Inject.Spec().String()}); err != nil {
 		return nil, err
 	}
 	return rn.execute(ctx, app, plan, d)

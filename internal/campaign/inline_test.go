@@ -257,7 +257,7 @@ type runLog struct {
 }
 
 func newRunLog(at func(n int)) *runLog {
-	return &runLog{Handler: obs.NopLogger().Handler(), at: at}
+	return &runLog{Handler: obs.Log(context.Background()).Handler(), at: at}
 }
 
 func (h *runLog) WithAttrs(attrs []slog.Attr) slog.Handler {

@@ -21,7 +21,7 @@
 //
 // Directory state is laid out flat: an open-addressed table maps a line
 // number to an index into dense struct-of-arrays entry storage, and every
-// entry's sharer bit-vector lives in one shared word arena (sharerWords
+// entry's sharer bit-vector lives in one shared word arena (d.words
 // words per entry). Nothing on the probe path chases a pointer, and the
 // merge works entirely out of scratch buffers that are reused from region
 // to region — after warm-up a Merge allocates only when the region's
@@ -519,23 +519,6 @@ func (d *Directory) hasSharer(e, p int) bool {
 func clearWords(w []uint64) {
 	for i := range w {
 		w[i] = 0
-	}
-}
-
-// Evicted tells the directory a processor silently dropped a line (capacity
-// replacement). Real hardware does not do this — the Origin directory is
-// conservative — but tests use it to verify conservativeness is harmless,
-// and what-if studies can model precise directories with it.
-func (d *Directory) Evicted(line uint64, proc int) {
-	d.checkProc(proc)
-	e := d.idx.get(line)
-	if e < 0 {
-		return
-	}
-	d.sharers[int(e)*d.words+proc>>6] &^= 1 << (uint(proc) & 63)
-	if int(d.owner[e]) == proc {
-		d.owner[e] = -1
-		d.dirty[e] = false
 	}
 }
 

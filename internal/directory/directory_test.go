@@ -6,43 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestBitsetBasics(t *testing.T) {
-	b := NewBitset(130)
-	for _, p := range []int{0, 63, 64, 129} {
-		b.Set(p)
-	}
-	if b.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", b.Count())
-	}
-	if !b.Has(64) || b.Has(65) {
-		t.Fatal("Has wrong")
-	}
-	b.Clear(64)
-	if b.Has(64) || b.Count() != 3 {
-		t.Fatal("Clear failed")
-	}
-	var got []int
-	b.ForEach(func(p int) { got = append(got, p) })
-	want := []int{0, 63, 129}
-	if len(got) != len(want) {
-		t.Fatalf("ForEach = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ForEach = %v, want %v", got, want)
-		}
-	}
-	cl := b.Clone()
-	cl.Set(5)
-	if b.Has(5) {
-		t.Fatal("Clone aliases original")
-	}
-	b.Reset()
-	if b.Count() != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
 func TestProbeUncached(t *testing.T) {
 	d := New(4)
 	info := d.Probe(42)
@@ -155,18 +118,6 @@ func TestIntraRegionSharingDetected(t *testing.T) {
 	if res.SharingLines != 0 {
 		t.Fatal("read-read counted as sharing")
 	}
-}
-
-func TestEvictedClearsState(t *testing.T) {
-	d := New(4)
-	d.Merge([]RegionAccess{{Proc: 0, Writes: []uint64{21}}})
-	d.Evicted(21, 0)
-	// A subsequent writer should generate no invalidations.
-	res := d.Merge([]RegionAccess{{Proc: 1, Writes: []uint64{21}}})
-	if len(res.Invalidations) != 0 {
-		t.Fatalf("invalidations after eviction = %v", res.Invalidations)
-	}
-	d.Evicted(999, 2) // unknown line: no-op
 }
 
 func TestMergeBadProcPanics(t *testing.T) {

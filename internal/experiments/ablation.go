@@ -173,7 +173,7 @@ func (s *Suite) AblationProtocol() string {
 	if err != nil {
 		panic(err)
 	}
-	rn := &campaign.Runner{Cfg: msiCfg, Workers: s.Workers}
+	rn := &campaign.Runner{Cfg: msiCfg}
 	res, err := rn.Run(app, plan)
 	if err != nil {
 		panic(err)

@@ -18,7 +18,6 @@ import (
 	"scaltool/internal/campaign"
 	"scaltool/internal/machine"
 	"scaltool/internal/model"
-	"scaltool/internal/perftools"
 	"scaltool/internal/sim"
 )
 
@@ -26,7 +25,6 @@ import (
 type Suite struct {
 	Cfg      machine.Config
 	MaxProcs int
-	Workers  int
 
 	mu       sync.Mutex
 	analyses map[string]*appAnalysis
@@ -44,10 +42,6 @@ type appAnalysis struct {
 func NewSuite(cfg machine.Config, maxProcs int) *Suite {
 	return &Suite{Cfg: cfg, MaxProcs: maxProcs, analyses: map[string]*appAnalysis{}}
 }
-
-// DefaultSuite returns the standard experiment setup: the scaled Origin at
-// 32 processors.
-func DefaultSuite() *Suite { return NewSuite(machine.ScaledOrigin(), 32) }
 
 // PaperApps lists the paper's three applications in presentation order.
 func PaperApps() []string { return []string{"t3dheat", "hydro2d", "swim"} }
@@ -67,7 +61,7 @@ func (s *Suite) analysis(name string) (*appAnalysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	rn := &campaign.Runner{Cfg: s.Cfg, Workers: s.Workers}
+	rn := &campaign.Runner{Cfg: s.Cfg}
 	res, err := rn.Run(app, plan)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: campaign %s: %w", name, err)
@@ -184,14 +178,4 @@ func balanceMetric(res *sim.Result) float64 {
 		return 0
 	}
 	return max / (sum / float64(len(res.Ground.PerProcBusy)))
-}
-
-var _ = perftools.Speedshop // used by figures.go
-
-// modelOptionsRaw returns the paper-faithful (single-pass tm) fit options
-// for the suite's machine.
-func modelOptionsRaw(s *Suite) model.Options {
-	o := model.DefaultOptions(s.Cfg.L2.SizeBytes)
-	o.RawTmN = true
-	return o
 }

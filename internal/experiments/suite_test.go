@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"scaltool/internal/machine"
+	"scaltool/internal/model"
 )
 
 // The shared test suite runs 16-processor campaigns (half the headline
@@ -160,7 +161,9 @@ func TestRawTmAblationShowsInflation(t *testing.T) {
 	// Quantitative check: raw tm at the top count must exceed the
 	// decontaminated estimate substantially for hydro2d.
 	a := s.mustAnalysis("hydro2d")
-	raw, err := a.campaign.Fit(modelOptionsRaw(s))
+	opts := model.DefaultOptions(s.Cfg.L2.SizeBytes)
+	opts.RawTmN = true // the paper-faithful single-pass tm
+	raw, err := a.campaign.Fit(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

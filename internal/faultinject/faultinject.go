@@ -10,8 +10,8 @@
 // Each fault is injected where its real counterpart arises. Report faults
 // (PerturbReport, MangleFile) apply where report files are written, the
 // boundary at which untrusted measurements enter the model; MangleFile
-// also damages run-cache spill files; journal faults (JournalAppend,
-// JournalSync) apply to the campaign's write-ahead journal.
+// also damages run-cache spill files; journal faults (Spec.JournalHook)
+// apply to the campaign's write-ahead journal.
 //
 // Run failures are not injected: runs come from a deterministic simulator,
 // so the transient crashes and hangs of a real machine cannot happen, and a
@@ -27,6 +27,7 @@ import (
 	"math"
 
 	"scaltool/internal/counters"
+	"scaltool/internal/journal"
 )
 
 // Kind names one fault class.
@@ -41,9 +42,6 @@ const (
 	KindCorrupt  Kind = "corrupt"  // report file byte-corrupted
 	KindPoison   Kind = "poison"   // report made internally inconsistent (quarantine bait)
 	KindSkew     Kind = "skew"     // mildly inconsistent counters (repairable)
-	KindCrash    Kind = "crash"    // process dies before a journal append
-	KindTorn     Kind = "torn"     // process dies mid-append (torn record)
-	KindFsync    Kind = "fsync"    // journal fsync reports failure
 )
 
 // Fault records one injected fault, for tests that cross-check the health
@@ -71,8 +69,13 @@ func New(spec Spec) *Injector {
 	}
 }
 
-// Spec returns the injector's spec.
-func (in *Injector) Spec() Spec { return in.spec }
+// Spec returns the injector's spec; a nil injector's is the zero Spec.
+func (in *Injector) Spec() Spec {
+	if in == nil {
+		return Spec{}
+	}
+	return in.spec
+}
 
 func toSet(ids []string) map[string]bool {
 	m := make(map[string]bool, len(ids))
@@ -82,40 +85,27 @@ func toSet(ids []string) map[string]bool {
 	return m
 }
 
-// JournalDecision is the injector's verdict for one journal operation.
-type JournalDecision int
-
-// Journal operation outcomes. The journal layer (via the campaign's hook)
-// maps them onto journal.Hook errors.
-const (
-	JournalOK       JournalDecision = iota // operation proceeds normally
-	JournalCrash                           // process dies before the write
-	JournalTorn                            // process dies mid-write: torn record
-	JournalSyncFail                        // fsync reports failure (record not durable)
-)
-
-// JournalAppend decides the fate of the Nth journal append (1-based,
-// campaign-wide). Crash points are exact counts, not probabilities, so a
-// test can sweep every append of a campaign deterministically.
-func (in *Injector) JournalAppend(n uint64) JournalDecision {
-	if in == nil {
-		return JournalOK
+// JournalHook translates the spec's journal-fault counts into a
+// journal.Hook: the CrashAppend-th append fails outright, the
+// TornAppend-th writes half its frame first, and the FsyncFail-th fsync
+// fails. Counts are exact, not probabilities, so a test can sweep every
+// journal operation of a campaign deterministically. A spec with no
+// journal fault returns nil.
+func (s Spec) JournalHook() journal.Hook {
+	if !s.JournalTargets() {
+		return nil
 	}
-	if in.spec.CrashAppend != 0 && n == in.spec.CrashAppend {
-		return JournalCrash
+	return func(op journal.Op, n uint64) error {
+		switch {
+		case op == journal.OpAppend && n == s.CrashAppend:
+			return fmt.Errorf("faultinject: injected crash before journal append %d", n)
+		case op == journal.OpAppend && n == s.TornAppend:
+			return fmt.Errorf("faultinject: injected crash during journal append %d: %w", n, journal.ErrTornWrite)
+		case op == journal.OpSync && n == s.FsyncFail:
+			return fmt.Errorf("faultinject: injected fsync failure at journal sync %d", n)
+		}
+		return nil
 	}
-	if in.spec.TornAppend != 0 && n == in.spec.TornAppend {
-		return JournalTorn
-	}
-	return JournalOK
-}
-
-// JournalSync decides the fate of the Nth journal fsync (1-based).
-func (in *Injector) JournalSync(n uint64) JournalDecision {
-	if in == nil || in.spec.FsyncFail == 0 || n != in.spec.FsyncFail {
-		return JournalOK
-	}
-	return JournalSyncFail
 }
 
 // JournalTargets reports whether the spec injects any journal-level fault.

@@ -2,11 +2,13 @@ package faultinject
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"scaltool/internal/counters"
+	"scaltool/internal/journal"
 )
 
 // sampleReport builds a plausible multi-processor report with counters big
@@ -66,8 +68,8 @@ func TestPerturbDoesNotMutateInput(t *testing.T) {
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if in.JournalAppend(1) != JournalOK || in.JournalSync(1) != JournalOK {
-		t.Fatal("nil injector faulted a journal operation")
+	if in.Spec().JournalHook() != nil {
+		t.Fatal("nil injector hooks the journal")
 	}
 	out, faults := in.PerturbReport("r", sampleReport())
 	if len(faults) != 0 || !bytes.Equal(reportBytes(t, out), reportBytes(t, sampleReport())) {
@@ -271,9 +273,39 @@ func TestSpecParseJournalKeys(t *testing.T) {
 	if (Spec{Seed: 1}).JournalTargets() {
 		t.Error("seed-only spec claims journal targets")
 	}
+	if (Spec{Seed: 1, Noise: 0.5}).JournalHook() != nil {
+		t.Error("spec without journal faults hooks the journal")
+	}
 	for _, bad := range []string{"crashappend=-1", "tornappend=x", "fsyncfail=1.5"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
+		}
+	}
+}
+
+// TestJournalHookFiresAtExactCounts checks the hook fails only the
+// operations the spec names: the crash append without a torn frame, the
+// torn append with journal.ErrTornWrite, and the fsync.
+func TestJournalHookFiresAtExactCounts(t *testing.T) {
+	hook := Spec{CrashAppend: 2, TornAppend: 4, FsyncFail: 3}.JournalHook()
+	for n := uint64(1); n <= 5; n++ {
+		err := hook(journal.OpAppend, n)
+		switch n {
+		case 2:
+			if err == nil || errors.Is(err, journal.ErrTornWrite) {
+				t.Errorf("append %d: %v, want a plain crash", n, err)
+			}
+		case 4:
+			if !errors.Is(err, journal.ErrTornWrite) {
+				t.Errorf("append %d: %v, want a torn write", n, err)
+			}
+		default:
+			if err != nil {
+				t.Errorf("append %d failed: %v", n, err)
+			}
+		}
+		if err := hook(journal.OpSync, n); (err != nil) != (n == 3) {
+			t.Errorf("sync %d: %v", n, err)
 		}
 	}
 }

@@ -55,8 +55,6 @@ type Supervisor struct {
 	// (0 = 100ms) — enough to keep a crash loop from burning a core,
 	// short enough that a key's owner is back well inside a second.
 	RestartBackoff time.Duration
-	// HTTP issues heartbeat probes (nil = http.DefaultClient).
-	HTTP *http.Client
 	// Obs counts restarts. May be nil.
 	Obs *obs.Observer
 }
@@ -71,9 +69,6 @@ func (sv *Supervisor) withDefaults() Supervisor {
 	}
 	if out.RestartBackoff <= 0 {
 		out.RestartBackoff = 100 * time.Millisecond
-	}
-	if out.HTTP == nil {
-		out.HTTP = http.DefaultClient
 	}
 	return out
 }
@@ -181,7 +176,7 @@ func (sv *Supervisor) heartbeat(ctx context.Context, url string) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := sv.HTTP.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false
 	}

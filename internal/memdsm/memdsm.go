@@ -199,6 +199,3 @@ func (m *Memory) Reset(procs int, policy Placement) error {
 	m.policy = policy
 	return nil
 }
-
-// PageBytes returns the page size.
-func (m *Memory) PageBytes() int { return 1 << m.pageShift }

@@ -36,6 +36,37 @@ func TestFracSyncFromBarriers(t *testing.T) {
 	}
 }
 
+// TestFracSyncFromBarriersPricesLocks is method 1's known answer with
+// locks: a lock acquire/release costs one barrier participation, so with
+// ntsync = barriers·procs + locks the two §2.4.2 methods must agree, and
+// the estimate must be exactly that many events at cpi0 + tsync(n).
+func TestFracSyncFromBarriersPricesLocks(t *testing.T) {
+	in := synthInputs()
+	for i := range in.Base {
+		if in.Base[i].Procs == 4 {
+			in.Base[i].Barriers = 20
+			in.Base[i].Locks = 50
+			in.Base[i].NtSync = 20*4 + 50
+		}
+	}
+	m, err := Fit(in, DefaultOptions(l2Bytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fBar, ok := m.FracSyncFromBarriers(4)
+	if !ok {
+		t.Fatal("no estimate at n=4")
+	}
+	pe, _ := m.Point(4)
+	if math.Abs(fBar-pe.FracSync) > 1e-12 {
+		t.Fatalf("barrier method %.6g vs ntsync method %.6g", fBar, pe.FracSync)
+	}
+	want := (20*4 + 50) * (m.CPI0 + pe.TSync) / (pe.CpiSync * float64(pe.Meas.Instr))
+	if !(want > 0 && want < 0.95) || math.Abs(fBar-want) > 1e-12 {
+		t.Fatalf("frac_sync = %.6g, want %.6g (130 events at cpi0 + tsync)", fBar, want)
+	}
+}
+
 func TestSharingEstimate(t *testing.T) {
 	in := synthInputs()
 	for i := range in.Base {

@@ -80,9 +80,6 @@ func New(procs, procsPerRouter, routerHop int) (*Topology, error) {
 	return t, nil
 }
 
-// Procs returns the number of processors.
-func (t *Topology) Procs() int { return t.procs }
-
 // Routers returns the number of routers in the hypercube.
 func (t *Topology) Routers() int { return t.routers }
 
@@ -120,19 +117,6 @@ func (t *Topology) OneWayCycles(from, to int) int {
 // RoundTripCycles returns the cost of a request/response pair.
 func (t *Topology) RoundTripCycles(from, to int) int {
 	return 2 * t.OneWayCycles(from, to)
-}
-
-// MeanHops returns the average hop count from a fixed processor to a home
-// node chosen uniformly among all processors' routers. For a hypercube of
-// dimension d, the average Hamming distance to a uniform router is d/2;
-// bristling makes same-router pairs slightly more likely. This is the
-// quantity behind the model's tm(n) growth.
-func (t *Topology) MeanHops() float64 {
-	total := 0
-	for p := 0; p < t.procs; p++ {
-		total += t.Hops(0, p)
-	}
-	return float64(total) / float64(t.procs)
 }
 
 func (t *Topology) check(proc int) {

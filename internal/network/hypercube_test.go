@@ -66,27 +66,6 @@ func TestUniprocessorDegenerate(t *testing.T) {
 	if top.Hops(0, 0) != 0 {
 		t.Fatal("self-hops must be zero")
 	}
-	if top.MeanHops() != 0 {
-		t.Fatal("uniprocessor mean hops must be zero")
-	}
-}
-
-func TestMeanHopsGrowsWithProcs(t *testing.T) {
-	// The property behind tm(n): average distance rises with machine size.
-	prev := -1.0
-	for _, n := range []int{1, 2, 4, 8, 16, 32, 64} {
-		top := mustNew(t, n, 2, 10)
-		m := top.MeanHops()
-		if m < prev {
-			t.Fatalf("MeanHops(%d)=%g decreased from %g", n, m, prev)
-		}
-		prev = m
-	}
-	big := mustNew(t, 64, 2, 10)
-	small := mustNew(t, 4, 2, 10)
-	if big.MeanHops() <= small.MeanHops() {
-		t.Fatal("MeanHops must strictly grow from 4 to 64 processors")
-	}
 }
 
 func TestHopsProperties(t *testing.T) {

@@ -19,9 +19,6 @@ func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
 func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
-// NopLogger returns the shared no-op logger.
-func NopLogger() *slog.Logger { return nopLogger }
-
 // ParseLevel maps a -log-level flag value to a slog level.
 func ParseLevel(s string) (slog.Level, error) {
 	switch s {

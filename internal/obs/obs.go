@@ -210,15 +210,6 @@ func (s *Span) TID() int64 {
 	return s.tid
 }
 
-// NameLane labels the span's trace lane in the exported trace — e.g. with a
-// run identity, so every lane in Perfetto reads as its run. Safe on nil.
-func (s *Span) NameLane(label string) {
-	if s == nil {
-		return
-	}
-	s.tr.NameThread(TracePID, s.tid, label)
-}
-
 // End closes the span and emits its trace event. Safe on nil; idempotent.
 func (s *Span) End() {
 	if s == nil || s.ended {

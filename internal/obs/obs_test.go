@@ -23,7 +23,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("StartSpan without an observer rewrote the context")
 	}
 	span.SetAttr("a", 2)
-	span.NameLane("lane")
 	span.End()
 	span.End() // idempotent
 	if got := span.TID(); got != 0 {

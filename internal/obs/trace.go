@@ -120,19 +120,6 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// WriteFile writes the trace to a file path.
-func (t *Tracer) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSON(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // WriteFileAtomic writes the trace via a temporary file in the target's
 // directory, fsyncs it, and renames it into place. A reader never observes
 // a truncated or half-written JSON document at path — either the previous

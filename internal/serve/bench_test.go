@@ -19,7 +19,8 @@ import (
 //	           over HTTP
 //	hit      — a repeat answered from the response cache; over HTTP
 //	runcache — a fresh Server per request on one warm run cache, served in
-//	           process: recipe lookup, inline runs, fit and encode
+//	           process: recipe lookup, inline runs, fit and encode (building
+//	           the Server is not timed)
 //	hit-handler/analyze, hit-handler/diagnose — a 32-processor repeat on each
 //	           route answered from the response cache through
 //	           Handler().ServeHTTP with a recorder: the server's own share of
@@ -72,18 +73,21 @@ func BenchmarkServeAnalyze(b *testing.B) {
 			Cache:   runcache.New(runcache.Options{}),
 			Obs:     &obs.Observer{Metrics: obs.NewMetrics()},
 		}
-		serve := func(b *testing.B) {
+		serve := func(b *testing.B, h http.Handler) {
 			w := httptest.NewRecorder()
-			New(opts).Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(req)))
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(req)))
 			if w.Code != http.StatusOK {
 				b.Fatalf("status %d: %s", w.Code, w.Body)
 			}
 		}
-		serve(b) // warm the run cache
+		serve(b, New(opts).Handler()) // warm the run cache
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			serve(b)
+			b.StopTimer()
+			h := New(opts).Handler()
+			b.StartTimer()
+			serve(b, h)
 		}
 	})
 	b.Run("hit-handler", func(b *testing.B) {

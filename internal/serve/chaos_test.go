@@ -34,6 +34,7 @@ var documentedStatus = map[int]bool{
 	http.StatusInternalServerError:   true,
 	http.StatusServiceUnavailable:    true,
 	http.StatusGatewayTimeout:        true,
+	statusClientClosed:               true,
 }
 
 // chaosServer is newTestServer with the transport hardening scaltoold ships
@@ -169,8 +170,10 @@ func TestChaosSlowLoris(t *testing.T) {
 // TestChaosMidRequestDisconnect drops connections while their analyses are
 // executing: the context cancels, the slot is reclaimed, nothing is
 // published, and a later Drain completes promptly (no leaked inflight work).
+// Each disconnect is counted as a 499, never as a 504 deadline: the
+// deadline is 30 s and the test takes milliseconds.
 func TestChaosMidRequestDisconnect(t *testing.T) {
-	s, ts, _ := chaosServer(t, Options{Workers: 1, QueueDepth: 1, RequestTimeout: 30 * time.Second})
+	s, ts, mt := chaosServer(t, Options{Workers: 1, QueueDepth: 1, RequestTimeout: 30 * time.Second})
 	started := make(chan struct{}, 8)
 	s.testHookRun = func() { started <- struct{}{} }
 
@@ -196,6 +199,68 @@ func TestChaosMidRequestDisconnect(t *testing.T) {
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain after disconnects: %v", err)
+	}
+	// A request is counted after its slot is released, so Drain can return
+	// just before the last count lands.
+	status := func(code string) uint64 {
+		return mt.Counter("scaltool_serve_requests_total", "", "route", "/v1/analyze", "code", code).Value()
+	}
+	for status("499") < 3 && ctx.Err() == nil {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got, deadline := status("499"), status("504"); got != 3 || deadline != 0 {
+		t.Fatalf("disconnects counted as %d × 499 and %d × 504, want 3 and 0", got, deadline)
+	}
+}
+
+// TestChaosDisconnectWhileQueued drops a connection whose request is
+// admitted but still waiting for the one worker: the wait ends as a 499,
+// not as a 503 no_worker.
+func TestChaosDisconnectWhileQueued(t *testing.T) {
+	s, ts, mt := chaosServer(t, Options{Workers: 1, QueueDepth: 1, RequestTimeout: 30 * time.Second})
+	started, hold := make(chan struct{}, 1), make(chan struct{})
+	s.testHookRun = func() {
+		started <- struct{}{}
+		<-hold
+	}
+	first := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", analyzeBody("swim", 4))
+		if err != nil {
+			first <- 0
+			return
+		}
+		resp.Body.Close()
+		first <- resp.StatusCode
+	}()
+	<-started
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"app":"t3dheat","procs":4}`
+	fmt.Fprintf(conn, "POST /v1/analyze HTTP/1.1\r\nHost: chaos\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	status := func(code string) uint64 {
+		return mt.Counter("scaltool_serve_requests_total", "", "route", "/v1/analyze", "code", code).Value()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(s.admitted) < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if len(s.admitted) < 2 {
+		t.Fatal("second request never queued for the worker")
+	}
+	conn.Close()
+	for status("499") == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(hold)
+	if code := <-first; code != http.StatusOK {
+		t.Fatalf("request holding the worker answered %d", code)
+	}
+	if got, refused := status("499"), status("503"); got != 1 || refused != 0 {
+		t.Fatalf("queued disconnect counted as %d × 499 and %d × 503, want 1 and 0", got, refused)
 	}
 }
 

@@ -78,7 +78,7 @@ func FuzzAnalyzeRequest(f *testing.F) {
 		// success and post-admission codes are unreachable.
 		switch w.Code {
 		case http.StatusOK, http.StatusTooManyRequests, http.StatusServiceUnavailable,
-			http.StatusGatewayTimeout, http.StatusInternalServerError:
+			http.StatusGatewayTimeout, http.StatusInternalServerError, statusClientClosed:
 			t.Fatalf("status %d reached despite a 1-cycle budget: %q → %s", w.Code, body, w.Body.Bytes())
 		}
 		var e apiError

@@ -28,6 +28,9 @@
 //	      that previously panicked the pipeline and is quarantined.
 //	503 — admitted, but no worker freed up within the request deadline.
 //	504 — executing, but the analysis exceeded the request deadline.
+//	499 — the client closed the request while it waited for a worker or
+//	      executed. No live client sees it; it keeps disconnects out of
+//	      the 503 and 504 counts.
 //	500 — the analysis failed or panicked; a panic is isolated to the
 //	      request, counted, and its request shape quarantined.
 //
@@ -59,6 +62,10 @@ import (
 	"scaltool/internal/obs"
 	"scaltool/internal/runcache"
 )
+
+// statusClientClosed answers a request whose client went away before the
+// answer was ready (nginx's 499; net/http has no name for it).
+const statusClientClosed = 499
 
 // DefaultRequestTimeout bounds one analysis when Options.RequestTimeout is
 // unset.
@@ -393,6 +400,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost admission.Co
 	case s.workers <- struct{}{}:
 	case <-ctx.Done():
 		release()
+		if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			return nil, nil, statusClientClosed, "client_closed",
+				fmt.Errorf("client closed the request while it waited for a worker")
+		}
 		return nil, nil, http.StatusServiceUnavailable, "no_worker",
 			fmt.Errorf("timed out waiting for a worker: %v", ctx.Err())
 	}
@@ -500,7 +511,8 @@ func (s *Server) estimate(ctx context.Context, rt *route, rv *resolved) (admissi
 
 // triageExecError maps an execution failure to the status contract: an
 // isolated panic is a 500 "panic" (the shape is already quarantined), a
-// blown deadline a 504, anything else a 500 "failed".
+// blown deadline a 504, a client that went away a 499, anything else a
+// 500 "failed".
 func (s *Server) triageExecError(ctx context.Context, req *Request, err error) (int, string, error) {
 	var pf *panicFault
 	if errors.As(err, &pf) {
@@ -508,9 +520,12 @@ func (s *Server) triageExecError(ctx context.Context, req *Request, err error) (
 		return http.StatusInternalServerError, "panic",
 			fmt.Errorf("analysis panicked; this request shape is now quarantined")
 	}
-	if ctx.Err() != nil {
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		return http.StatusGatewayTimeout, "deadline",
 			fmt.Errorf("analysis exceeded its %s deadline", s.opts.RequestTimeout)
+	}
+	if ctx.Err() != nil {
+		return statusClientClosed, "client_closed", fmt.Errorf("client closed the request during the analysis")
 	}
 	obs.Log(ctx).Error("analysis failed", "app", req.Ident(), "err", err)
 	return http.StatusInternalServerError, "failed", fmt.Errorf("analysis failed: %v", err)

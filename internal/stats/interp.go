@@ -69,12 +69,6 @@ func (in *Interpolator) At(x float64) float64 {
 	return lo.Y + t*(hi.Y-lo.Y)
 }
 
-// Min returns the sample with the smallest X.
-func (in *Interpolator) Min() Point { return in.pts[0] }
-
-// Max returns the sample with the largest X.
-func (in *Interpolator) Max() Point { return in.pts[len(in.pts)-1] }
-
 // Points returns a copy of the (sorted, deduplicated) sample points.
 func (in *Interpolator) Points() []Point {
 	out := make([]Point, len(in.pts))
@@ -93,18 +87,6 @@ func (in *Interpolator) ArgMaxY() Point {
 		}
 	}
 	return best
-}
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, v := range xs {
-		sum += v
-	}
-	return sum / float64(len(xs)), nil
 }
 
 // Clamp restricts v to [lo, hi].

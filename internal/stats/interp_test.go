@@ -138,16 +138,6 @@ func TestInterpolatorPassesThroughSamples(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if _, err := Mean(nil); err == nil {
-		t.Fatal("Mean(nil) should error")
-	}
-	m, err := Mean([]float64{1, 2, 3, 4})
-	if err != nil || m != 2.5 {
-		t.Fatalf("Mean = %g, %v; want 2.5", m, err)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
 		t.Fatal("Clamp misbehaves")

@@ -1,8 +1,8 @@
 // Package stats provides the small numerical kernels Scal-Tool's empirical
 // model needs: linear least squares (for estimating the per-miss penalties
 // t2 and tm from measured CPI triplets, paper Eq. 3), piecewise-linear
-// interpolation (for the s0/n data-set slicing rule, paper §2.4.1), and a
-// handful of summary helpers.
+// interpolation (for the s0/n data-set slicing rule, paper §2.4.1), and
+// Clamp.
 //
 // Everything is implemented from scratch on float64 slices; no external
 // dependencies. Matrices are tiny (the model never fits more than three
@@ -74,42 +74,6 @@ func LeastSquares(rows [][]float64, y []float64) ([]float64, error) {
 		return nil, err
 	}
 	return beta, nil
-}
-
-// LeastSquaresIntercept fits y = a + b*x and returns (a, b).
-func LeastSquaresIntercept(x, y []float64) (a, b float64, err error) {
-	rows := make([][]float64, len(x))
-	for i, v := range x {
-		rows[i] = []float64{1, v}
-	}
-	beta, err := LeastSquares(rows, y)
-	if err != nil {
-		return 0, 0, err
-	}
-	return beta[0], beta[1], nil
-}
-
-// Residuals returns y - X*beta, useful for reporting fit quality.
-func Residuals(rows [][]float64, y, beta []float64) []float64 {
-	res := make([]float64, len(rows))
-	for i, r := range rows {
-		pred := 0.0
-		for j, v := range r {
-			pred += v * beta[j]
-		}
-		res[i] = y[i] - pred
-	}
-	return res
-}
-
-// RMSE returns the root-mean-square of the residuals of the fit.
-func RMSE(rows [][]float64, y, beta []float64) float64 {
-	res := Residuals(rows, y, beta)
-	sum := 0.0
-	for _, r := range res {
-		sum += r * r
-	}
-	return math.Sqrt(sum / float64(len(res)))
 }
 
 // solveLinear solves the square system A*x = b by Gaussian elimination with

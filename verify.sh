@@ -18,8 +18,8 @@ go vet ./...
 echo "==> benchmark harness against this tree (perfbench is its own module, so go build ./... never compiles it)"
 (cd perfbench && go vet ./... && go test ./...)
 
-echo "==> go test -race (sim, campaign, obs, journal; the campaign's chaos tests run in their own gates below)"
-go test -race -skip 'TestChaos' ./internal/sim/... ./internal/campaign/... ./internal/obs/... ./internal/journal/...
+echo "==> go test -race (sim, campaign, obs, journal, recipe; the campaign's chaos tests run in their own gates below)"
+go test -race -skip 'TestChaos' ./internal/sim/... ./internal/campaign/... ./internal/obs/... ./internal/journal/... ./internal/recipe/...
 
 echo "==> byte-identity gate (golden SHA-256 of Result.Encode, app-set x proc-count matrix, under the race detector; goldens are never regenerated)"
 go test -run 'TestSimByteIdentity|TestSimRepeatDeterminism' -race .
