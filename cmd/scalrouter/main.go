@@ -172,7 +172,9 @@ func run(cfg routerConfig, stdout, stderr io.Writer) error {
 		sv := &fleet.Supervisor{
 			Spawn: func(slot int) (fleet.Handle, error) {
 				o.Logger.Info("spawning replica", "slot", slot, "path", cfg.scaltoold)
-				return fleet.StartExec(fleet.ExecConfig{
+				readyCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+				defer cancel()
+				return fleet.StartExec(readyCtx, fleet.ExecConfig{
 					Path:   cfg.scaltoold,
 					Args:   append([]string{"-addr", "127.0.0.1:0"}, cfg.spawnArgs...),
 					Stderr: stderr,

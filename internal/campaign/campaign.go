@@ -202,8 +202,7 @@ type Result struct {
 	Skipped []uint64
 
 	// Health records the plan's structural notes and every permanently
-	// failed run (plus the quarantines an older binary journaled, on
-	// resume). Never nil on a Result returned by Execute/Run.
+	// failed run. Never nil on a Result returned by Execute/Run.
 	Health *health.Report
 
 	// Resumed counts the runs Resume restored from the journal instead of

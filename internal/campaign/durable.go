@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"scaltool/internal/apps"
 	"scaltool/internal/counters"
-	"scaltool/internal/health"
 	"scaltool/internal/journal"
 	"scaltool/internal/model"
 	"scaltool/internal/obs"
@@ -30,21 +28,18 @@ import (
 // reproduces the identical report. A run journals nothing before its
 // terminal event, so a run in flight at the crash simply runs again.
 //
-// Replay ignores event types it does not know, so journals written by
-// earlier versions resume: their "attempt" and "retry" events are skipped,
-// their "quarantine" events (written when the campaign still sanitized
-// simulator reports) restore the same health report and dropped runs, and
-// the start event's fault spec — which may name fault keys that no longer
-// parse — is stored, never re-parsed.
+// Replay reads only what this binary writes: journal.Open refuses every
+// older journal format by its file names, and a record of any type but
+// start, done, skip, fail or fit is refused by sequence number. The start
+// event's fault spec is stored for the record, never re-parsed.
 
 // Event types, in the order a run can emit them.
 const (
-	evStart      = "start"      // campaign identity: app, machine, plan, fault spec
-	evDone       = "done"       // run accepted; Report is its counter report
-	evSkip       = "skip"       // uniprocessor size below the app's grid
-	evQuarantine = "quarantine" // report failed sanitization (older binaries; replayed, never written)
-	evFail       = "fail"       // run dropped after a permanent failure
-	evFit        = "fit"        // model fitted from this campaign's measurements
+	evStart = "start" // campaign identity: app, machine, plan, fault spec
+	evDone  = "done"  // run accepted; Report is its counter report
+	evSkip  = "skip"  // uniprocessor size below the app's grid
+	evFail  = "fail"  // run dropped after a permanent failure
+	evFit   = "fit"   // model fitted from this campaign's measurements
 )
 
 // event is one journal record. One struct covers every type; unused fields
@@ -59,13 +54,12 @@ type event struct {
 	Spec    string `json:"spec,omitempty"`
 
 	// Per-run events.
-	Run      string              `json:"run,omitempty"`
-	Kind     string              `json:"kind,omitempty"`
-	Procs    int                 `json:"procs,omitempty"`
-	Size     uint64              `json:"size,omitempty"`
-	Reason   string              `json:"reason,omitempty"`
-	Report   *counters.RunReport `json:"report,omitempty"`
-	Findings []health.Finding    `json:"findings,omitempty"`
+	Run    string              `json:"run,omitempty"`
+	Kind   string              `json:"kind,omitempty"`
+	Procs  int                 `json:"procs,omitempty"`
+	Size   uint64              `json:"size,omitempty"`
+	Reason string              `json:"reason,omitempty"`
+	Report *counters.RunReport `json:"report,omitempty"`
 
 	// evFit.
 	Fit *fitSummary `json:"fit,omitempty"`
@@ -94,13 +88,11 @@ type durable struct {
 	j        *journal.Journal
 	start    *event
 	terminal map[string]event // run identity → its journaled terminal event
-
-	mu     sync.Mutex
-	closed bool
 }
 
 // openDurable opens (or creates) the journal and replays its records into
-// the campaign start and each run's terminal event.
+// the campaign start and each run's terminal event. A record of a type this
+// binary does not write is refused, naming its sequence number.
 func (rn *Runner) openDurable(ctx context.Context, opts DurableOptions) (*durable, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("campaign: durable execution needs a journal directory")
@@ -113,14 +105,18 @@ func (rn *Runner) openDurable(ctx context.Context, opts DurableOptions) (*durabl
 	for _, rec := range open.Tail {
 		var ev event
 		if err := json.Unmarshal(rec.Data, &ev); err != nil {
-			closeQuietJournal(j)
+			_ = j.Close()
 			return nil, fmt.Errorf("campaign: journal record %d is not an event: %w", rec.Seq, err)
 		}
 		switch ev.Type {
 		case evStart:
 			d.start = &ev
-		case evDone, evSkip, evQuarantine, evFail:
+		case evDone, evSkip, evFail:
 			d.terminal[ev.Run] = ev
+		case evFit: // the campaign's conclusion, kept for the record; nothing to replay
+		default:
+			_ = j.Close()
+			return nil, fmt.Errorf("campaign: journal record %d has type %q, which this binary does not write", rec.Seq, ev.Type)
 		}
 	}
 	if mt := obs.Meter(ctx); mt != nil && open.TornBytes > 0 {
@@ -132,8 +128,6 @@ func (rn *Runner) openDurable(ctx context.Context, opts DurableOptions) (*durabl
 	}
 	return d, nil
 }
-
-func closeQuietJournal(j *journal.Journal) { _ = j.Close() }
 
 // record appends one event to the journal. Any failure (an injected crash
 // point or a real I/O error) leaves the event unapplied; the caller must
@@ -162,18 +156,11 @@ func (d *durable) closeOnError(err *error) {
 	}
 }
 
-// close flushes and closes the journal. Idempotent.
+// close flushes and closes the journal. Idempotent, and a no-op on nil.
 func (d *durable) close() error {
 	if d == nil {
 		return nil
 	}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil
-	}
-	d.closed = true
-	d.mu.Unlock()
 	return d.j.Close()
 }
 
@@ -224,7 +211,7 @@ func (rn *Runner) Resume(ctx context.Context, opts DurableOptions) (_ *Result, e
 	if err != nil {
 		return nil, fmt.Errorf("campaign: resuming journal %s: %w", opts.Dir, err)
 	}
-	if st.Machine != "" && st.Machine != rn.Cfg.Name {
+	if st.Machine != rn.Cfg.Name {
 		return nil, fmt.Errorf("campaign: journal %s was recorded on machine %q, runner is configured for %q",
 			opts.Dir, st.Machine, rn.Cfg.Name)
 	}
@@ -234,15 +221,14 @@ func (rn *Runner) Resume(ctx context.Context, opts DurableOptions) (_ *Result, e
 // replay restores one journaled terminal event into the Result, mirroring
 // exactly what accept/fail/skip did in the interrupted campaign. Returns an
 // error only when the replayed outcome was campaign-killing (a critical run
-// quarantined or failed), which aborts the resume the same way the original
-// campaign aborted.
+// failed), which aborts the resume the same way the original campaign
+// aborted.
 func (ex *executor) replay(ctx context.Context, j job, ev event) error {
 	switch ev.Type {
 	case evDone:
 		if ev.Report == nil {
 			return fmt.Errorf("campaign: journal done event for %s carries no report", j.id)
 		}
-		ex.res.Health.Add(ev.Findings...)
 		out := &sim.Result{
 			MachineName: ex.rn.Cfg.Name,
 			Procs:       ev.Report.Procs,
@@ -255,19 +241,11 @@ func (ex *executor) replay(ctx context.Context, j job, ev event) error {
 		ex.mu.Lock()
 		ex.res.Skipped = append(ex.res.Skipped, j.Size)
 		ex.mu.Unlock()
-	case evQuarantine:
-		ex.res.Health.Add(ev.Findings...)
-		ex.res.Health.AddQuarantine(j.id)
-		if criticalJob(j) {
-			return fmt.Errorf("campaign: critical run %s quarantined (replayed); the model cannot fit without it", j.id)
-		}
 	case evFail:
 		ex.res.Health.AddFailure(j.id, errors.New(ev.Reason))
 		if criticalJob(j) {
 			return fmt.Errorf("campaign: critical run %s failed permanently (replayed): %s", j.id, ev.Reason)
 		}
-	default:
-		return fmt.Errorf("campaign: journal records unknown terminal event %q for %s", ev.Type, j.id)
 	}
 	obs.Log(ctx).Debug("run replayed from journal", "run", j.id, "outcome", ev.Type)
 	return nil
@@ -281,13 +259,7 @@ func (r *Result) RecordFit(ctx context.Context, m *model.Model) error {
 	if r.dur == nil || m == nil {
 		return nil
 	}
-	r.dur.mu.Lock()
-	closed := r.dur.closed
-	r.dur.mu.Unlock()
-	if closed {
-		return nil
-	}
-	return r.dur.record(ctx, event{Type: evFit, Fit: &fitSummary{
+	err := r.dur.record(ctx, event{Type: evFit, Fit: &fitSummary{
 		CPI0:     m.CPI0,
 		T2:       m.T2,
 		Tm1:      m.Tm1,
@@ -295,12 +267,16 @@ func (r *Result) RecordFit(ctx context.Context, m *model.Model) error {
 		Points:   len(m.Points),
 		Degraded: m.Degradation.Degraded,
 	}})
+	if errors.Is(err, journal.ErrClosed) {
+		return nil
+	}
+	return err
 }
 
 // CloseJournal flushes and closes the campaign journal. Safe to call on a
 // non-durable Result and safe to call twice.
 func (r *Result) CloseJournal() error {
-	if r == nil || r.dur == nil {
+	if r == nil {
 		return nil
 	}
 	return r.dur.close()

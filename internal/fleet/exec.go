@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 )
 
 // ExecReplica supervises a real scaltoold child process — the production
@@ -29,8 +28,6 @@ type ExecConfig struct {
 	Args []string
 	// Stderr receives the child's stderr (nil = discarded).
 	Stderr io.Writer
-	// ReadyTimeout bounds the wait for the startup line (0 = 10s).
-	ReadyTimeout time.Duration
 }
 
 // ExecReplica is a supervised scaltoold OS process.
@@ -41,12 +38,10 @@ type ExecReplica struct {
 }
 
 // StartExec launches a scaltoold child and waits until it announces its
-// listen address.
-func StartExec(cfg ExecConfig) (*ExecReplica, error) {
-	timeout := cfg.ReadyTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
+// listen address. ctx bounds only that wait: if it ends first, the child is
+// killed and reaped before StartExec returns. A child that did announce
+// outlives ctx.
+func StartExec(ctx context.Context, cfg ExecConfig) (*ExecReplica, error) {
 	cmd := exec.Command(cfg.Path, cfg.Args...)
 	cmd.Stderr = lockWriter(cfg.Stderr)
 	stdout, err := cmd.StdoutPipe()
@@ -86,9 +81,10 @@ func StartExec(cfg ExecConfig) (*ExecReplica, error) {
 		return r, nil
 	case <-exited:
 		return nil, fmt.Errorf("fleet: %s exited before announcing its address", cfg.Path)
-	case <-time.After(timeout):
+	case <-ctx.Done():
 		_ = cmd.Process.Kill()
-		return nil, fmt.Errorf("fleet: %s did not announce its address within %s", cfg.Path, timeout)
+		<-exited
+		return nil, fmt.Errorf("fleet: %s did not announce its address: %w", cfg.Path, context.Cause(ctx))
 	}
 }
 

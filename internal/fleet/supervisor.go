@@ -105,9 +105,10 @@ func (sv *Supervisor) runSlot(ctx context.Context, slot int, done chan<- error) 
 		}
 		h, err := sv.Spawn(slot)
 		if err != nil {
-			if first {
+			if first && ctx.Err() == nil {
 				// A slot that cannot start even once is a configuration
-				// error, not a fault to ride through.
+				// error, not a fault to ride through. One that shutdown
+				// cut short is neither: the loop top ends the slot.
 				done <- fmt.Errorf("fleet: slot %d: %w", slot, err)
 				return
 			}

@@ -2,12 +2,17 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -163,19 +168,32 @@ func TestSupervisorFirstSpawnFailureIsFatal(t *testing.T) {
 	}
 }
 
+// TestSupervisorShutdownDuringFirstSpawn: a first spawn that fails because
+// the supervisor's context ended is a shutdown, not a configuration error.
+func TestSupervisorShutdownDuringFirstSpawn(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	sv := &Supervisor{Spawn: func(slot int) (Handle, error) {
+		cancel()
+		return nil, ctx.Err()
+	}}
+	if err := sv.Run(ctx, 1); err != nil {
+		t.Fatalf("Run after a shutdown during the first spawn: %v, want nil", err)
+	}
+}
+
 // TestExecReplicaAddressDiscovery drives StartExec against a shell script
 // that fakes scaltoold's startup line, covering wildcard-address rewriting
-// and the ready-timeout path.
+// and a readiness wait that its context ends.
 func TestExecReplicaAddressDiscovery(t *testing.T) {
 	if _, err := os.Stat("/bin/sh"); err != nil {
 		t.Skip("no /bin/sh")
 	}
 	dir := t.TempDir()
 	script := dir + "/fake-scaltoold"
-	if err := os.WriteFile(script, []byte("#!/bin/sh\necho 'scaltoold: listening on [::]:18080'\nsleep 30\n"), 0o755); err != nil {
+	if err := os.WriteFile(script, []byte("#!/bin/sh\necho 'scaltoold: listening on [::]:18080'\nexec sleep 30\n"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	r, err := StartExec(ExecConfig{Path: script})
+	r, err := StartExec(context.Background(), ExecConfig{Path: script})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +208,67 @@ func TestExecReplicaAddressDiscovery(t *testing.T) {
 		t.Fatal("killed child never reaped")
 	}
 
-	// A child that never announces must be killed at the ready timeout.
+	// A child that never announces must be killed when the context ends.
 	silent := dir + "/silent"
-	if err := os.WriteFile(silent, []byte("#!/bin/sh\nsleep 30\n"), 0o755); err != nil {
+	if err := os.WriteFile(silent, []byte("#!/bin/sh\nexec sleep 30\n"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := StartExec(ExecConfig{Path: silent, ReadyTimeout: 100 * time.Millisecond}); err == nil {
-		t.Fatal("silent child did not fail readiness")
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := StartExec(ctx, ExecConfig{Path: silent}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("silent child: %v, want a readiness failure from the context deadline", err)
+	}
+}
+
+// TestStartExecCancelReapsChild cancels StartExec's context while a child
+// that never announces is still starting, and requires StartExec to return
+// within a second with the child killed and reaped: its process id no
+// longer exists, not even as a zombie.
+func TestStartExecCancelReapsChild(t *testing.T) {
+	if _, err := os.Stat("/bin/sh"); err != nil {
+		t.Skip("no /bin/sh")
+	}
+	dir := t.TempDir()
+	pidFile := filepath.Join(dir, "pid")
+	silent := filepath.Join(dir, "silent")
+	if err := os.WriteFile(silent, []byte("#!/bin/sh\necho $$ > "+pidFile+"\nexec sleep 30\n"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// Cancel once the child has written its process id, so the cancel
+	// lands mid-wait.
+	type cancelAt struct {
+		pid int
+		at  time.Time
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	canceled := make(chan cancelAt, 1)
+	go func() {
+		var c cancelAt
+		for deadline := time.Now().Add(10 * time.Second); c.pid == 0 && time.Now().Before(deadline); {
+			if data, err := os.ReadFile(pidFile); err == nil {
+				c.pid, _ = strconv.Atoi(strings.TrimSpace(string(data)))
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		c.at = time.Now()
+		cancel()
+		canceled <- c
+	}()
+	_, err := StartExec(ctx, ExecConfig{Path: silent})
+	returned := time.Now()
+	c := <-canceled
+	if c.pid == 0 {
+		t.Fatal("child never wrote its process id")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("StartExec after cancel: %v, want context.Canceled", err)
+	}
+	if d := returned.Sub(c.at); d >= time.Second {
+		t.Errorf("StartExec returned %v after its context was canceled, want under 1s", d)
+	}
+	if err := syscall.Kill(c.pid, 0); !errors.Is(err, syscall.ESRCH) {
+		t.Errorf("child %d still exists after StartExec returned (kill 0: %v): not reaped", c.pid, err)
 	}
 }
 

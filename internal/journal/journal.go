@@ -4,8 +4,8 @@
 // (kill -9, OOM, power loss) so a resumed campaign replays what finished and
 // re-executes only what did not.
 //
-// Layout: a journal is one file, wal-0000000000000001.seg, in its own
-// directory. The file is a sequence of framed records:
+// Layout: a journal is one file, journal.wal, in its own directory. The
+// file is a sequence of framed records:
 //
 //	[4-byte LE payload length][4-byte LE CRC-32C][8-byte LE sequence][payload]
 //
@@ -29,9 +29,10 @@
 //   - a well-framed record whose sequence number does not follow its
 //     predecessor's is real corruption, and Open refuses with ErrCorrupt.
 //
-// A directory holding a snapshot (snap-*.snap) or a second segment was
-// written by the older layout, which compacted and rotated its journal.
-// Open refuses it with ErrLegacyLayout and touches nothing in it.
+// The file name is the format marker. Every older journal format named its
+// files snap-*.snap or wal-*.seg; Open refuses a directory holding any such
+// file with ErrLegacyLayout, before it reads or truncates anything, and
+// touches nothing in it.
 //
 // The Hook option is the crash laboratory: tests inject clean crashes,
 // torn mid-record writes, and fsync failures at exact append counts
@@ -78,9 +79,9 @@ var ErrTornWrite = errors.New("journal: torn write injected")
 // out of sequence. Test with errors.Is.
 var ErrCorrupt = errors.New("journal: corrupt record")
 
-// ErrLegacyLayout marks a directory written by the older snapshotting,
-// segment-rotating journal. Test with errors.Is.
-var ErrLegacyLayout = errors.New("journal: directory uses the older snapshot/segment layout")
+// ErrLegacyLayout marks a directory written in an older journal format.
+// Test with errors.Is.
+var ErrLegacyLayout = errors.New("journal: directory holds an older journal format")
 
 // ErrClosed is returned by operations on a closed (or crash-failed)
 // journal.
@@ -100,10 +101,9 @@ type Options struct {
 }
 
 const (
-	// fileName is the journal file. It keeps the name the older layout gave
-	// its first segment, so a single-segment journal from that layout opens
-	// unchanged.
-	fileName    = "wal-0000000000000001.seg"
+	// fileName is the journal file. No older format used this name, so
+	// a journal under it was written in the format this package reads.
+	fileName    = "journal.wal"
 	headerBytes = 16
 	// maxRecordBytes bounds a frame's declared payload so a corrupt length
 	// field cannot drive a giant allocation.
@@ -204,9 +204,8 @@ func Open(dir string, opts Options) (*Journal, *OpenResult, error) {
 	return j, res, nil
 }
 
-// refuseLegacy fails with ErrLegacyLayout if dir holds a snapshot or any
-// segment but the journal file: the older layout's compaction state, which
-// this package no longer reads.
+// refuseLegacy fails with ErrLegacyLayout if dir holds a snapshot or a
+// segment: a journal in an older format, which this package does not read.
 func refuseLegacy(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -215,7 +214,7 @@ func refuseLegacy(dir string) error {
 	for _, e := range entries {
 		name := e.Name()
 		snap := strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap")
-		seg := strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg") && name != fileName
+		seg := strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg")
 		if snap || seg {
 			return fmt.Errorf("%w: found %s in %s; finish that campaign with the older binary, or start fresh in an empty directory",
 				ErrLegacyLayout, name, dir)
@@ -248,11 +247,11 @@ func create(dir, path string) (*os.File, error) {
 func (j *Journal) Append(data []byte) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.broken != nil {
-		return 0, j.broken
-	}
 	if j.closed {
 		return 0, ErrClosed
+	}
+	if j.broken != nil {
+		return 0, j.broken
 	}
 	if len(data) == 0 || len(data) > maxRecordBytes {
 		return 0, fmt.Errorf("journal: record of %d bytes (want 1..%d)", len(data), maxRecordBytes)

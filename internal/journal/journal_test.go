@@ -78,15 +78,12 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Chop `cut` bytes off the tail: a torn final record.
-		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-		if err != nil || len(segs) != 1 {
-			t.Fatalf("segments: %v, %v", segs, err)
-		}
-		st, err := os.Stat(segs[0])
+		path := filepath.Join(dir, fileName)
+		st, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Truncate(segs[0], st.Size()-int64(cut)); err != nil {
+		if err := os.Truncate(path, st.Size()-int64(cut)); err != nil {
 			t.Fatal(err)
 		}
 
@@ -269,9 +266,10 @@ func readDirFiles(t *testing.T, dir string) map[string]string {
 }
 
 // TestOpenRefusesDamageAndLegacyLayouts feeds Open directories it must
-// refuse — a record out of sequence, and the older layout's snapshot and
-// second segment — and requires the right error with every file left
-// byte-unchanged.
+// refuse — a record out of sequence, and the older formats' snapshot,
+// second segment and single segment — and requires the right error with
+// every file left byte-unchanged. The single segment ends in a torn frame,
+// so a refusal that came after torn-tail recovery would show as a change.
 func TestOpenRefusesDamageAndLegacyLayouts(t *testing.T) {
 	frames := func(seqs ...uint64) string {
 		var b bytes.Buffer
@@ -295,6 +293,9 @@ func TestOpenRefusesDamageAndLegacyLayouts(t *testing.T) {
 			fileName:                   frames(1, 2),
 			"wal-0000000000000003.seg": frames(3),
 		}, ErrLegacyLayout, "wal-0000000000000003.seg"},
+		{"single segment", map[string]string{
+			"wal-0000000000000001.seg": frames(1, 2) + frames(3)[:headerBytes],
+		}, ErrLegacyLayout, "wal-0000000000000001.seg"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
