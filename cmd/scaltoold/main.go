@@ -51,11 +51,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
-		workers    = fs.Int("workers", 0, "concurrent analyses (0 = GOMAXPROCS)")
+		workers    = fs.Int("workers", 0, "concurrent analyses (0 = the CPU budget, the GOMAXPROCS the daemon started with)")
 		queueDepth = fs.Int("queue-depth", 0, "admitted analyses waiting for a worker before shedding (0 = 2×workers)")
 		reqTimeout = fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request analysis deadline")
 		maxProcs   = fs.Int("max-procs", 64, "largest processor count a request may analyze")
-		simWorkers = fs.Int("sim-workers", 0, "concurrent simulated runs within one analysis (0 = GOMAXPROCS)")
+		simWorkers = fs.Int("sim-workers", 0, "concurrent simulated runs within one analysis (0 = the CPU budget, as for -workers)")
 		cacheMB    = fs.Int("cache-mb", 256, "run-cache byte budget in MiB (0 disables caching: no run cache and no response cache)")
 		cacheDir   = fs.String("cache-dir", "", "spill evicted run-cache entries to this directory")
 		maxS0MB    = fs.Int("max-s0-mb", 0, "largest dataset a request may declare, in MiB (0 = 256)")

@@ -321,3 +321,61 @@ func TestScaltooldBudgetFlags(t *testing.T) {
 		t.Fatal("daemon did not exit after SIGTERM")
 	}
 }
+
+// TestScaltooldProcsFollowWork: the daemon serves on one P. /metrics reads
+// scaltool_serve_procs 1 once it is up, and 1 again after a cold analysis,
+// which ran on the process's full CPU budget, has completed.
+func TestScaltooldProcsFollowWork(t *testing.T) {
+	ready := make(chan string, 1)
+	testOnReady = func(addr string) { ready <- addr }
+	defer func() { testOnReady = nil }()
+
+	var stdout, stderrBuf bytes.Buffer
+	exit := make(chan int, 1)
+	go func() {
+		exit <- realMain([]string{"-addr", "127.0.0.1:0", "-cache-mb", "64", "-log-level", "warn"}, &stdout, &stderrBuf)
+	}()
+	var addr string
+	select {
+	case addr = <-ready:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("server never became ready; stderr:\n%s", stderrBuf.String())
+	}
+	base := "http://" + addr
+	procs := func(when string) {
+		t.Helper()
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(string(b), "\nscaltool_serve_procs 1\n") {
+			t.Fatalf("%s: /metrics does not read scaltool_serve_procs 1:\n%s", when, b)
+		}
+	}
+
+	procs("after start-up")
+	resp, err := http.Post(base+"/v1/analyze", "application/json", strings.NewReader(`{"app":"hydro2d","procs":8}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold analysis: %d %s", resp.StatusCode, body)
+	}
+	procs("after a cold analysis")
+
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("exit code %d after SIGTERM; stderr:\n%s", code, stderrBuf.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not exit after SIGTERM")
+	}
+}

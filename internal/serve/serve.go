@@ -13,6 +13,11 @@
 // pricing or a queue slot; Options.Cache nil disables caching: no run cache
 // and no response cache.
 //
+// The process's P count follows its work (procs.go): the front end runs on
+// one P, and an analysis holding a worker slot runs on the CPU budget the
+// process started with, which Workers and SimWorkers default to.
+// scaltool_serve_procs reports the current count.
+//
 // The service assumes hostile clients (DESIGN.md §13). Its status-code
 // contract, in the order a request meets each gate:
 //
@@ -48,7 +53,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -73,7 +77,9 @@ const DefaultRequestTimeout = 60 * time.Second
 
 // Options configures a Server.
 type Options struct {
-	// Workers bounds concurrently executing analyses (0 = GOMAXPROCS).
+	// Workers bounds concurrently executing analyses (0 = the process's CPU
+	// budget: the GOMAXPROCS the first Server found, or the one an outside
+	// runtime.GOMAXPROCS call set since).
 	Workers int
 	// QueueDepth bounds analyses admitted beyond the executing ones, waiting
 	// for a worker (0 = 2×Workers). A request past Workers+QueueDepth is
@@ -82,10 +88,10 @@ type Options struct {
 	// RequestTimeout is the per-request deadline (0 = DefaultRequestTimeout).
 	RequestTimeout time.Duration
 	// SimWorkers bounds the concurrent runs inside one analysis that build,
-	// load a spill file or simulate (0 = GOMAXPROCS); runs answered from the
-	// run cache's memory run inline on the request's goroutine (see
-	// campaign.Runner.Workers). With several analysis workers a smaller value
-	// keeps one big campaign from starving the rest.
+	// load a spill file or simulate (0 = the CPU budget, as for Workers);
+	// runs answered from the run cache's memory run inline on the request's
+	// goroutine (see campaign.Runner.Workers). With several analysis workers
+	// a smaller value keeps one big campaign from starving the rest.
 	SimWorkers int
 	// Budget bounds what a request, and the server in aggregate, may cost
 	// (zero fields take the admission defaults).
@@ -111,7 +117,8 @@ type Server struct {
 	draining   atomic.Bool
 	inflight   sync.WaitGroup
 
-	mux *http.ServeMux
+	mux   *http.ServeMux
+	procs *obs.Gauge // scaltool_serve_procs; nil without metrics
 
 	// testHookRun, when set, runs while the worker slot is held, before the
 	// analysis — tests block here to hold the pool at a known occupancy.
@@ -120,8 +127,12 @@ type Server struct {
 
 // New builds a Server.
 func New(opts Options) *Server {
+	s := &Server{opts: opts}
+	mt := s.meter()
+	s.procs = mt.Gauge("scaltool_serve_procs", "GOMAXPROCS: the CPU budget while an analysis executes, 1 otherwise")
+	ceiling := gov.track(0, s.procs)
 	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
+		opts.Workers = ceiling
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 2 * opts.Workers
@@ -129,18 +140,16 @@ func New(opts Options) *Server {
 	// Resolved here, not left to campaign.Runner, so admission prices the
 	// concurrency the runner will use.
 	if opts.SimWorkers <= 0 {
-		opts.SimWorkers = runtime.GOMAXPROCS(0)
+		opts.SimWorkers = ceiling
 	}
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = DefaultRequestTimeout
 	}
-	s := &Server{
-		opts:       opts,
-		workers:    make(chan struct{}, opts.Workers),
-		admitted:   make(chan struct{}, opts.Workers+opts.QueueDepth),
-		ledger:     admission.NewLedger(opts.Budget),
-		quarantine: newFIFO[string](quarantineCapacity),
-	}
+	s.opts = opts
+	s.workers = make(chan struct{}, opts.Workers)
+	s.admitted = make(chan struct{}, opts.Workers+opts.QueueDepth)
+	s.ledger = admission.NewLedger(opts.Budget)
+	s.quarantine = newFIFO[string](quarantineCapacity)
 	if opts.Cache != nil {
 		s.responses = newFIFO[[]byte](responseCacheCapacity)
 	}
@@ -150,6 +159,12 @@ func New(opts Options) *Server {
 		{s: s, path: "/v1/diagnose", keyPrefix: "diag:", minProcs: 2, price: admission.Budget.EstimateDiagnoseContext,
 			run: (*Server).diagnose},
 	} {
+		// Resolved once, so a cached answer takes no registry lock.
+		rt.ok = mt.Counter(requestsTotal, requestsHelp, "route", rt.path, "code", "200")
+		rt.seconds = mt.RequestSeconds(rt.path)
+		if s.responses != nil {
+			rt.hit, rt.miss = mt.ResponseCache(rt.path, "hit"), mt.ResponseCache(rt.path, "miss")
+		}
 		s.mux.Handle(rt.path, rt)
 	}
 	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
@@ -201,14 +216,18 @@ func (s *Server) obsContext(ctx context.Context) context.Context {
 	return obs.NewContext(ctx, s.opts.Obs)
 }
 
+const (
+	requestsTotal = "scaltool_serve_requests_total"
+	requestsHelp  = "API requests by route and status code"
+)
+
 // countRequest records one finished request in the metrics.
 func (s *Server) countRequest(route string, code int, start time.Time) {
 	mt := s.meter()
 	if mt == nil {
 		return
 	}
-	mt.Counter("scaltool_serve_requests_total", "API requests by route and status code",
-		"route", route, "code", strconv.Itoa(code)).Inc()
+	mt.Counter(requestsTotal, requestsHelp, "route", route, "code", strconv.Itoa(code)).Inc()
 	mt.RequestSeconds(route).Observe(time.Since(start).Seconds())
 }
 
@@ -283,6 +302,12 @@ type route struct {
 	price func(admission.Budget, context.Context, machine.Config, apps.App, campaign.Plan, int) (admission.Cost, *admission.Rejection)
 	// run executes an admitted request and returns the value to encode.
 	run func(*Server, context.Context, *Request, *resolved) (any, error)
+
+	// Instruments resolved in New (nil without metrics; hit and miss also
+	// nil without the response cache): requests_total{code="200"}, the
+	// route's request_seconds, and its response-cache outcomes.
+	ok, hit, miss *obs.Counter
+	seconds       *obs.Histogram
 }
 
 // ServeHTTP serves one request on the route.
@@ -297,7 +322,12 @@ func (rt *route) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, code, ecode, "%s", err)
 	}
-	rt.s.countRequest(rt.path, code, start)
+	if code != http.StatusOK {
+		rt.s.countRequest(rt.path, code, start)
+		return
+	}
+	rt.ok.Inc()
+	rt.seconds.Observe(time.Since(start).Seconds())
 }
 
 // decodeRequest decodes and gates one request document, with the shared
@@ -378,9 +408,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost admission.Co
 		release()
 		return nil, nil, rej.Status, rej.Code, rej
 	}
-	undo = append(undo, func() { s.ledger.Release(cost) })
+	// Undone in reverse: the release runs first, so the gauges publish the
+	// occupancy without this request.
+	undo = append(undo, s.publishLedger, func() { s.ledger.Release(cost) })
 	s.publishLedger()
-	undo = append(undo, s.publishLedger)
 
 	s.inflight.Add(1)
 	undo = append(undo, s.inflight.Done)
@@ -408,6 +439,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost admission.Co
 			fmt.Errorf("timed out waiting for a worker: %v", ctx.Err())
 	}
 	undo = append(undo, func() { <-s.workers })
+	gov.track(1, s.procs)
+	undo = append(undo, func() { gov.track(-1, s.procs) })
 
 	if mt := s.meter(); mt != nil {
 		g := mt.Gauge("scaltool_serve_inflight", "analyses currently executing")
@@ -444,18 +477,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt *route, rid st
 			fmt.Errorf("an identical request previously crashed the %s pipeline (%s); refusing to repeat it", rt.path, reason)
 	}
 	if s.responses != nil {
-		body, ok := s.responses.get(key)
-		if mt := s.meter(); mt != nil {
-			outcome := "miss"
-			if ok {
-				outcome = "hit"
-			}
-			mt.ResponseCache(rt.path, outcome).Inc()
-		}
-		if ok {
+		if body, ok := s.responses.get(key); ok {
+			rt.hit.Inc()
 			writeBody(w, body)
 			return http.StatusOK, "", nil
 		}
+		rt.miss.Inc()
 	}
 
 	// Validation and admission: semantic checks (422), then predicted cost

@@ -472,3 +472,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmissionGaugesClearAfterRequest: the ledger occupancy gauges publish
+// what is still admitted, so once a served analysis finishes they read 0.
+func TestAdmissionGaugesClearAfterRequest(t *testing.T) {
+	_, ts, mt := newTestServer(t, Options{Workers: 1})
+	if resp, body := postAnalyze(t, ts.URL, analyzeBody("swim", 4)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if c, b := mt.AdmittedCycles().Value(), mt.AdmittedBytes().Value(); c != 0 || b != 0 {
+		t.Fatalf("after the analysis: scaltool_admission_inflight_cycles %g, _bytes %g, want 0", c, b)
+	}
+}

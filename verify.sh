@@ -44,8 +44,8 @@ go test -run '^$' -fuzz FuzzProgramAdmission -fuzztime 10s ./internal/admission/
 go test -run '^$' -fuzz FuzzAnalyzeRequest -fuzztime 10s ./internal/serve/
 go test -run '^$' -fuzz FuzzDecodeSpillFrame -fuzztime 10s ./internal/runcache/
 
-echo "==> serving e2e (scaltoold: bind, concurrent cached analyses, SIGTERM drain; budget flags; atomic trace flush)"
-go test -run 'TestScaltooldServeE2E|TestScaltooldBudgetFlags|TestScaltooldTraceFlush' ./cmd/scaltoold/
+echo "==> serving e2e (scaltoold: bind, concurrent cached analyses, SIGTERM drain; budget flags; atomic trace flush; one P outside executing analyses)"
+go test -run 'TestScaltooldServeE2E|TestScaltooldBudgetFlags|TestScaltooldTraceFlush|TestScaltooldProcsFollowWork' ./cmd/scaltoold/
 
 echo "==> diagnosis e2e gate (/v1/diagnose: deterministic ranked culprits tiling the scaling loss, under the race detector)"
 go test -run 'TestDiagnose' -race ./internal/diagnose/... ./internal/serve/...
