@@ -21,8 +21,8 @@ echo "==> benchmark harness against this tree (perfbench is its own module, so g
 echo "==> go test -race (sim, campaign, obs, journal, recipe; the campaign's chaos tests run in their own gates below)"
 go test -race -skip 'TestChaos' ./internal/sim/... ./internal/campaign/... ./internal/obs/... ./internal/journal/... ./internal/recipe/...
 
-echo "==> byte-identity gate (golden SHA-256 of Result.Encode, app-set x proc-count matrix, under the race detector; goldens are never regenerated)"
-go test -run 'TestSimByteIdentity|TestSimRepeatDeterminism' -race .
+echo "==> byte-identity gate (golden SHA-256 of Result.Encode: the app-set x proc-count matrix and the p32/MSI/TinyTest/generated-shape cells, under the race detector; goldens are never regenerated)"
+go test -run 'TestSimByteIdentity|TestSimShapesByteIdentity|TestSimRepeatDeterminism' -race .
 
 echo "==> chaos smoke (fault-injected campaigns under the race detector)"
 go test -run Chaos -skip 'Chaos.*Resume' -race ./internal/campaign/...
