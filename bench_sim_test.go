@@ -5,7 +5,9 @@ package scaltool_test
 // behavior are visible without serving-path noise. Each case runs with the
 // observer off (a bare context) and on (a live tracer and metrics registry,
 // as a traced CLI campaign has), so the pair also bounds the observability
-// layer's hot-path overhead:
+// layer's hot-path overhead. The 32-processor cases keep the per-region
+// path (page homes, lane scheduling, directory merge) visible beside the
+// per-access one:
 //
 //	go test -bench 'SimRun/swim/p8' -benchtime 20x .
 
@@ -29,6 +31,10 @@ func BenchmarkSimRun(b *testing.B) {
 		{"swim", 8},
 		{"hydro2d", 8},
 		{"swim", 1},
+		// Heavy per region: 531 regions x 32 lanes, each region ending in a
+		// directory merge and an invalidation pass.
+		{"t3dheat", 32},
+		{"hydro2d", 32},
 	} {
 		app, err := apps.ByName(bc.app)
 		if err != nil {

@@ -1,22 +1,21 @@
 package cache
 
 // lineFlags is an open-addressed hash table from L2 line number to a small
-// flag byte. It replaces the Hierarchy's former everCached/invalidated
-// map[uint64]struct{} pair with a single flat probe on the miss-
-// classification path: one table, one lookup, zero steady-state allocation
-// once grown, and a Reset that recycles the backing arrays for the pooled
-// run arena.
+// flag set, the per-line history the miss classifier reads: one table, one
+// lookup, zero steady-state allocation once grown, and a Reset that
+// recycles the backing array for the pooled run arena.
 //
-// Lines are only ever added (flagEverCached never clears), so the table
-// needs no tombstones: a slot is occupied iff its flag byte is non-zero.
-// Linear probing with a power-of-two capacity and the same splitmix64
-// finalizer the cache uses for physical-index emulation keeps probe chains
-// short at the 7/8 load bound.
+// Each cell packs a line and its flags into one word (line<<2 | flags), so
+// a probe touches one host cache line, not a key array and a parallel value
+// array. Lines are only ever added (flagEverCached never clears), so the
+// table needs no tombstones: a cell is occupied iff its flag bits are
+// non-zero. Linear probing from a Fibonacci hash — one multiply, and it
+// spreads the contiguous line ranges of array sweeps evenly — keeps probe
+// chains short at the 7/8 load bound.
 type lineFlags struct {
-	keys []uint64
-	vals []uint8
-	mask uint64
-	n    int // occupied slots
+	cells []uint64
+	shift uint // 64 - log2(len(cells))
+	n     int  // occupied cells
 }
 
 // Flag bits. flagEverCached marks lines this processor has ever held;
@@ -25,64 +24,56 @@ type lineFlags struct {
 const (
 	flagEverCached  uint8 = 1 << 0
 	flagInvalidated uint8 = 1 << 1
+	flagBits              = 2
 )
 
 const lineFlagsMinCap = 1024
 
 func newLineFlags() lineFlags {
-	return lineFlags{
-		keys: make([]uint64, lineFlagsMinCap),
-		vals: make([]uint8, lineFlagsMinCap),
-		mask: lineFlagsMinCap - 1,
-	}
+	return lineFlags{cells: make([]uint64, lineFlagsMinCap), shift: 64 - 10}
 }
 
-// slot returns the index of line's slot, or of the empty slot where it
+// slot returns the index of line's cell, or of the empty cell where it
 // would be inserted.
-func (f *lineFlags) slot(line uint64) uint64 {
-	i := mix64(line) & f.mask
-	for f.vals[i] != 0 && f.keys[i] != line {
-		i = (i + 1) & f.mask
+func (f *lineFlags) slot(line uint64) int {
+	mask := len(f.cells) - 1
+	i := int(line * 0x9e3779b97f4a7c15 >> f.shift)
+	for c := f.cells[i]; c != 0 && c>>flagBits != line; c = f.cells[i] {
+		i = (i + 1) & mask
 	}
 	return i
 }
 
-// get returns the flag byte of line (0 if never seen).
-func (f *lineFlags) get(line uint64) uint8 { return f.vals[f.slot(line)] }
-
 // or sets the given flag bits on line, inserting it if new.
 func (f *lineFlags) or(line uint64, bits uint8) {
-	i := f.slot(line)
-	if f.vals[i] == 0 {
-		if f.n+1 >= len(f.keys)-len(f.keys)/8 {
-			f.grow()
-			i = f.slot(line)
-		}
-		f.keys[i] = line
-		f.n++
-	}
-	f.vals[i] |= bits
+	i := f.claim(line)
+	f.cells[i] |= line<<flagBits | uint64(bits)
 }
 
 // missClassify returns line's flags as they stood before this miss and
-// leaves the slot holding exactly flagEverCached — the state every miss
-// classification used to reach via a get plus an or plus (for coherence
-// misses) a clearBits, but in one probe instead of two or three. The probe
-// is a dependent random-index load, so on large footprints each call is a
-// real cache miss; this is the L2-miss path's single hottest table.
+// leaves the cell holding exactly flagEverCached — a get plus an or plus
+// (for coherence misses) a clear, in one probe. The probe is a dependent
+// random-index load, so on large footprints each call is a real host cache
+// miss; this is the L2-miss path's single hottest table.
 func (f *lineFlags) missClassify(line uint64) uint8 {
+	i := f.claim(line)
+	prev := uint8(f.cells[i] & (1<<flagBits - 1))
+	f.cells[i] = line<<flagBits | uint64(flagEverCached)
+	return prev
+}
+
+// claim returns line's cell, counting it (and growing first if the table
+// is at its load bound) when the line is new.
+func (f *lineFlags) claim(line uint64) int {
 	i := f.slot(line)
-	prev := f.vals[i]
-	if prev == 0 {
-		if f.n+1 >= len(f.keys)-len(f.keys)/8 {
+	if f.cells[i] == 0 {
+		if f.n+1 >= len(f.cells)-len(f.cells)/8 {
 			f.grow()
 			i = f.slot(line)
 		}
-		f.keys[i] = line
 		f.n++
 	}
-	f.vals[i] = flagEverCached
-	return prev
+	return i
 }
 
 // count returns the number of tracked lines.
@@ -90,26 +81,17 @@ func (f *lineFlags) count() int { return f.n }
 
 // reset empties the table, keeping capacity.
 func (f *lineFlags) reset() {
-	clear(f.vals)
+	clear(f.cells)
 	f.n = 0
 }
 
 func (f *lineFlags) grow() {
-	oldKeys, oldVals := f.keys, f.vals
-	cap2 := len(oldKeys) * 2
-	f.keys = make([]uint64, cap2)
-	f.vals = make([]uint8, cap2)
-	f.mask = uint64(cap2 - 1)
-	for i, v := range oldVals {
-		if v == 0 {
-			continue
+	old := f.cells
+	f.cells = make([]uint64, 2*len(old))
+	f.shift--
+	for _, c := range old {
+		if c != 0 {
+			f.cells[f.slot(c>>flagBits)] = c
 		}
-		k := oldKeys[i]
-		j := mix64(k) & f.mask
-		for f.vals[j] != 0 {
-			j = (j + 1) & f.mask
-		}
-		f.keys[j] = k
-		f.vals[j] = v
 	}
 }

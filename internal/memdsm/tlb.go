@@ -11,47 +11,59 @@ import "scaltool/internal/assert"
 // §5: "perfex outputs the number of data and instruction misses in the
 // caches and the number of TLB misses").
 //
-// LRU is kept with per-slot timestamps instead of a move-to-front list:
-// a hit stores one stamp (no memmove of the whole slot array), the common
-// repeat-same-page case short-circuits through a one-slot memo, and only
-// the rare miss pays an O(entries) scan for the minimum stamp. Stamps are
-// strictly increasing, so the victim is exactly the least recently used
-// page — byte-identical behavior to the list implementation it replaces.
+// LRU order is an intrusive doubly linked list over the slots, most
+// recently used first, and a small open-addressed index maps a page to its
+// slot, so every operation is O(1): a repeat of the most recent page is
+// one compare against the list head and changes nothing, any other hit
+// unlinks its slot and pushes it to the head, and a miss reuses the tail
+// slot, which is exactly the least recently used page.
 type TLB struct {
 	entries int
 	pages   []uint64 // slot → page, slots [0,used)
-	stamps  []uint64 // slot → last-access clock tick
-	used    int
-	clock   uint64
-	last    int // slot of the previous hit, -1 initially (repeat-page memo)
+	prev    []int32  // slot → more recently used slot, -1 at the head
+	next    []int32  // slot → less recently used slot, -1 at the tail
+	head    int32    // most recently used slot, -1 when empty
+	tail    int32    // least recently used slot, -1 when empty
+	mru     uint64   // page+1 of the head slot, 0 when empty
+	used    int32
 	misses  uint64
+
+	// index maps page+1 (0 marks a free cell) to its slot, with linear
+	// probing at a load of at most 1/4 and backward-shift deletion.
+	keys  []uint64
+	slots []int32
+	shift uint // 64 - log2(len(keys)), for Fibonacci hashing
 }
 
 // NewTLB creates a TLB with the given entry count (0 disables: every access
 // hits).
 func NewTLB(entries int) *TLB {
-	assert.True(entries >= 0, "memdsm: negative TLB entries %d", entries)
+	assert.True(entries >= 0 && entries < 1<<30, "memdsm: bad TLB entries %d", entries)
+	cells, shift := 4, uint(62)
+	for cells < 4*entries {
+		cells <<= 1
+		shift--
+	}
 	return &TLB{
 		entries: entries,
 		pages:   make([]uint64, entries),
-		stamps:  make([]uint64, entries),
-		last:    -1,
+		prev:    make([]int32, entries),
+		next:    make([]int32, entries),
+		head:    -1,
+		tail:    -1,
+		keys:    make([]uint64, cells),
+		slots:   make([]int32, cells),
+		shift:   shift,
 	}
 }
 
-// HitLast is Access's repeat-page memo split out small enough to inline
-// into the simulator's per-access loop: if page matches the previous hit's
-// slot it performs exactly the clock and stamp updates Access would and
-// reports the hit, saving the call. On false the caller must run the full
-// Access, which re-checks the memo harmlessly (a disabled TLB reports false
-// here and hits in Access).
+// HitLast reports whether page is the most recently used page — small
+// enough to inline into the simulator's per-access loop, and, since a
+// repeat of the head changes no LRU state, exactly what Access would do
+// for it. On false the caller must run Access (a disabled TLB reports
+// false here and hits in Access).
 func (t *TLB) HitLast(page uint64) bool {
-	if t.entries != 0 && t.last >= 0 && t.pages[t.last] == page {
-		t.clock++
-		t.stamps[t.last] = t.clock
-		return true
-	}
-	return false
+	return t.mru == page+1
 }
 
 // Access looks up a page, updating LRU order; it returns true on a hit.
@@ -60,73 +72,111 @@ func (t *TLB) Access(page uint64) bool {
 	if t.entries == 0 {
 		return true
 	}
-	t.clock++
-	if t.last >= 0 && t.pages[t.last] == page {
-		t.stamps[t.last] = t.clock
+	if t.HitLast(page) {
 		return true
 	}
-	for i := 0; i < t.used; i++ {
-		if t.pages[i] == page {
-			t.stamps[i] = t.clock
-			t.last = i
-			return true
-		}
+	if s := t.find(page); s >= 0 {
+		t.unlink(s)
+		t.pushFront(s)
+		return true
 	}
 	t.misses++
-	slot := t.used
-	if t.used < t.entries {
+	s := t.used
+	if int(t.used) < t.entries {
 		t.used++
 	} else {
-		// Evict the least recently used page (unique minimum stamp).
-		slot = 0
-		for i := 1; i < t.used; i++ {
-			if t.stamps[i] < t.stamps[slot] {
-				slot = i
-			}
-		}
+		s = t.tail
+		t.unlink(s)
+		t.remove(t.pages[s])
 	}
-	t.pages[slot] = page
-	t.stamps[slot] = t.clock
-	t.last = slot
+	t.pages[s] = page
+	t.insert(page, s)
+	t.pushFront(s)
 	return false
 }
 
-// Tick records a guaranteed repeat-page hit: the caller has proven (e.g. via
-// the cache hierarchy's same-line memo) that this access touches the same
-// page as the previous one, whose slot t.last still points at. It performs
-// exactly the clock and stamp updates Access's memo path would — inlineable,
-// so the simulator's fast path pays no call.
-func (t *TLB) Tick() {
-	if t.entries == 0 {
-		return
-	}
-	t.clock++
-	t.stamps[t.last] = t.clock
+// cell returns page's home cell in the index.
+func (t *TLB) cell(page uint64) int {
+	return int((page + 1) * 0x9e3779b97f4a7c15 >> t.shift)
 }
 
-// TickN is k consecutive Ticks in one call: the intermediate stamps would
-// all be overwritten by the last one (t.last cannot change between Ticks),
-// so only the final clock value needs storing. Byte-identical to calling
-// Tick k times.
-func (t *TLB) TickN(k uint64) {
-	if t.entries == 0 || k == 0 {
-		return
+// find returns page's slot, or -1.
+func (t *TLB) find(page uint64) int32 {
+	mask := len(t.keys) - 1
+	for i := t.cell(page); t.keys[i] != 0; i = (i + 1) & mask {
+		if t.keys[i] == page+1 {
+			return t.slots[i]
+		}
 	}
-	t.clock += k
-	t.stamps[t.last] = t.clock
+	return -1
+}
+
+// insert indexes a page that is not resident.
+func (t *TLB) insert(page uint64, s int32) {
+	mask := len(t.keys) - 1
+	i := t.cell(page)
+	for t.keys[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.keys[i], t.slots[i] = page+1, s
+}
+
+// remove drops a resident page from the index, shifting later cells of
+// its probe run back so no lookup chain is broken.
+func (t *TLB) remove(page uint64) {
+	mask := len(t.keys) - 1
+	i := t.cell(page)
+	for t.keys[i] != page+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; t.keys[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i only if its home cell does
+		// not lie cyclically in (i, j].
+		if home := t.cell(t.keys[j] - 1); (j-home)&mask >= (j-i)&mask {
+			t.keys[i], t.slots[i] = t.keys[j], t.slots[j]
+			i = j
+		}
+	}
+	t.keys[i] = 0
+}
+
+func (t *TLB) unlink(s int32) {
+	p, n := t.prev[s], t.next[s]
+	if p >= 0 {
+		t.next[p] = n
+	} else {
+		t.head = n
+	}
+	if n >= 0 {
+		t.prev[n] = p
+	} else {
+		t.tail = p
+	}
+}
+
+func (t *TLB) pushFront(s int32) {
+	t.prev[s], t.next[s] = -1, t.head
+	if t.head >= 0 {
+		t.prev[t.head] = s
+	} else {
+		t.tail = s
+	}
+	t.head = s
+	t.mru = t.pages[s] + 1
 }
 
 // Misses returns the cumulative miss count.
 func (t *TLB) Misses() uint64 { return t.misses }
 
 // Resident returns the number of cached translations.
-func (t *TLB) Resident() int { return t.used }
+func (t *TLB) Resident() int { return int(t.used) }
 
-// Reset empties the TLB and zeroes its miss counter, reusing the slot
-// arrays — the pooled run arena's path back to a fresh TLB.
+// Reset empties the TLB and zeroes its miss counter, reusing the slot and
+// index arrays — the pooled run arena's path back to a fresh TLB.
 func (t *TLB) Reset() {
 	t.used = 0
-	t.clock = 0
-	t.last = -1
+	t.head, t.tail = -1, -1
+	t.mru = 0
 	t.misses = 0
+	clear(t.keys)
 }
