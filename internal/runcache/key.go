@@ -46,8 +46,7 @@ const keyVersion = 1
 // savings. TestKeyCoversConfig pins the machine.Config field census so a new
 // config field cannot be forgotten here silently.
 func KeyFor(cfg machine.Config, prog *sim.Program) Key {
-	h := sha256.New()
-	w := keyWriter{h: h}
+	w := keyWriter{h: sha256.New()}
 	w.u64(keyVersion)
 
 	// machine.Config, field by field.
@@ -113,20 +112,32 @@ func KeyFor(cfg machine.Config, prog *sim.Program) Key {
 		}
 	}
 
+	w.flush()
 	var k Key
-	h.Sum(k[:0])
+	w.h.Sum(k[:0])
 	return k
 }
 
-// keyWriter streams canonical primitives into the digest.
+// keyWriter streams canonical primitives into the digest through a 4 KiB
+// buffer: one hash Write per buffer, not one per 8-byte field. The digest
+// is that of the same byte stream (TestKeyPinned holds it to that).
 type keyWriter struct {
 	h   hash.Hash
-	buf [8]byte
+	buf [4096]byte
+	n   int
 }
 
 func (w *keyWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
+}
+
+func (w *keyWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
 }
 
 func (w *keyWriter) i64(v int64) { w.u64(uint64(v)) }
@@ -135,7 +146,14 @@ func (w *keyWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
 
 func (w *keyWriter) str(s string) {
 	w.u64(uint64(len(s)))
-	w.h.Write([]byte(s))
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], s)
+		w.n += c
+		s = s[c:]
+	}
 }
 
 func (w *keyWriter) cache(c machine.CacheConfig) {

@@ -138,7 +138,7 @@ func TestRetryAfterUsesObservedRate(t *testing.T) {
 	errs := make(chan error, 2)
 	for _, doc := range []string{
 		`{"app":"swim","procs":4,"raw_tm":true}`,
-		`{"app":"swim","procs":4,"machine":"origin"}`,
+		`{"app":"hydro2d","procs":4}`,
 	} {
 		go func() {
 			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(doc))

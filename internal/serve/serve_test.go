@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -411,7 +410,7 @@ func TestRequestValidation(t *testing.T) {
 // allocation for that many, not for the single worker the estimator clamps
 // a 0 to.
 func TestDefaultSimWorkersPricing(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	atCeiling(t, 4)
 	const workers = 4
 	s := New(Options{Workers: 1})
 	stop := admission.Reject(http.StatusRequestEntityTooLarge, "priced", "test stops after pricing")
