@@ -64,6 +64,7 @@ import (
 	"scaltool/internal/campaign"
 	"scaltool/internal/machine"
 	"scaltool/internal/obs"
+	"scaltool/internal/recipe"
 	"scaltool/internal/runcache"
 )
 
@@ -375,9 +376,10 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req *Requ
 // slot, in-flight gauge — and returns the execution context plus a release
 // function undoing all of it in LIFO order (exactly the defer order the
 // gates would have as inline defers). On refusal the partial state is
-// already undone and release is nil. rid is the request's trace identity,
-// installed on the context for every span and log line downstream.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost admission.Cost, rid string) (context.Context, func(), int, string, error) {
+// already undone and release is nil. The execution context derives from
+// parent. rid is the request's trace identity, installed on the context
+// for every span and log line downstream.
+func (s *Server) admit(parent context.Context, w http.ResponseWriter, cost admission.Cost, rid string) (context.Context, func(), int, string, error) {
 	// Admission: a slot in the bounded queue, or immediate shedding. The
 	// queue is not worth waiting for — a client retry later IS the queue.
 	select {
@@ -417,7 +419,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost admission.Co
 	undo = append(undo, s.inflight.Done)
 	undo = append(undo, func() { s.drain.observe(time.Now()) })
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+	ctx, cancel := context.WithTimeout(parent, s.opts.RequestTimeout)
 	undo = append(undo, cancel)
 	ctx = s.obsContext(ctx)
 	if rid != "" {
@@ -492,13 +494,16 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt *route, rid st
 		s.countRejection(rej.Status)
 		return rej.Status, rej.Code, rej
 	}
-	cost, rej := s.estimate(r.Context(), rt, rv)
+	// The programs pricing builds on first sight ride to this request's
+	// runs in a hold on its context, and go with the request.
+	hctx := recipe.WithHold(r.Context())
+	cost, rej := s.estimate(hctx, rt, rv)
 	if rej != nil {
 		s.countRejection(rej.Status)
 		return rej.Status, rej.Code, rej
 	}
 
-	ctx, release, code, ecode, err := s.admit(w, r, cost, rid)
+	ctx, release, code, ecode, err := s.admit(hctx, w, cost, rid)
 	if err != nil {
 		return code, ecode, err
 	}
