@@ -93,25 +93,34 @@ func BenchmarkAblationProtocolMSI(b *testing.B)   { benchExperiment(b, "abl-prot
 
 // --- substrate microbenchmarks ---------------------------------------------
 
-// BenchmarkCacheHierarchyAccess measures the simulator's per-access cost on
-// an L2-resident working set (the hot path of every campaign).
+// BenchmarkCacheHierarchyAccess measures one access through the steps the
+// simulator's lane calls — MemoHit, then Lookup, then on a miss in both
+// levels Fill with the state the directory would grant — on a working set
+// half the L2's size, swept in 8-byte words with every eighth access a
+// store. Most accesses are memo hits; every L1 line's first access runs
+// Lookup and, after the first sweep, hits L2. It times the hierarchy alone:
+// no TLB, no directory, no cycle costs.
 func BenchmarkCacheHierarchyAccess(b *testing.B) {
 	cfg := machine.ScaledOrigin()
 	h := cache.NewHierarchy(cfg)
-	fill := func(_ uint64, write bool) cache.State {
-		if write {
-			return cache.Modified
-		}
-		return cache.Exclusive
-	}
 	span := uint64(cfg.L2.SizeBytes / 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var addr uint64
 	for i := 0; i < b.N; i++ {
-		h.Access(addr, i&7 == 0, fill)
+		write := i&7 == 0
+		if !h.MemoHit(addr, write) {
+			if lvl, _ := h.Lookup(addr, write); lvl == cache.MissAll {
+				st := cache.Exclusive
+				if write {
+					st = cache.Modified
+				}
+				h.Fill(addr, write, st)
+			}
+		}
 		addr = (addr + 8) % span
 	}
+	h.AddAccesses(uint64(b.N))
 }
 
 // BenchmarkDirectoryMerge measures region-merge throughput with 32

@@ -230,16 +230,10 @@ func (c *Cache) Lookup(line uint64) (State, bool) {
 	return Invalid, false
 }
 
-// Touch moves a resident line to MRU position and returns its state. The
-// second result is false if the line is not resident.
-func (c *Cache) Touch(line uint64) (State, bool) {
-	st, ok, _ := c.probeAt(c.base(line), line)
-	return st, ok
-}
-
-// probeAt is Touch with a precomputed set base, the probe and the MRU
-// reorder fused into one pass (an MRU hit — the dominant case — moves
-// nothing). On a miss it also reports the first free slot of the set
+// probeAt probes the set at base b for line and, on a hit, moves the line
+// to MRU — the probe and the reorder fused into one pass (an MRU hit, the
+// dominant case, moves nothing). It returns the line's state and whether it
+// is resident. On a miss it also reports the first free slot of the set
 // (b+assoc when the set is full), so a following installAt need not
 // rescan; on a hit the slot result is meaningless.
 func (c *Cache) probeAt(b int, line uint64) (State, bool, int) {
@@ -277,19 +271,8 @@ func (c *Cache) installAt(b, free int, line uint64, st State) (ev Eviction, evic
 	return ev, evicted
 }
 
-// SetState changes the state of a resident line (e.g. S→M on a write
-// upgrade). It panics if the line is not resident: callers must have just
-// observed it via Lookup/Touch.
-func (c *Cache) SetState(line uint64, st State) {
-	if i := c.find(line, c.base(line)); i >= 0 {
-		c.setSlotState(i, st)
-		return
-	}
-	assert.Failf("cache: SetState on non-resident line %#x", line)
-}
-
 // setStateIfResident changes a line's state if resident, reporting whether
-// it was — one probe where a Lookup-then-SetState pair would take two.
+// it was. It does not touch LRU order.
 func (c *Cache) setStateIfResident(line uint64, st State) bool {
 	if i := c.find(line, c.base(line)); i >= 0 {
 		c.setSlotState(i, st)
@@ -298,59 +281,10 @@ func (c *Cache) setStateIfResident(line uint64, st State) bool {
 	return false
 }
 
-// Eviction describes a line displaced by Insert.
+// Eviction describes a line displaced by installAt.
 type Eviction struct {
 	Line  uint64
 	State State
-}
-
-// Insert places a line at MRU in the given state, evicting the LRU way of
-// the set if it is full. The evicted line, if any, is returned (callers use
-// it to maintain L2→L1 inclusion and to count writebacks of Modified lines).
-// Inserting an already-resident line just refreshes state and LRU order.
-func (c *Cache) Insert(line uint64, st State) (ev Eviction, evicted bool) {
-	return c.insertAt(c.base(line), line, st)
-}
-
-// insertAt is Insert with a precomputed set base. The residency probe and
-// the free-slot count are one scan (occupied ways are compacted to the
-// front, so the first Invalid slot ends both questions at once).
-func (c *Cache) insertAt(b int, line uint64, st State) (ev Eviction, evicted bool) {
-	if st == Invalid {
-		assert.Failf("cache: Insert with Invalid state")
-	}
-	want := packSlot(line, 0)
-	packed := packSlot(line, st)
-	end := b + c.assoc
-	i := b
-	for ; i < end; i++ {
-		s := c.slots[i]
-		if slotEmpty(s) {
-			break // not resident; i is the first free slot
-		}
-		if s&^uint64(1<<stateBits-1) == want {
-			// Already resident: refresh state and LRU order.
-			c.toFront(b, i)
-			c.slots[b] = packed
-			return Eviction{}, false
-		}
-	}
-	if i < end {
-		// Shift the occupied ways down one slot and install at MRU.
-		for j := i; j > b; j-- {
-			c.slots[j] = c.slots[j-1]
-		}
-		c.slots[b] = packed
-		c.resident++
-		return Eviction{}, false
-	}
-	last := end - 1
-	victim := Eviction{Line: slotLine(c.slots[last]), State: slotState(c.slots[last])}
-	for j := last; j > b; j-- {
-		c.slots[j] = c.slots[j-1]
-	}
-	c.slots[b] = packed
-	return victim, true
 }
 
 // Invalidate removes a line if resident, returning its prior state. This is
@@ -411,23 +345,8 @@ func (c *Cache) ForEach(fn func(line uint64, st State)) {
 	}
 }
 
-// Flush empties the cache, returning the number of Modified lines dropped
-// (writebacks).
-func (c *Cache) Flush() int {
-	dirty := 0
-	for i, s := range c.slots {
-		if slotState(s) == Modified {
-			dirty++
-		}
-		c.slots[i] = 0
-	}
-	c.resident = 0
-	return dirty
-}
-
-// Reset empties the cache without counting writebacks — the pooled run
-// arena's path back to a provably fresh cache. Equivalent to New for every
-// observable behavior.
+// Reset empties the cache — the pooled run arena's path back to a provably
+// fresh cache. Equivalent to New for every observable behavior.
 func (c *Cache) Reset() {
 	clear(c.slots)
 	c.resident = 0

@@ -13,12 +13,32 @@ func tinyCache() *Cache {
 	return New(machine.CacheConfig{SizeBytes: 128, LineBytes: 16, Assoc: 2}, 64)
 }
 
+// probe is probeAt on line's own set: the hit/miss half of an access, as
+// the hierarchy runs it. On a miss it also returns the set base and first
+// free slot install takes.
+func probe(c *Cache, line uint64) (st State, ok bool, b, free int) {
+	b = c.base(line)
+	st, ok, free = c.probeAt(b, line)
+	return st, ok, b, free
+}
+
+// install is the miss half of an access: probe, then installAt the free slot
+// the probe reported. The line must not be resident.
+func install(t testing.TB, c *Cache, line uint64, st State) (Eviction, bool) {
+	t.Helper()
+	_, ok, b, free := probe(c, line)
+	if ok {
+		t.Fatalf("install of resident line %d", line)
+	}
+	return c.installAt(b, free, line, st)
+}
+
 func TestInsertLookup(t *testing.T) {
 	c := tinyCache()
 	if _, ok := c.Lookup(1); ok {
 		t.Fatal("empty cache claims residency")
 	}
-	if _, ev := c.Insert(1, Exclusive); ev {
+	if _, ev := install(t, c, 1, Exclusive); ev {
 		t.Fatal("insert into empty set evicted")
 	}
 	st, ok := c.Lookup(1)
@@ -45,9 +65,9 @@ func aliasingLines(c *Cache, k int) []uint64 {
 func TestLRUEviction(t *testing.T) {
 	c := tinyCache()
 	ls := aliasingLines(c, 3) // assoc 2: inserting the third evicts the first
-	c.Insert(ls[0], Shared)
-	c.Insert(ls[1], Shared)
-	ev, ok := c.Insert(ls[2], Shared)
+	install(t, c, ls[0], Shared)
+	install(t, c, ls[1], Shared)
+	ev, ok := install(t, c, ls[2], Shared)
 	if !ok || ev.Line != ls[0] {
 		t.Fatalf("evicted %+v,%v; want line %d", ev, ok, ls[0])
 	}
@@ -56,41 +76,25 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestTouchRefreshesLRU: a probe that hits moves its line to MRU, so the
+// other way of the set becomes the next victim.
 func TestTouchRefreshesLRU(t *testing.T) {
 	c := tinyCache()
 	ls := aliasingLines(c, 3)
-	c.Insert(ls[0], Shared)
-	c.Insert(ls[1], Shared)
-	c.Touch(ls[0]) // now ls[1] is LRU
-	ev, ok := c.Insert(ls[2], Shared)
-	if !ok || ev.Line != ls[1] {
-		t.Fatalf("evicted %+v,%v; want line %d after Touch", ev, ok, ls[1])
+	install(t, c, ls[0], Shared)
+	install(t, c, ls[1], Exclusive)
+	if st, ok, _, _ := probe(c, ls[0]); !ok || st != Shared { // a hit: now ls[1] is LRU
+		t.Fatalf("probe(%d) = %v,%v; want S,true", ls[0], st, ok)
 	}
-}
-
-func TestInsertExistingRefreshes(t *testing.T) {
-	c := tinyCache()
-	ls := aliasingLines(c, 3)
-	c.Insert(ls[0], Shared)
-	c.Insert(ls[1], Shared)
-	if _, ev := c.Insert(ls[0], Modified); ev {
-		t.Fatal("re-insert evicted")
-	}
-	if st, _ := c.Lookup(ls[0]); st != Modified {
-		t.Fatalf("state = %v, want M", st)
-	}
-	if c.Resident() != 2 {
-		t.Fatalf("Resident = %d, want 2", c.Resident())
-	}
-	// ls[0] is now MRU, so ls[1] gets evicted next.
-	if ev, ok := c.Insert(ls[2], Shared); !ok || ev.Line != ls[1] {
-		t.Fatalf("evicted %+v, want %d", ev, ls[1])
+	ev, ok := install(t, c, ls[2], Shared)
+	if !ok || ev != (Eviction{Line: ls[1], State: Exclusive}) {
+		t.Fatalf("evicted %+v,%v; want line %d in E after the hit", ev, ok, ls[1])
 	}
 }
 
 func TestInvalidate(t *testing.T) {
 	c := tinyCache()
-	c.Insert(7, Modified)
+	install(t, c, 7, Modified)
 	st, ok := c.Invalidate(7)
 	if !ok || st != Modified {
 		t.Fatalf("Invalidate = %v,%v; want M,true", st, ok)
@@ -105,7 +109,7 @@ func TestInvalidate(t *testing.T) {
 
 func TestDowngrade(t *testing.T) {
 	c := tinyCache()
-	c.Insert(3, Modified)
+	install(t, c, 3, Modified)
 	prev, ok := c.Downgrade(3)
 	if !ok || prev != Modified {
 		t.Fatalf("Downgrade = %v,%v", prev, ok)
@@ -120,44 +124,11 @@ func TestDowngrade(t *testing.T) {
 	}
 }
 
-func TestSetStatePanicsWhenAbsent(t *testing.T) {
-	c := tinyCache()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	c.SetState(99, Modified)
-}
-
-func TestInsertInvalidPanics(t *testing.T) {
-	c := tinyCache()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	c.Insert(1, Invalid)
-}
-
-func TestFlush(t *testing.T) {
-	c := tinyCache()
-	c.Insert(0, Modified)
-	c.Insert(1, Shared)
-	c.Insert(2, Modified)
-	if dirty := c.Flush(); dirty != 2 {
-		t.Fatalf("Flush dirty = %d, want 2", dirty)
-	}
-	if c.Resident() != 0 {
-		t.Fatal("resident after flush")
-	}
-}
-
 func TestForEachDeterministic(t *testing.T) {
 	c := tinyCache()
-	c.Insert(0, Shared)
-	c.Insert(5, Exclusive)
-	c.Insert(2, Modified)
+	install(t, c, 0, Shared)
+	install(t, c, 5, Exclusive)
+	install(t, c, 2, Modified)
 	var got1, got2 []uint64
 	c.ForEach(func(l uint64, _ State) { got1 = append(got1, l) })
 	c.ForEach(func(l uint64, _ State) { got2 = append(got2, l) })
@@ -182,8 +153,8 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// Property: resident count never exceeds capacity, and Lookup always agrees
-// with what was inserted and not since evicted/invalidated.
+// Property: resident count never exceeds capacity, and every resident line
+// was installed and not since evicted or invalidated.
 func TestCacheCapacityProperty(t *testing.T) {
 	cfg := machine.CacheConfig{SizeBytes: 256, LineBytes: 16, Assoc: 2}
 	capacity := cfg.Lines()
@@ -196,12 +167,14 @@ func TestCacheCapacityProperty(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0:
 				st := State(1 + rng.Intn(3))
-				if ev, ok := c.Insert(line, st); ok {
-					delete(shadow, ev.Line)
+				if _, ok, b, free := probe(c, line); !ok {
+					if ev, ok := c.installAt(b, free, line, st); ok {
+						delete(shadow, ev.Line)
+					}
+					shadow[line] = st
 				}
-				shadow[line] = st
 			case 1:
-				c.Touch(line)
+				probe(c, line)
 			case 2:
 				c.Invalidate(line)
 				delete(shadow, line)

@@ -29,32 +29,6 @@ func (l Level) String() string {
 	return fmt.Sprintf("Level(%d)", uint8(l))
 }
 
-// Outcome reports everything the simulator needs to cost one access.
-type Outcome struct {
-	Level  Level
-	L2Line uint64   // line number at L2 granularity
-	Kind   MissKind // valid only when Level == MissAll
-
-	// StoreToShared is set when a store found the line in state Shared.
-	// This mirrors the R10000 event the paper uses to derive ntsync
-	// ("a hardware event counter that is incremented when the processor
-	// stores on a location that it already has in state shared", §2.4.2).
-	StoreToShared bool
-
-	// UpgradeFromShared is set when the store required an ownership
-	// upgrade (S→M), which the simulator must charge as a directory
-	// transaction and record in its write set.
-	UpgradeFromShared bool
-
-	// WritebackL2 is set when the access displaced a Modified L2 line.
-	WritebackL2 bool
-}
-
-// FillFunc resolves an L2 miss: the simulator consults the directory
-// snapshot and returns the state the line is granted in (Exclusive or Shared
-// for reads, Modified for writes).
-type FillFunc func(l2Line uint64, write bool) State
-
 // Stats aggregates ground-truth counts maintained by the hierarchy itself.
 type Stats struct {
 	Accesses    uint64
@@ -80,7 +54,7 @@ type Stats struct {
 //
 // An access is three steps the simulator calls itself — MemoHit, Lookup,
 // and on a miss in both levels Fill with the state the directory grants —
-// and Access is their composition.
+// and the simulator counts accesses through AddAccesses.
 type Hierarchy struct {
 	l1, l2   *Cache
 	l1Shift  uint
@@ -96,9 +70,9 @@ type Hierarchy struct {
 	memoState State
 	memoOK    bool
 
-	// L2 memo: the most recently touched-or-inserted L2 line and its state.
+	// L2 memo: the most recently probed-or-installed L2 line and its state.
 	// While valid, that line is provably at MRU in its set (nothing else has
-	// reordered L2 since), so a repeat L2 access can skip the probe: Touch
+	// reordered L2 since), so a repeat L2 access can skip the probe: probeAt
 	// would find it at the front and move nothing. Cleared by remote
 	// operations and evictions; updated by state upgrades.
 	memoL2Line  uint64
@@ -129,25 +103,6 @@ func NewHierarchy(cfg machine.Config) *Hierarchy {
 
 // L2LineOf maps a byte address to its L2 line number.
 func (h *Hierarchy) L2LineOf(addr uint64) uint64 { return addr >> h.l2Shift }
-
-// Access runs one load (write=false) or store (write=true) through the
-// hierarchy. fill is invoked exactly when the access misses in L2. It is
-// the composition the simulator's lane performs itself: MemoHit, then
-// Lookup, then — on a miss in both levels — Fill with the state the
-// directory grants.
-func (h *Hierarchy) Access(addr uint64, write bool, fill FillFunc) Outcome {
-	h.stats.Accesses++
-	out := Outcome{Level: HitL1, L2Line: addr >> h.l2Shift}
-	if h.MemoHit(addr, write) {
-		return out
-	}
-	out.Level, out.StoreToShared = h.Lookup(addr, write)
-	out.UpgradeFromShared = out.StoreToShared
-	if out.Level == MissAll {
-		out.Kind, out.WritebackL2 = h.Fill(addr, write, fill(out.L2Line, write))
-	}
-	return out
-}
 
 // Lookup is the probe half of an access that is not a memo hit: it serves
 // the access from L1 or L2 and reports the level and whether a store found
@@ -231,7 +186,8 @@ func (h *Hierarchy) Fill(addr uint64, write bool, st State) (kind MissKind, writ
 	if dropped {
 		// The victim's L1 sub-lines were invalidated, maybe out of this
 		// very set: Lookup's free slot is stale, so rescan.
-		h.l1.insertAt(h.l1.base(l1Line), l1Line, st)
+		b := h.l1.base(l1Line)
+		h.l1.installAt(b, b+h.l1.used(b), l1Line, st)
 	} else {
 		h.l1.installAt(h.missL1b, h.missL1free, l1Line, st)
 	}
@@ -239,10 +195,10 @@ func (h *Hierarchy) Fill(addr uint64, write bool, st State) (kind MissKind, writ
 	return kind, writeback
 }
 
-// MemoHit is the memo fast path of Access, small enough to inline into the
-// simulator's per-access loop: if addr repeats the previous access's L1 line
-// (and a store finds it Modified, so the store is silent), the access is a
-// pure L1 hit that changes no cache state — the line is at MRU in both
+// MemoHit is the memo fast path of an access, small enough to inline into
+// the simulator's per-access loop: if addr repeats the previous access's L1
+// line (and a store finds it Modified, so the store is silent), the access
+// is a pure L1 hit that changes no cache state — the line is at MRU in both
 // levels. On false the caller runs Lookup.
 func (h *Hierarchy) MemoHit(addr uint64, write bool) bool {
 	return h.memoOK && addr>>h.l1Shift == h.memoLine && (!write || h.memoState == Modified)
@@ -354,10 +310,8 @@ func (h *Hierarchy) DowngradeRemote(l2Line uint64) (State, bool) {
 		return Invalid, false
 	}
 	base := l2Line * h.subLines
-	for i := uint64(0); i < h.subLines; i++ {
-		if _, resident := h.l1.Lookup(base + i); resident {
-			h.l1.Downgrade(base + i)
-		}
+	for line := base; line < base+h.subLines; line++ {
+		h.l1.Downgrade(line)
 	}
 	h.memoOK = false
 	h.memoL2OK = false

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,8 +14,37 @@ import (
 // the arithmetic in tests easy.
 func testConfig() machine.Config { return machine.TinyTest() }
 
-// grantRead is a FillFunc granting Exclusive to reads and Modified to writes
-// (the no-other-sharer directory answer).
+// grantFunc resolves an L2 miss the way the simulator's lane does against
+// the directory snapshot: it returns the state the line is granted in.
+type grantFunc func(l2Line uint64, write bool) State
+
+// outcome is what one access reports to the lane.
+type outcome struct {
+	level     Level
+	upgrade   bool     // a store found its line Shared
+	kind      MissKind // valid only when level == MissAll
+	writeback bool     // the fill displaced a Modified L2 line
+}
+
+// access runs one load or store through the hierarchy the way the
+// simulator's lane does: MemoHit, then Lookup, then — on a miss in both
+// levels — Fill with the state grant returns, with the access counted
+// through AddAccesses. grant is called exactly when the access misses L2.
+func access(h *Hierarchy, addr uint64, write bool, grant grantFunc) outcome {
+	h.AddAccesses(1)
+	if h.MemoHit(addr, write) {
+		return outcome{level: HitL1}
+	}
+	var o outcome
+	o.level, o.upgrade = h.Lookup(addr, write)
+	if o.level == MissAll {
+		o.kind, o.writeback = h.Fill(addr, write, grant(h.L2LineOf(addr), write))
+	}
+	return o
+}
+
+// grantRead grants Exclusive to reads and Modified to writes (the
+// no-other-sharer directory answer).
 func grantRead(_ uint64, write bool) State {
 	if write {
 		return Modified
@@ -32,8 +62,8 @@ func grantShared(_ uint64, write bool) State {
 
 func TestFirstAccessIsCompulsoryMiss(t *testing.T) {
 	h := NewHierarchy(testConfig())
-	out := h.Access(0x100, false, grantRead)
-	if out.Level != MissAll || out.Kind != MissCompulsory {
+	out := access(h, 0x100, false, grantRead)
+	if out.level != MissAll || out.kind != MissCompulsory {
 		t.Fatalf("first access = %+v, want compulsory full miss", out)
 	}
 	if s := h.Stats(); s.Compulsory != 1 || s.L2Misses != 1 || s.L1Misses != 1 {
@@ -43,22 +73,22 @@ func TestFirstAccessIsCompulsoryMiss(t *testing.T) {
 
 func TestRepeatAccessHitsL1(t *testing.T) {
 	h := NewHierarchy(testConfig())
-	h.Access(0x100, false, grantRead)
-	out := h.Access(0x100, false, nil) // nil fill: must not be called
-	if out.Level != HitL1 {
-		t.Fatalf("repeat access level = %v, want L1", out.Level)
+	access(h, 0x100, false, grantRead)
+	out := access(h, 0x100, false, nil) // nil fill: must not be called
+	if out.level != HitL1 {
+		t.Fatalf("repeat access level = %v, want L1", out.level)
 	}
-	if out.StoreToShared {
-		t.Fatal("read flagged StoreToShared")
+	if out.upgrade {
+		t.Fatal("read flagged a store to a Shared line")
 	}
 }
 
 func TestSameLineDifferentWordHitsL1(t *testing.T) {
 	h := NewHierarchy(testConfig())
-	h.Access(0x100, false, grantRead)
-	out := h.Access(0x104, false, nil) // same 16-byte line
-	if out.Level != HitL1 {
-		t.Fatalf("same-line access = %v, want L1 hit", out.Level)
+	access(h, 0x100, false, grantRead)
+	out := access(h, 0x104, false, nil) // same 16-byte line
+	if out.level != HitL1 {
+		t.Fatalf("same-line access = %v, want L1 hit", out.level)
 	}
 }
 
@@ -72,17 +102,17 @@ func TestL1EvictionFallsToL2(t *testing.T) {
 		t.Fatalf("test geometry broken: %d > L2 %d", n, cfg.L2.Lines())
 	}
 	for i := 0; i < n; i++ {
-		h.Access(uint64(i*cfg.L1.LineBytes), false, grantRead)
+		access(h, uint64(i*cfg.L1.LineBytes), false, grantRead)
 	}
 	// Re-walk: everything is still in L2, so no new L2 misses.
 	pre := h.Stats().L2Misses
 	hitsL2 := 0
 	for i := 0; i < n; i++ {
-		out := h.Access(uint64(i*cfg.L1.LineBytes), false, grantRead)
-		if out.Level == MissAll {
+		out := access(h, uint64(i*cfg.L1.LineBytes), false, grantRead)
+		if out.level == MissAll {
 			t.Fatalf("line %d missed L2 on re-walk", i)
 		}
-		if out.Level == HitL2 {
+		if out.level == HitL2 {
 			hitsL2++
 		}
 	}
@@ -101,23 +131,23 @@ func TestConflictMissAfterCapacityEviction(t *testing.T) {
 	// Stream through 2× the L2 capacity, then return to line 0: it was
 	// evicted, seen before, never invalidated → conflict miss.
 	for i := 0; i < 2*l2Lines; i++ {
-		h.Access(uint64(i*cfg.L2.LineBytes), false, grantRead)
+		access(h, uint64(i*cfg.L2.LineBytes), false, grantRead)
 	}
-	out := h.Access(0, false, grantRead)
-	if out.Level != MissAll || out.Kind != MissConflict {
+	out := access(h, 0, false, grantRead)
+	if out.level != MissAll || out.kind != MissConflict {
 		t.Fatalf("return access = %+v, want conflict miss", out)
 	}
 }
 
 func TestCoherenceMissAfterRemoteInvalidation(t *testing.T) {
 	h := NewHierarchy(testConfig())
-	h.Access(0x200, false, grantRead)
+	access(h, 0x200, false, grantRead)
 	line := h.L2LineOf(0x200)
 	if !h.InvalidateRemote(line) {
 		t.Fatal("InvalidateRemote did not find resident line")
 	}
-	out := h.Access(0x200, false, grantShared)
-	if out.Level != MissAll || out.Kind != MissCoherence {
+	out := access(h, 0x200, false, grantShared)
+	if out.level != MissAll || out.kind != MissCoherence {
 		t.Fatalf("post-invalidation access = %+v, want coherence miss", out)
 	}
 	// The classification mark must be consumed: evict it naturally next and
@@ -134,19 +164,19 @@ func TestInvalidateRemoteAbsentLine(t *testing.T) {
 	}
 	// Absent-line invalidation must NOT poison classification: a later
 	// first access is compulsory.
-	out := h.Access(123*uint64(testConfig().L2.LineBytes), false, grantRead)
-	if out.Kind != MissCompulsory {
-		t.Fatalf("kind = %v, want compulsory", out.Kind)
+	out := access(h, 123*uint64(testConfig().L2.LineBytes), false, grantRead)
+	if out.kind != MissCompulsory {
+		t.Fatalf("kind = %v, want compulsory", out.kind)
 	}
 }
 
 func TestStoreToSharedEvent(t *testing.T) {
 	h := NewHierarchy(testConfig())
-	// Read the line granted Shared, then store to it: the store must raise
-	// StoreToShared + UpgradeFromShared, and leave the line Modified.
-	h.Access(0x300, false, grantShared)
-	out := h.Access(0x300, true, nil)
-	if out.Level != HitL1 || !out.StoreToShared || !out.UpgradeFromShared {
+	// Read the line granted Shared, then store to it: the store must report
+	// the store-to-shared upgrade, and leave the line Modified.
+	access(h, 0x300, false, grantShared)
+	out := access(h, 0x300, true, nil)
+	if out.level != HitL1 || !out.upgrade {
 		t.Fatalf("store outcome = %+v", out)
 	}
 	if st, ok := h.HasLine(h.L2LineOf(0x300)); !ok || st != Modified {
@@ -156,17 +186,17 @@ func TestStoreToSharedEvent(t *testing.T) {
 		t.Fatalf("StoreShared = %d, want 1", s.StoreShared)
 	}
 	// A second store is a silent M hit.
-	out = h.Access(0x300, true, nil)
-	if out.StoreToShared {
-		t.Fatal("second store flagged StoreToShared again")
+	out = access(h, 0x300, true, nil)
+	if out.upgrade {
+		t.Fatal("second store flagged as a store to a Shared line again")
 	}
 }
 
 func TestStoreToExclusiveSilentUpgrade(t *testing.T) {
 	h := NewHierarchy(testConfig())
-	h.Access(0x400, false, grantRead) // Exclusive
-	out := h.Access(0x400, true, nil)
-	if out.StoreToShared || out.UpgradeFromShared {
+	access(h, 0x400, false, grantRead) // Exclusive
+	out := access(h, 0x400, true, nil)
+	if out.upgrade {
 		t.Fatalf("E→M upgrade flagged as shared store: %+v", out)
 	}
 	if st, _ := h.HasLine(h.L2LineOf(0x400)); st != Modified {
@@ -176,9 +206,9 @@ func TestStoreToExclusiveSilentUpgrade(t *testing.T) {
 
 func TestWriteMissGrantsModified(t *testing.T) {
 	h := NewHierarchy(testConfig())
-	out := h.Access(0x500, true, grantRead)
-	if out.Level != MissAll {
-		t.Fatalf("level = %v", out.Level)
+	out := access(h, 0x500, true, grantRead)
+	if out.level != MissAll {
+		t.Fatalf("level = %v", out.level)
 	}
 	if st, _ := h.HasLine(h.L2LineOf(0x500)); st != Modified {
 		t.Fatalf("state = %v, want M", st)
@@ -186,19 +216,19 @@ func TestWriteMissGrantsModified(t *testing.T) {
 }
 
 func TestFillGrantValidation(t *testing.T) {
-	h := NewHierarchy(testConfig())
-	for _, bad := range []State{Invalid, Shared} {
+	for _, bad := range []struct {
+		write bool
+		st    State
+	}{{true, Invalid}, {true, Shared}, {false, Invalid}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("write fill granting %v: want panic", bad)
+					t.Errorf("fill of write=%v granting %v: want panic", bad.write, bad.st)
 				}
 			}()
-			h2 := NewHierarchy(testConfig())
-			h2.Access(0, true, func(_ uint64, _ bool) State { return bad })
+			access(NewHierarchy(testConfig()), 0, bad.write, func(uint64, bool) State { return bad.st })
 		}()
 	}
-	_ = h
 }
 
 func TestWritebackOnDirtyEviction(t *testing.T) {
@@ -207,7 +237,7 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 	// Dirty twice the L2 capacity in distinct lines: capacity evictions of
 	// Modified lines must be counted as writebacks.
 	for i := 0; i < 2*cfg.L2.Lines(); i++ {
-		h.Access(uint64(i*cfg.L2.LineBytes), true, grantRead)
+		access(h, uint64(i*cfg.L2.LineBytes), true, grantRead)
 	}
 	if s := h.Stats(); s.Writebacks == 0 {
 		t.Fatal("no writeback counted after dirty eviction")
@@ -221,15 +251,15 @@ func TestInclusionL2EvictionClearsL1(t *testing.T) {
 	// also miss in L1 (inclusion) — a stale L1 copy would serve it.
 	total := 2 * cfg.L2.Lines()
 	for i := 0; i < total; i++ {
-		h.Access(uint64(i*cfg.L2.LineBytes), false, grantRead)
+		access(h, uint64(i*cfg.L2.LineBytes), false, grantRead)
 	}
 	checked := false
 	for i := 0; i < total && !checked; i++ {
 		addr := uint64(i * cfg.L2.LineBytes)
 		if _, inL2 := h.HasLine(h.L2LineOf(addr)); !inL2 {
-			out := h.Access(addr, false, grantRead)
-			if out.Level != MissAll {
-				t.Fatalf("evicted L2 line %#x still serviced at %v (inclusion broken)", addr, out.Level)
+			out := access(h, addr, false, grantRead)
+			if out.level != MissAll {
+				t.Fatalf("evicted L2 line %#x still serviced at %v (inclusion broken)", addr, out.level)
 			}
 			checked = true
 		}
@@ -241,15 +271,15 @@ func TestInclusionL2EvictionClearsL1(t *testing.T) {
 
 func TestDowngradeRemote(t *testing.T) {
 	h := NewHierarchy(testConfig())
-	h.Access(0x600, true, grantRead) // Modified
+	access(h, 0x600, true, grantRead) // Modified
 	prev, ok := h.DowngradeRemote(h.L2LineOf(0x600))
 	if !ok || prev != Modified {
 		t.Fatalf("DowngradeRemote = %v,%v", prev, ok)
 	}
-	// Now a store must raise StoreToShared (line is S).
-	out := h.Access(0x600, true, nil)
-	if !out.StoreToShared {
-		t.Fatalf("store after downgrade: %+v, want StoreToShared", out)
+	// Now a store must report the store-to-shared upgrade (line is S).
+	out := access(h, 0x600, true, nil)
+	if !out.upgrade {
+		t.Fatalf("store after downgrade: %+v, want the store-to-shared upgrade", out)
 	}
 	if _, ok := h.DowngradeRemote(9999); ok {
 		t.Fatal("downgrade of absent line reported ok")
@@ -260,45 +290,206 @@ func TestEverCachedFootprint(t *testing.T) {
 	cfg := testConfig()
 	h := NewHierarchy(cfg)
 	for i := 0; i < 10; i++ {
-		h.Access(uint64(i*cfg.L2.LineBytes), false, grantRead)
+		access(h, uint64(i*cfg.L2.LineBytes), false, grantRead)
 	}
 	// Revisits don't grow the footprint.
-	h.Access(0, false, grantRead)
+	access(h, 0, false, grantRead)
 	if got := h.EverCached(); got != 10 {
 		t.Fatalf("EverCached = %d, want 10", got)
 	}
 }
 
-// Property: stats are internally consistent under random access streams —
-// L2Misses = Compulsory + Coherence + Conflict, L1Misses ≥ L2Misses,
-// Accesses ≥ L1Misses, and resident L2 lines never exceed capacity.
-func TestHierarchyStatsConsistencyProperty(t *testing.T) {
-	cfg := testConfig()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := NewHierarchy(cfg)
-		maxLine := uint64(4 * cfg.L2.Lines())
-		for i := 0; i < 2000; i++ {
-			addr := (uint64(rng.Intn(int(maxLine)))) * uint64(cfg.L1.LineBytes)
-			write := rng.Intn(3) == 0
-			h.Access(addr, write, grantShared)
-			if rng.Intn(50) == 0 {
-				h.InvalidateRemote(h.L2LineOf(addr))
-			}
-			if rng.Intn(50) == 0 {
-				h.DowngradeRemote(uint64(rng.Intn(int(maxLine / 4))))
-			}
-		}
-		s := h.Stats()
-		if s.L2Misses != s.Compulsory+s.Coherence+s.Conflict {
-			return false
-		}
-		if s.L1Misses < s.L2Misses || s.Accesses < s.L1Misses {
-			return false
-		}
-		return h.ResidentL2() <= cfg.L2.Lines()
+// modelHierarchy is an oracle for Hierarchy: two explicit LRU levels kept
+// inclusive by hand, and the miss classifier's history as two sets. It has
+// no memos and keeps no free slots between steps: every access probes from
+// scratch, and a store hit sets both levels Modified even where Hierarchy
+// proves that a no-op and skips it.
+type modelHierarchy struct {
+	l1, l2           *modelCache
+	l1Shift, l2Shift uint
+	subLines         uint64
+	everCached       map[uint64]bool
+	invalidated      map[uint64]bool
+	stats            Stats
+}
+
+func newModelHierarchy(h *Hierarchy, cfg machine.Config) *modelHierarchy {
+	return &modelHierarchy{
+		l1:          newModel(h.l1, cfg.L1),
+		l2:          newModel(h.l2, cfg.L2),
+		l1Shift:     h.l1Shift,
+		l2Shift:     h.l2Shift,
+		subLines:    uint64(cfg.L2.LineBytes / cfg.L1.LineBytes),
+		everCached:  map[uint64]bool{},
+		invalidated: map[uint64]bool{},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+}
+
+func (m *modelHierarchy) access(addr uint64, write bool, grant grantFunc) outcome {
+	m.stats.Accesses++
+	l1Line, l2Line := addr>>m.l1Shift, addr>>m.l2Shift
+	if st, ok := m.l1.touch(l1Line); ok {
+		return outcome{level: HitL1, upgrade: write && m.store(st, l1Line, l2Line)}
+	}
+	m.stats.L1Misses++
+	if st, ok := m.l2.touch(l2Line); ok {
+		o := outcome{level: HitL2}
+		if write {
+			o.upgrade = m.store(st, l1Line, l2Line)
+			st = Modified
+		}
+		m.l1.insert(l1Line, st) // an L1 victim lives on in L2
+		return o
+	}
+	m.stats.L2Misses++
+	o := outcome{level: MissAll}
+	switch {
+	case !m.everCached[l2Line]:
+		o.kind = MissCompulsory
+		m.stats.Compulsory++
+	case m.invalidated[l2Line]:
+		o.kind = MissCoherence
+		m.stats.Coherence++
+	default:
+		o.kind = MissConflict
+		m.stats.Conflict++
+	}
+	m.everCached[l2Line] = true
+	delete(m.invalidated, l2Line)
+	st := grant(l2Line, write)
+	if ev, ok := m.l2.insert(l2Line, st); ok {
+		if ev.State == Modified {
+			m.stats.Writebacks++
+			o.writeback = true
+		}
+		m.dropL1(ev.Line)
+	}
+	m.l1.insert(l1Line, st)
+	return o
+}
+
+// store makes a store hit's line Modified in both levels and reports
+// whether it found the line Shared.
+func (m *modelHierarchy) store(st State, l1Line, l2Line uint64) bool {
+	if st == Shared {
+		m.stats.StoreShared++
+	}
+	m.l1.setState(l1Line, Modified)
+	m.l2.setState(l2Line, Modified)
+	return st == Shared
+}
+
+// dropL1 removes every L1 sub-line of an L2 line (inclusion).
+func (m *modelHierarchy) dropL1(l2Line uint64) {
+	for line := l2Line * m.subLines; line < (l2Line+1)*m.subLines; line++ {
+		m.l1.invalidate(line)
+	}
+}
+
+func (m *modelHierarchy) invalidateRemote(l2Line uint64) bool {
+	_, ok := m.l2.invalidate(l2Line)
+	if ok {
+		m.invalidated[l2Line] = true
+	}
+	m.dropL1(l2Line)
+	return ok
+}
+
+func (m *modelHierarchy) downgradeRemote(l2Line uint64) (State, bool) {
+	prev, ok := m.l2.downgrade(l2Line)
+	if ok {
+		for line := l2Line * m.subLines; line < (l2Line+1)*m.subLines; line++ {
+			m.l1.downgrade(line)
+		}
+	}
+	return prev, ok
+}
+
+// diff compares everything Hierarchy exposes with the model — both levels'
+// exact contents and Resident, the counters and the footprint — describing
+// the first difference, or "" when there is none.
+func (m *modelHierarchy) diff(h *Hierarchy) string {
+	if d := m.l1.diff(h.l1); d != "" {
+		return "L1 " + d
+	}
+	if d := m.l2.diff(h.l2); d != "" {
+		return "L2 " + d
+	}
+	if s := h.Stats(); s != m.stats {
+		return fmt.Sprintf("Stats = %+v, model %+v", s, m.stats)
+	}
+	if got, want := h.EverCached(), len(m.everCached); got != want {
+		return fmt.Sprintf("EverCached = %d, model %d", got, want)
+	}
+	return ""
+}
+
+// TestHierarchyStatsConsistencyProperty drives the hierarchy through the
+// lane's steps, remote invalidations and remote downgrades, and after every
+// step compares what it reports and everything it holds with the oracle.
+// Two geometries: TinyTest (L1 and L2 lines coincide) and one whose L2
+// lines hold two L1 lines, so inclusion drops and downgrades walk sub-lines.
+// The stats must also be internally consistent: L2Misses = Compulsory +
+// Coherence + Conflict and Accesses ≥ L1Misses ≥ L2Misses.
+func TestHierarchyStatsConsistencyProperty(t *testing.T) {
+	wide := testConfig()
+	wide.L2.LineBytes = 32
+	for _, cfg := range []machine.Config{testConfig(), wide} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			h := NewHierarchy(cfg)
+			m := newModelHierarchy(h, cfg)
+			words := 4 * cfg.L2.SizeBytes / 4 // 4× the L2 capacity, in 4-byte words
+			var addr uint64
+			for i := 0; i < 2000; i++ {
+				what := ""
+				switch r := rng.Intn(50); {
+				case r == 0:
+					line := h.L2LineOf(uint64(4 * rng.Intn(words)))
+					if got, want := h.InvalidateRemote(line), m.invalidateRemote(line); got != want {
+						what = fmt.Sprintf("InvalidateRemote(%d) = %v, model %v", line, got, want)
+					}
+				case r <= 2:
+					line := h.L2LineOf(addr) // most often resident, in M or E
+					if r == 2 {
+						line = h.L2LineOf(uint64(4 * rng.Intn(words)))
+					}
+					st, ok := h.DowngradeRemote(line)
+					if wantSt, wantOK := m.downgradeRemote(line); st != wantSt || ok != wantOK {
+						what = fmt.Sprintf("DowngradeRemote(%d) = %v,%v; model %v,%v", line, st, ok, wantSt, wantOK)
+					}
+				default:
+					if r < 20 {
+						addr += 4 // the next word: memo hits and sibling lines
+					} else {
+						addr = uint64(4 * rng.Intn(words))
+					}
+					write := rng.Intn(3) == 0
+					readGrant := []State{Exclusive, Shared}[rng.Intn(2)]
+					grant := func(_ uint64, write bool) State {
+						if write {
+							return Modified
+						}
+						return readGrant
+					}
+					if got, want := access(h, addr, write, grant), m.access(addr, write, grant); got != want {
+						what = fmt.Sprintf("access(%#x, write=%v) = %+v, model %+v", addr, write, got, want)
+					}
+				}
+				if what == "" {
+					what = m.diff(h)
+				}
+				if what != "" {
+					t.Logf("L2 line %d B, seed %d, step %d: %s", cfg.L2.LineBytes, seed, i, what)
+					return false
+				}
+			}
+			s := h.Stats()
+			return s.L2Misses == s.Compulsory+s.Coherence+s.Conflict &&
+				s.Accesses >= s.L1Misses && s.L1Misses >= s.L2Misses
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

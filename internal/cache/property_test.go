@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,15 +40,10 @@ func (m *modelCache) findIn(s []modelWay, line uint64) int {
 	return -1
 }
 
+// insert installs a non-resident line at MRU, displacing the LRU way of a
+// full set.
 func (m *modelCache) insert(line uint64, st State) (Eviction, bool) {
 	s := m.set(line)
-	if i := m.findIn(*s, line); i >= 0 {
-		w := (*s)[i]
-		w.st = st
-		*s = append((*s)[:i], (*s)[i+1:]...)
-		*s = append([]modelWay{w}, *s...)
-		return Eviction{}, false
-	}
 	if len(*s) == m.assoc {
 		victim := (*s)[len(*s)-1]
 		*s = append([]modelWay{{line, st}}, (*s)[:len(*s)-1]...)
@@ -93,25 +89,22 @@ func (m *modelCache) downgrade(line uint64) (State, bool) {
 	return prev, true
 }
 
-func (m *modelCache) flush() int {
-	dirty := 0
-	for i := range m.sets {
-		for _, w := range m.sets[i] {
-			if w.st == Modified {
-				dirty++
-			}
-		}
-		m.sets[i] = m.sets[i][:0]
+func (m *modelCache) lookup(line uint64) (State, bool) {
+	s := *m.set(line)
+	if i := m.findIn(s, line); i >= 0 {
+		return s[i].st, true
 	}
-	return dirty
+	return Invalid, false
 }
 
-func (m *modelCache) resident() int {
-	n := 0
-	for _, s := range m.sets {
-		n += len(s)
+func (m *modelCache) setState(line uint64, st State) bool {
+	s := *m.set(line)
+	i := m.findIn(s, line)
+	if i < 0 {
+		return false
 	}
-	return n
+	s[i].st = st
+	return true
 }
 
 // dump flattens the model in the same deterministic order ForEach promises:
@@ -124,9 +117,31 @@ func (m *modelCache) dump() []modelWay {
 	return out
 }
 
+// diff compares c's complete observable state — the exact ForEach
+// enumeration and Resident — with the model's, describing the first
+// difference, or "" when there is none.
+func (m *modelCache) diff(c *Cache) string {
+	want := m.dump()
+	var got []modelWay
+	c.ForEach(func(l uint64, st State) { got = append(got, modelWay{l, st}) })
+	for j := 0; j < len(got) && j < len(want); j++ {
+		if got[j] != want[j] {
+			return fmt.Sprintf("ForEach[%d] = %+v, model %+v", j, got[j], want[j])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("ForEach yielded %d lines, model %d", len(got), len(want))
+	}
+	if c.Resident() != len(want) {
+		return fmt.Sprintf("holds %d lines, Resident() %d", len(want), c.Resident())
+	}
+	return ""
+}
+
 // TestCacheMatchesModelProperty drives the packed implementation and the
-// oracle through the same random storm of inserts, touches, invalidations,
-// downgrades, lookups and flushes, comparing every return value and — after
+// oracle through the same random storm of the steps the hierarchy runs —
+// probes, installs after a missing probe, state changes, invalidations,
+// downgrades — and lookups, comparing every return value and — after
 // every step — the complete observable state (Resident plus the exact
 // ForEach enumeration). Regression coverage for the Invalidate stale-tail
 // bug: leaving a vacated way's old slot value behind makes the enumerations
@@ -139,21 +154,23 @@ func TestCacheMatchesModelProperty(t *testing.T) {
 		m := newModel(c, cfg)
 		for i := 0; i < 2000; i++ {
 			line := uint64(rng.Intn(96)) // ~6 lines per set: constant aliasing pressure
-			switch rng.Intn(6) {
-			case 0, 1:
-				st := State(1 + rng.Intn(3))
-				ev, ok := c.Insert(line, st)
-				wantEv, wantOK := m.insert(line, st)
-				if ev != wantEv || ok != wantOK {
-					t.Logf("seed %d step %d: Insert(%d,%v) = %+v,%v; model %+v,%v",
-						seed, i, line, st, ev, ok, wantEv, wantOK)
-					return false
-				}
-			case 2:
-				st, ok := c.Touch(line)
+			switch rng.Intn(7) {
+			case 0, 1, 2:
+				st, ok, b, free := probe(c, line)
 				wantSt, wantOK := m.touch(line)
 				if st != wantSt || ok != wantOK {
-					t.Logf("seed %d step %d: Touch(%d) mismatch", seed, i, line)
+					t.Logf("seed %d step %d: probeAt(%d) = %v,%v; model %v,%v", seed, i, line, st, ok, wantSt, wantOK)
+					return false
+				}
+				if ok || rng.Intn(3) == 0 {
+					break // a probe alone: a hit's reorder, or a miss nothing fills
+				}
+				st = State(1 + rng.Intn(3))
+				ev, ok := c.installAt(b, free, line, st)
+				wantEv, wantOK := m.insert(line, st)
+				if ev != wantEv || ok != wantOK {
+					t.Logf("seed %d step %d: installAt(%d,%v) = %+v,%v; model %+v,%v",
+						seed, i, line, st, ev, ok, wantEv, wantOK)
 					return false
 				}
 			case 3:
@@ -171,40 +188,22 @@ func TestCacheMatchesModelProperty(t *testing.T) {
 					return false
 				}
 			case 5:
-				if rng.Intn(50) == 0 { // rare full flush
-					if got, want := c.Flush(), m.flush(); got != want {
-						t.Logf("seed %d step %d: Flush = %d, model %d", seed, i, got, want)
-						return false
-					}
-				} else {
-					st, ok := c.Lookup(line)
-					wantSt := Invalid
-					wantOK := false
-					if j := m.findIn(*m.set(line), line); j >= 0 {
-						wantSt, wantOK = (*m.set(line))[j].st, true
-					}
-					if st != wantSt || ok != wantOK {
-						t.Logf("seed %d step %d: Lookup(%d) mismatch", seed, i, line)
-						return false
-					}
-				}
-			}
-			if c.Resident() != m.resident() {
-				t.Logf("seed %d step %d: Resident = %d, model %d", seed, i, c.Resident(), m.resident())
-				return false
-			}
-			want := m.dump()
-			var got []modelWay
-			c.ForEach(func(l uint64, st State) { got = append(got, modelWay{l, st}) })
-			if len(got) != len(want) {
-				t.Logf("seed %d step %d: ForEach yielded %d lines, model %d", seed, i, len(got), len(want))
-				return false
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Logf("seed %d step %d: ForEach[%d] = %+v, model %+v", seed, i, j, got[j], want[j])
+				st := State(1 + rng.Intn(3))
+				if got, want := c.setStateIfResident(line, st), m.setState(line, st); got != want {
+					t.Logf("seed %d step %d: setStateIfResident(%d) = %v, model %v", seed, i, line, got, want)
 					return false
 				}
+			case 6:
+				st, ok := c.Lookup(line)
+				wantSt, wantOK := m.lookup(line)
+				if st != wantSt || ok != wantOK {
+					t.Logf("seed %d step %d: Lookup(%d) mismatch", seed, i, line)
+					return false
+				}
+			}
+			if d := m.diff(c); d != "" {
+				t.Logf("seed %d step %d: %s", seed, i, d)
+				return false
 			}
 		}
 		return true
