@@ -47,9 +47,8 @@ type runState struct {
 	dir   *directory.Directory
 	hiers []*cache.Hierarchy
 	tlbs  []*memdsm.TLB
-	// lanes are held by pointer: each lane's fill callback is a method
-	// value bound to the lane's address, so lane structs must not move
-	// when the slice grows.
+	// lanes are held by pointer: lanes run concurrently, and a value slice
+	// would put their hot fields next to each other in memory.
 	lanes []*lane
 
 	// netKey caches the parameters the topology was built for.
@@ -64,7 +63,7 @@ var runPool sync.Pool
 
 // acquireRunState returns a runState prepared for (cfg, prog): structures
 // matching the machine geometry, reset for prog.Procs processors, with the
-// page-home table empty. The caller must releaseRunState it when the run
+// page-home table empty. The caller must return it to runPool when the run
 // finishes (on every path — a canceled run's state is fully cleared by the
 // next acquire's Reset).
 func acquireRunState(cfg *machine.Config, prog *Program) (*runState, error) {
@@ -118,17 +117,6 @@ func acquireRunState(cfg *machine.Config, prog *Program) (*runState, error) {
 	}
 	st.procs = procs
 	return st, nil
-}
-
-// releaseRunState returns the state to the pool for the next run.
-func releaseRunState(st *runState) {
-	if st == nil {
-		return
-	}
-	// Drop references into the finished run's directory buffers so pooled
-	// memory does not pin lane line sets across runs.
-	st.accesses = st.accesses[:0]
-	runPool.Put(st)
 }
 
 func growFloats(s []float64, n int) []float64 {

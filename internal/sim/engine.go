@@ -82,7 +82,7 @@ func RunContext(ctx context.Context, cfg machine.Config, prog *Program) (*Result
 	if err != nil {
 		return nil, err
 	}
-	defer releaseRunState(st)
+	defer runPool.Put(st)
 	e := &engine{
 		cfg:         cfg,
 		prog:        prog,
