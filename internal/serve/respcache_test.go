@@ -210,12 +210,15 @@ func TestResponseCacheTransparentToRefusals(t *testing.T) {
 
 // TestResponseCacheKeyNormalization: the key is the normalized document, so
 // spelled-out defaults share an entry, while every field that changes the
-// analysis — and the route itself — gets its own.
+// analysis — and the route itself — gets its own. The documents use matmul
+// at 4 processors: its full-size Origin2000 campaign (the machine variant)
+// is the cheapest of the apps', and 4 is the fewest processors a matmul
+// plan fits at.
 func TestResponseCacheKeyNormalization(t *testing.T) {
 	s, ts, mt := newTestServer(t, Options{Workers: 2, Cache: runcache.New(runcache.Options{})})
 
-	short := post200(t, ts.URL, "/v1/analyze", `{"app":"swim"}`)
-	long := post200(t, ts.URL, "/v1/analyze", `{"app":"swim","procs":32,"machine":"scaled"}`)
+	short := post200(t, ts.URL, "/v1/analyze", `{"app":"matmul"}`)
+	long := post200(t, ts.URL, "/v1/analyze", `{"app":"matmul","procs":32,"machine":"scaled"}`)
 	if !bytes.Equal(short, long) {
 		t.Fatal("defaulted and spelled-out documents got different bodies")
 	}
@@ -223,12 +226,12 @@ func TestResponseCacheKeyNormalization(t *testing.T) {
 		t.Fatalf("spelled-out defaults: response-cache hits = %d, want 1", hits)
 	}
 
-	const base = `{"app":"swim","procs":8}`
+	const base = `{"app":"matmul","procs":4}`
 	bodies := map[string]string{base: string(post200(t, ts.URL, "/v1/analyze", base))}
 	for _, doc := range []string{
-		`{"app":"swim","procs":8,"raw_tm":true}`,
-		`{"app":"swim","procs":8,"machine":"origin"}`,
-		`{"app":"swim","procs":8,"s0":1048576}`,
+		`{"app":"matmul","procs":4,"raw_tm":true}`,
+		`{"app":"matmul","procs":4,"machine":"origin"}`,
+		`{"app":"matmul","procs":4,"s0":262144}`,
 	} {
 		before := mt.ResponseCache("/v1/analyze", "miss").Value()
 		body := string(post200(t, ts.URL, "/v1/analyze", doc))
@@ -252,7 +255,7 @@ func TestResponseCacheKeyNormalization(t *testing.T) {
 	if hits := mt.ResponseCache("/v1/diagnose", "hit").Value(); hits != 0 {
 		t.Fatalf("first diagnose of a document analyzed before hit the response cache (%d hits)", hits)
 	}
-	// 1 default-procs entry + 4 procs-8 variants + one per route for swim/4.
+	// 1 default-procs entry + 4 procs-4 variants + one per route for swim/4.
 	if n := len(s.responses.items); n != 7 {
 		t.Fatalf("response cache holds %d entries, want 7", n)
 	}
